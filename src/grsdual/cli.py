@@ -16,14 +16,14 @@ from pathlib import Path
 from typing import Optional
 
 from .construct import (
-    FAMILIES,
+    FAMILY_TABLE,
     ConstructionRequest,
     build,
     result_to_json,
     search_square_difference_set,
 )
 from .errors import ConstructionInfeasible, GrsDualError
-from .gf import make_field, split_prime_power
+from .gf import bounded_power, make_field, split_prime_power
 from .grs import code_from_json, stored_generator_from_json
 from .verify import (
     EXACT_MDS_BUDGET,
@@ -59,7 +59,7 @@ def _resolve_q(args) -> Optional[int]:
     if args.p is not None or args.e is not None:
         if args.p is None:
             raise GrsDualError("--e given without --p")
-        q = args.p ** (args.e if args.e is not None else 1)
+        q = bounded_power(args.p, 1 if args.e is None else args.e)
         if args.q is not None and args.q != q:
             raise GrsDualError(f"--q {args.q} conflicts with --p/--e ({q})")
         return q
@@ -137,54 +137,6 @@ def _cmd_search(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-_SWEEP_DEFAULTS = {
-    "even-char": {"q": [4, 8, 16]},
-    "extended": {"q": [5, 7, 9, 13, 17, 25, 27]},
-    "square-set": {"cells": [(13, 2), (29, 4)]},
-    "subfield-points": {"r": [3, 5, 7, 9]},
-    "roots-of-unity": {"q": [9, 25, 49, 81]},
-    "theorem-3-5": {"r": [3, 7]},
-}
-
-
-def _pick(override, default):
-    """User-supplied list wins, even when empty; None means the default."""
-    return default if override is None else override
-
-
-def _sweep_cells(family: str, args) -> list[ConstructionRequest]:
-    cells: list[ConstructionRequest] = []
-    if family == "even-char":
-        for q in _pick(args.q, _SWEEP_DEFAULTS[family]["q"]):
-            for n in _pick(args.n, range(2, q + 1, 2)):
-                cells.append(ConstructionRequest(family, q=q, n=n))
-    elif family == "extended":
-        for q in _pick(args.q, _SWEEP_DEFAULTS[family]["q"]):
-            cells.append(ConstructionRequest(family, q=q))
-    elif family == "square-set":
-        if args.q is None and args.n is None:
-            for q, n in _SWEEP_DEFAULTS[family]["cells"]:
-                cells.append(ConstructionRequest(family, q=q, n=n))
-        else:
-            for q in args.q or []:
-                for n in args.n or []:
-                    cells.append(ConstructionRequest(family, q=q, n=n))
-    elif family == "subfield-points":
-        for r in _pick(args.r, _SWEEP_DEFAULTS[family]["r"]):
-            for n in _pick(args.n, range(2, r + 1, 2)):
-                cells.append(ConstructionRequest(family, r=r, n=n))
-    elif family == "roots-of-unity":
-        for q in _pick(args.q, _SWEEP_DEFAULTS[family]["q"]):
-            valid = [n for n in range(2, q + 1, 2) if (q - 1) % (n - 1) == 0]
-            for n in _pick(args.n, valid):
-                cells.append(ConstructionRequest(family, q=q, n=n))
-    elif family == "theorem-3-5":
-        for r in _pick(args.r, _SWEEP_DEFAULTS[family]["r"]):
-            for t in _pick(args.t, range(1, (r - 1) // 2 + 1)):
-                cells.append(ConstructionRequest(family, r=r, t=t))
-    return cells
-
-
 def _cell_label(request: ConstructionRequest) -> str:
     parts = []
     for name in ("q", "r", "t", "n"):
@@ -195,11 +147,12 @@ def _cell_label(request: ConstructionRequest) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    families = list(FAMILIES) if args.family == "all" else [args.family]
+    families = (FAMILY_TABLE.values() if args.family == "all"
+                else [FAMILY_TABLE[args.family]])
     rows = []
     all_ok = True
     for family in families:
-        for request in _sweep_cells(family, args):
+        for request in family.sweep_requests(args):
             t0 = time.perf_counter()
             try:
                 result = build(request)
@@ -215,9 +168,12 @@ def _cmd_sweep(args) -> int:
             except ConstructionInfeasible as exc:
                 ok, status, mode, params, report, result = (
                     False, "infeasible", "-", str(exc), None, None)
+            except (GrsDualError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             elapsed = time.perf_counter() - t0
             all_ok = all_ok and ok
-            rows.append((family, _cell_label(request), params, mode,
+            rows.append((family.name, _cell_label(request), params, mode,
                          status, f"{elapsed:.3f}s"))
             if args.out_dir and result is not None:
                 out = Path(args.out_dir)
@@ -249,7 +205,7 @@ def _build_parser() -> _Parser:
 
     p_con = sub.add_parser("construct", help="build one code as JSON")
     p_con.add_argument("--family", required=True,
-                       choices=list(FAMILIES) + ["auto"])
+                       choices=[*FAMILY_TABLE, "auto"])
     p_con.add_argument("--p", type=int)
     p_con.add_argument("--e", type=int)
     p_con.add_argument("--q", type=int)
@@ -281,7 +237,7 @@ def _build_parser() -> _Parser:
     p_swp = sub.add_parser("sweep",
                            help="construct and verify a parameter grid")
     p_swp.add_argument("--family", default="all",
-                       choices=list(FAMILIES) + ["all"])
+                       choices=[*FAMILY_TABLE, "all"])
     p_swp.add_argument("--q", type=int, nargs="*")
     p_swp.add_argument("--r", type=int, nargs="*")
     p_swp.add_argument("--t", type=int, nargs="*")

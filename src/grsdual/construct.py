@@ -17,13 +17,17 @@ Families
   roots-of-unity   q = r^2: points {0} plus the (n-1)-st roots of unity.
   theorem-3-5      q = r^2, r = 3 mod 4: 2t translated copies of GF(r)
                    along beta = gamma^((r+1)/2), giving n = 2tr.
+
+FAMILY_TABLE is the one place that describes the families to build, auto,
+sweep and the CLI: a new family is a construct_<name> function plus one
+Family entry there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadOrderError,
@@ -42,17 +46,6 @@ from .errors import (
 from .gf import FieldCtx, Felt, make_field, split_prime_power
 from .grs import GrsCode, code_to_json, dual_coefficients
 from .linalg import entrywise_power, row_equivalent, vandermonde_system
-
-FAMILIES = (
-    "even-char", "extended", "square-set",
-    "subfield-points", "roots-of-unity", "theorem-3-5",
-)
-
-AUTO_ORDER = (
-    "theorem-3-5", "roots-of-unity", "subfield-points",
-    "square-set", "extended", "even-char",
-)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -403,10 +396,118 @@ def _check_block_products(ctx: FieldCtx, r: int, t: int, beta: Felt,
 
 # --- dispatch ---------------------------------------------------------------
 
+class NotEligible(Exception):
+    """Internal: parameters do not meet a family's entry conditions."""
+
+
+def _eligible(ok: bool, reason: str) -> None:
+    if not ok:
+        raise NotEligible(reason)
+
+
+def _square_root(q: int) -> Optional[int]:
+    root = math.isqrt(q)
+    return root if root * root == q else None
+
+
+def _even_char_args(q: int, n: int) -> tuple[int, ...]:
+    _eligible(q % 2 == 0, "needs even q")
+    _eligible(2 <= n <= q and n % 2 == 0, "needs even n <= q")
+    return q, n
+
+
+def _extended_args(q: int, n: int) -> tuple[int, ...]:
+    _eligible(q % 2 == 1, "needs odd q")
+    _eligible(n == q + 1, f"needs n = q + 1 = {q + 1}")
+    return (q,)
+
+
+def _square_set_args(q: int, n: int) -> tuple[int, ...]:
+    _eligible(q % 4 == 1, "needs q = 1 mod 4")
+    _eligible(n >= 2 and n % 2 == 0, "needs even n >= 2")
+    return q, n
+
+
+def _subfield_points_args(q: int, n: int) -> tuple[int, ...]:
+    r = _square_root(q)
+    _eligible(r is not None, "needs q = r^2")
+    _eligible(2 <= n <= r and n % 2 == 0, "needs even n <= r")
+    return r, n
+
+
+def _roots_of_unity_args(q: int, n: int) -> tuple[int, ...]:
+    _eligible(_square_root(q) is not None and q % 2 == 1, "needs odd q = r^2")
+    _eligible(n >= 2 and n % 2 == 0 and (q - 1) % (n - 1) == 0,
+              "needs even n with (n-1) | (q-1)")
+    return q, n
+
+
+def _theorem_3_5_args(q: int, n: int) -> tuple[int, ...]:
+    r = _square_root(q)
+    _eligible(r is not None and r % 4 == 3, "needs q = r^2 with r = 3 mod 4")
+    _eligible(n > 0 and n % (2 * r) == 0 and n // (2 * r) <= (r - 1) // 2,
+              "needs n = 2tr with t <= (r-1)/2")
+    return r, n // (2 * r)
+
+
+def _pick(override, default):
+    """User-supplied list wins, even when empty; None means the default."""
+    return default if override is None else override
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything build, auto and sweep know about one family.
+
+    params names the request fields construct_<name> takes, in order;
+    from_q_n maps auto's (q, n) onto them or raises NotEligible; and
+    sweep_grid maps overrides (objects with q, r, t, n lists, None for
+    the default) to the keyword arguments of each sweep cell.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    from_q_n: Callable[[int, int], tuple[int, ...]]
+    sweep_grid: Callable[[Any], Iterable[dict]]
+
+    def construct(self, *args) -> ConstructionResult:
+        # looked up at call time, so a rebound construct_<name> is used
+        return globals()["construct_" + self.name.replace("-", "_")](*args)
+
+    def sweep_requests(self, overrides) -> Iterator[ConstructionRequest]:
+        # lazy, so an out-of-range override fails at its first cell
+        return (ConstructionRequest(self.name, **cell)
+                for cell in self.sweep_grid(overrides))
+
+
+FAMILY_TABLE = {family.name: family for family in (
+    Family("even-char", ("q", "n"), _even_char_args,
+           lambda g: (dict(q=q, n=n) for q in _pick(g.q, (4, 8, 16))
+                      for n in _pick(g.n, range(2, q + 1, 2)))),
+    Family("extended", ("q",), _extended_args,
+           lambda g: (dict(q=q)
+                      for q in _pick(g.q, (5, 7, 9, 13, 17, 25, 27)))),
+    Family("square-set", ("q", "n"), _square_set_args,
+           lambda g: ([dict(q=13, n=2), dict(q=29, n=4)]
+                      if g.q is None and g.n is None else
+                      (dict(q=q, n=n) for q in g.q or () for n in g.n or ()))),
+    Family("subfield-points", ("r", "n"), _subfield_points_args,
+           lambda g: (dict(r=r, n=n) for r in _pick(g.r, (3, 5, 7, 9))
+                      for n in _pick(g.n, range(2, r + 1, 2)))),
+    Family("roots-of-unity", ("q", "n"), _roots_of_unity_args,
+           lambda g: (dict(q=q, n=n) for q in _pick(g.q, (9, 25, 49, 81))
+                      for n in _pick(g.n, (m for m in range(2, q + 1, 2)
+                                           if (q - 1) % (m - 1) == 0)))),
+    Family("theorem-3-5", ("r", "t"), _theorem_3_5_args,
+           lambda g: (dict(r=r, t=t) for r in _pick(g.r, (3, 7))
+                      for t in _pick(g.t, range(1, (r - 1) // 2 + 1)))),
+)}
+
+
 def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
                    r: Optional[int] = None, t: Optional[int] = None,
                    ) -> ConstructionResult:
-    """First family that succeeds, tried in a fixed preference order."""
+    """First family that succeeds, most specific family first."""
     if q is None and r is not None:
         q = r * r
         if n is None and t is not None:
@@ -414,96 +515,32 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
     if q is None or n is None:
         raise ParameterRangeError("auto needs q (or r) and a target length n")
     attempts = []
-    for family in AUTO_ORDER:
+    # the table lists the most general family first, so try it backwards
+    for family in reversed(FAMILY_TABLE.values()):
         try:
-            return _try_family(family, q, n)
-        except NotEligible as exc:
-            attempts.append(f"{family}: {exc}")
-        except (NotFoundError, NotSelfDualizableError) as exc:
-            attempts.append(f"{family}: {exc}")
+            return family.construct(*family.from_q_n(q, n))
+        except (NotEligible, NotFoundError, NotSelfDualizableError) as exc:
+            attempts.append(f"{family.name}: {exc}")
     raise NotSelfDualizableError(
         f"no family yields a self-dual code for q={q}, n={n} "
         f"({'; '.join(attempts)})")
 
 
-class NotEligible(Exception):
-    """Internal: parameters do not meet a family's entry conditions."""
-
-
-def _try_family(family: str, q: int, n: int) -> ConstructionResult:
-    root = math.isqrt(q)
-    is_square = root * root == q
-    if family == "theorem-3-5":
-        if not is_square or root % 4 != 3:
-            raise NotEligible("needs q = r^2 with r = 3 mod 4")
-        if n <= 0 or n % (2 * root) != 0 or n // (2 * root) > (root - 1) // 2:
-            raise NotEligible("needs n = 2tr with t <= (r-1)/2")
-        return construct_theorem_3_5(root, n // (2 * root))
-    if family == "roots-of-unity":
-        if not is_square or q % 2 == 0:
-            raise NotEligible("needs odd q = r^2")
-        if n < 2 or n % 2 or (q - 1) % (n - 1) != 0:
-            raise NotEligible("needs even n with (n-1) | (q-1)")
-        return construct_roots_of_unity(q, n)
-    if family == "subfield-points":
-        if not is_square:
-            raise NotEligible("needs q = r^2")
-        if n < 2 or n % 2 or n > root:
-            raise NotEligible("needs even n <= r")
-        return construct_subfield_points(root, n)
-    if family == "square-set":
-        if q % 4 != 1:
-            raise NotEligible("needs q = 1 mod 4")
-        if n < 2 or n % 2:
-            raise NotEligible("needs even n >= 2")
-        return construct_square_set(q, n)
-    if family == "extended":
-        if q % 2 == 0:
-            raise NotEligible("needs odd q")
-        if n != q + 1:
-            raise NotEligible(f"needs n = q + 1 = {q + 1}")
-        return construct_extended(q)
-    if family == "even-char":
-        if q % 2:
-            raise NotEligible("needs even q")
-        if n < 2 or n % 2 or n > q:
-            raise NotEligible("needs even n <= q")
-        return construct_even_char(q, n)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def build(request: ConstructionRequest) -> ConstructionResult:
     """Dispatch a request to its family; the CLI front end uses this."""
-    fam = request.family
-    if fam == "auto":
+    if request.family == "auto":
         return construct_auto(q=request.q, n=request.n,
                               r=request.r, t=request.t)
-    if fam == "even-char":
-        _need(request, "q", "n")
-        return construct_even_char(request.q, request.n)
-    if fam == "extended":
-        _need(request, "q")
-        return construct_extended(request.q)
-    if fam == "square-set":
-        _need(request, "q", "n")
-        return construct_square_set(request.q, request.n)
-    if fam == "subfield-points":
-        _need(request, "r", "n")
-        return construct_subfield_points(request.r, request.n)
-    if fam == "roots-of-unity":
-        _need(request, "q", "n")
-        return construct_roots_of_unity(request.q, request.n)
-    if fam == "theorem-3-5":
-        _need(request, "r", "t")
-        return construct_theorem_3_5(request.r, request.t)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _need(request: ConstructionRequest, *names: str) -> None:
-    missing = [name for name in names if getattr(request, name) is None]
+    family = FAMILY_TABLE.get(request.family)
+    if family is None:
+        raise ValueError(f"unknown family {request.family!r}")
+    args = [getattr(request, name) for name in family.params]
+    missing = [name for name, value in zip(family.params, args)
+               if value is None]
     if missing:
         raise ValueError(
             f"family {request.family!r} needs {', '.join(missing)}")
+    return family.construct(*args)
 
 
 def result_to_json(result: ConstructionResult) -> dict:

@@ -55,10 +55,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def bounded_power(p: int, e: int) -> int:
+    """p**e, or TooLargeError past FIELD_SIZE_LIMIT without forming a huge
+    power first."""
+    if ((abs(p) > 1 and e >= FIELD_SIZE_LIMIT.bit_length())
+            or p ** e > FIELD_SIZE_LIMIT):
+        raise TooLargeError(f"{p}^{e} exceeds the limit {FIELD_SIZE_LIMIT}")
+    return p ** e
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
     """Factor q as p^e with p prime; raises NotPrimeError otherwise."""
     if q < 2:
         raise NotPrimeError(f"{q} is not a prime power")
+    if q > FIELD_SIZE_LIMIT:
+        raise TooLargeError(f"{q} exceeds the limit {FIELD_SIZE_LIMIT}")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -338,12 +349,6 @@ class FieldCtx:
                 x = self._mul_slow(x, x)
         return acc
 
-    def frobenius(self, x: Felt, times: int = 1) -> Felt:
-        """x -> x^(p^times); the identity when times is a multiple of e."""
-        for _ in range(times % self.e):
-            x = self.power(x, self.p)
-        return x
-
     # --- structure queries -----------------------------------------------
 
     def _subfield_degree(self, r: int) -> int:
@@ -360,10 +365,6 @@ class FieldCtx:
         """True iff x lies in the subfield GF(r), i.e. x^r = x."""
         self._subfield_degree(r)
         return self.power(x, r) == x
-
-    def enumerate_elements(self) -> list[Felt]:
-        """All q elements in index order."""
-        return list(range(self.q))
 
     def subfield_elements(self, r: int) -> list[Felt]:
         """The r elements of GF(r) inside GF(q), in index order.
@@ -568,10 +569,9 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
     """
     if not isinstance(p, int) or not isinstance(e, int) or e < 1:
         raise ValueError("p and e must be ints with e >= 1")
+    bounded_power(p, e)  # before the primality test, which is slow for huge p
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if p ** e > FIELD_SIZE_LIMIT:
-        raise TooLargeError(f"{p}^{e} exceeds the limit {FIELD_SIZE_LIMIT}")
     key = (p, e)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:

@@ -161,11 +161,16 @@ def code_to_json(code: GrsCode) -> dict:
 
 
 def code_from_json(obj: dict) -> GrsCode:
+    if type(obj["extended"]) is not bool:
+        raise ValueError('"extended" must be true or false')
+    for key in ("n", "k"):
+        if type(obj[key]) is not int:
+            raise ValueError(f'"{key}" must be an integer')
     ctx = field_from_json(obj["field"])
     a = tuple(ctx.element(cs) for cs in obj["alpha"])
     v = tuple(ctx.element(cs) for cs in obj["v"])
-    code = GrsCode(ctx, a, v, int(obj["k"]), bool(obj["extended"]))
-    if code.n != int(obj["n"]):
+    code = GrsCode(ctx, a, v, obj["k"], obj["extended"])
+    if code.n != obj["n"]:
         raise ValueError("stored n does not match the alpha list")
     return code
 

@@ -241,25 +241,8 @@ def _np_rank(a, ops) -> int:
 
 
 def _np_nonsingular(a, ops) -> bool:
-    """Nonsingularity of a square array; early exit, mutates a."""
-    n = a.shape[0]
-    r = 0
-    for c in range(n):
-        col = a[r:, c]
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            return False
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        if r + 1 < n:
-            below = a[r + 1:, c]
-            inv_p = ops.inv[a[r, c]]
-            factors = ops.mul[below, inv_p]
-            a[r + 1:, c:] = ops.sub[a[r + 1:, c:],
-                                    ops.mul[factors[:, None], a[r, c:][None, :]]]
-        r += 1
-    return True
+    """Nonsingularity of a square array; mutates a."""
+    return _np_rank(a, ops) == a.shape[0]
 
 
 def nonsingular_rows(ctx: FieldCtx, rows) -> bool:

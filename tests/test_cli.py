@@ -4,11 +4,13 @@ Exit codes: 0 pass, 1 usage/parse error, 2 honest construction failure,
 3 verification failure.
 """
 
+import argparse
 import json
+import time
 
 import pytest
 
-from grsdual.cli import main
+from grsdual.cli import _build_parser, _cell_label, main
 
 
 def run_cli(argv, capsys):
@@ -211,3 +213,92 @@ def test_sweep_writes_artifacts(tmp_path, capsys):
     payload = json.loads((tmp_path / artifacts[0]).read_text())
     assert payload["family"] == "subfield-points"
     assert payload["report"]["overall"] is True
+
+
+# Every eligibility message of auto, frozen: (81, 10) reaches the square-set
+# search, (9, 7) fails every family on its entry conditions.
+AUTO_FAILURES = [
+    (81, 10, "construction infeasible: no family yields a self-dual code for "
+     "q=81, n=10 (theorem-3-5: needs q = r^2 with r = 3 mod 4; "
+     "roots-of-unity: needs even n with (n-1) | (q-1); subfield-points: "
+     "needs even n <= r; square-set: no square-difference set of size 10 "
+     "exists in GF(81); extended: needs n = q + 1 = 82; even-char: needs "
+     "even q)\n"),
+    (9, 7, "construction infeasible: no family yields a self-dual code for "
+     "q=9, n=7 (theorem-3-5: needs n = 2tr with t <= (r-1)/2; "
+     "roots-of-unity: needs even n with (n-1) | (q-1); subfield-points: "
+     "needs even n <= r; square-set: needs even n >= 2; extended: needs "
+     "n = q + 1 = 10; even-char: needs even q)\n"),
+]
+
+
+@pytest.mark.parametrize("q, n, expected", AUTO_FAILURES)
+def test_auto_failure_message_is_frozen(q, n, expected, capsys):
+    rc, out, err = run_cli(["construct", "--family", "auto",
+                            "--q", str(q), "--n", str(n)], capsys)
+    assert (rc, out, err) == (2, "", expected)
+
+
+FAMILY_ORDER = ["even-char", "extended", "square-set", "subfield-points",
+                "roots-of-unity", "theorem-3-5"]
+
+
+@pytest.mark.parametrize("command, extra", [("construct", "auto"),
+                                            ("sweep", "all")])
+def test_family_choices_order(command, extra):
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    family = next(a for a in commands[command]._actions
+                  if a.dest == "family")
+    assert list(family.choices) == FAMILY_ORDER + [extra]
+
+
+DEFAULT_SWEEP_CELLS = (
+    [f"even-char_q{q}_n{n}" for q in (4, 8, 16) for n in range(2, q + 1, 2)]
+    + [f"extended_q{q}" for q in (5, 7, 9, 13, 17, 25, 27)]
+    + ["square-set_q13_n2", "square-set_q29_n4"]
+    + [f"subfield-points_r{r}_n{n}"
+       for r in (3, 5, 7, 9) for n in range(2, r + 1, 2)]
+    + ["roots-of-unity_q9_n2", "roots-of-unity_q25_n2", "roots-of-unity_q25_n4",
+       "roots-of-unity_q49_n2", "roots-of-unity_q49_n4", "roots-of-unity_q81_n2",
+       "roots-of-unity_q81_n6"]
+    + ["theorem-3-5_r3_t1", "theorem-3-5_r7_t1", "theorem-3-5_r7_t2",
+       "theorem-3-5_r7_t3"])
+
+
+def test_default_sweep_cells_come_from_the_family_table():
+    from grsdual.construct import FAMILY_TABLE
+
+    no_overrides = argparse.Namespace(q=None, r=None, t=None, n=None)
+    labels = [_cell_label(request) for family in FAMILY_TABLE.values()
+              for request in family.sweep_requests(no_overrides)]
+    assert len(labels) == 44
+    assert labels == DEFAULT_SWEEP_CELLS
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "extended", "--q", "10000000000000061"],
+    ["construct", "--family", "extended", "--p", "3", "--e", "100000000"],
+    ["sweep", "--family", "extended", "--q", "6"],
+    ["sweep", "--family", "even-char", "--q", "10000000000000061"],
+])
+def test_bad_field_size_exits_1_quickly(argv, capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("extended", "false"), ("extended", 1), ("k", "3"), ("k", True),
+    ("n", 5.0), ("n", None),
+])
+def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(code_file)], capsys)
+    obj = json.loads(code_file.read_text())
+    obj[key] = value
+    code_file.write_text(json.dumps(obj))
+    rc, _, err = run_cli(["verify", str(code_file)], capsys)
+    assert rc == 1 and "not a valid code object" in err

@@ -372,6 +372,30 @@ def test_auto_reports_honest_failure():
         con.construct_auto(q=25, n=6)
 
 
+# (family, build request fields, a (q, n) for which auto picks the family)
+DISPATCH_CASES = [
+    ("even-char", dict(q=8, n=4), (8, 4)),
+    ("extended", dict(q=7), (7, 8)),
+    ("square-set", dict(q=13, n=2), (13, 2)),
+    ("subfield-points", dict(r=7, n=6), (49, 6)),
+    ("roots-of-unity", dict(q=25, n=4), (25, 4)),
+    ("theorem-3-5", dict(r=3, t=1), (9, 6)),
+]
+
+
+@pytest.mark.parametrize("family, fields, q_n", DISPATCH_CASES)
+def test_build_and_auto_call_the_module_level_constructor(
+        monkeypatch, family, fields, q_n):
+    # rebinding construct_<name> must reach both dispatchers, which is how
+    # the traced benchmark sees family attempts
+    calls = []
+    monkeypatch.setattr(con, "construct_" + family.replace("-", "_"),
+                        lambda *args: calls.append(args) or family)
+    assert con.build(con.ConstructionRequest(family, **fields)) == family
+    assert con.construct_auto(*q_n) == family
+    assert calls == [tuple(fields.values())] * 2
+
+
 def test_request_dispatch_and_missing_parameters():
     result = con.build(con.ConstructionRequest("theorem-3-5", r=3, t=1))
     assert result.family == "theorem-3-5"

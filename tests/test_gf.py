@@ -92,6 +92,11 @@ def test_make_field_size_limit():
         make_field(2, 21)
     with pytest.raises(TooLargeError):
         make_field(3, 13)
+    # refused before forming the power or testing primality
+    with pytest.raises(TooLargeError):
+        make_field(3, 10 ** 8)
+    with pytest.raises(TooLargeError):
+        make_field(10000000000000061)
 
 
 def test_make_field_is_cached_and_deterministic():
@@ -107,6 +112,8 @@ def test_split_prime_power():
         split_prime_power(12)
     with pytest.raises(NotPrimeError):
         split_prime_power(1)
+    with pytest.raises(TooLargeError):  # refused before trial division
+        split_prime_power(10000000000000061)
 
 
 def test_is_prime_small():
@@ -155,9 +162,9 @@ def test_power_and_negative_exponents():
 def test_frobenius_order_divides_degree():
     ctx = make_field(3, 2)
     for x in range(9):
-        assert ctx.frobenius(ctx.frobenius(x)) == x  # x^(p^2) = x for e = 2
-        assert ctx.frobenius(x, times=2) == x
-    assert ctx.frobenius(3) == 6  # x^3 = -x: frozen via oracle_mul chain
+        # x^(p^2) = x for e = 2
+        assert ctx.power(ctx.power(x, 3), 3) == x
+    assert ctx.power(3, 3) == 6  # x^3 = -x: frozen via oracle_mul chain
 
 
 @given(field_and_elements(count=3))
@@ -211,10 +218,7 @@ def test_in_subfield_gf9():
 
 
 def test_subfield_elements_listing():
-    assert make_field(3).enumerate_elements() == [0, 1, 2]
     assert make_field(3, 2).subfield_elements(3) == [0, 1, 2]
-    four = make_field(2, 2).enumerate_elements()
-    assert len(four) == 4 and four[:2] == [0, 1]
     ctx81 = make_field(3, 4)
     sub = ctx81.subfield_elements(9)
     assert len(sub) == 9
