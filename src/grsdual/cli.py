@@ -22,8 +22,8 @@ from .construct import (
     result_to_json,
     search_square_difference_set,
 )
-from .errors import ConstructionInfeasible, GrsDualError
-from .gf import bounded_power, make_field, split_prime_power
+from .errors import ConstructionInfeasible, GrsDualError, NotPrimeError
+from .gf import bounded_power, is_prime, make_field, split_prime_power
 from .grs import code_from_json, stored_generator_from_json
 from .verify import (
     EXACT_MDS_BUDGET,
@@ -60,6 +60,8 @@ def _resolve_q(args) -> Optional[int]:
         if args.p is None:
             raise GrsDualError("--e given without --p")
         q = bounded_power(args.p, 1 if args.e is None else args.e)
+        if not is_prime(args.p):
+            raise NotPrimeError(f"--p {args.p} is not prime")
         if args.q is not None and args.q != q:
             raise GrsDualError(f"--q {args.q} conflicts with --p/--e ({q})")
         return q

@@ -12,9 +12,15 @@ smallest.  This makes every derived quantity (primitive elements, square
 roots, root-of-unity lists, JSON exports) reproducible bit for bit.
 
 A FieldCtx is immutable after construction and safe to share between
-threads.  Multiplication falls back to polynomial arithmetic for large
-fields and switches to exp/log tables once they are built; tables are
-created lazily under a lock, exactly once.
+threads.  Scalar multiplication falls back to polynomial arithmetic for
+large fields and switches to exp/log tables once they are built; tables
+are created lazily under a lock, exactly once.
+
+Bulk row reduction (see `linalg`) reads one of two numpy op providers,
+both indexed like tables (`mul[x, y]`, `sub[x, y]`, `inv[x]`):
+`table_ops()` holds dense q x q tables for q <= 2^10, and `array_ops()`
+computes each op from O(q) exp/log arrays for q <= 2^16.  Above 2^16
+there is no provider and the pure-Python elimination is used.
 """
 
 from __future__ import annotations
@@ -178,6 +184,13 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise InternalCheckError(f"no irreducible of degree {e} over GF({p})")
 
 
+def json_int(value, name: str) -> int:
+    """value if it is a JSON integer (not a bool), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class _TableOps:
     """Dense numpy operation tables for vectorized row reduction."""
 
@@ -191,12 +204,35 @@ class _TableOps:
         self.inv = inv
 
 
+class _Indexed:
+    """A vectorized binary op that reads like a table: op[x, y]."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(*key)
+
+
+class _ArrayOps:
+    """O(q) stand-ins for the dense tables, for what `_np_rank` reads."""
+
+    __slots__ = ("sub", "mul", "inv")
+
+    def __init__(self, sub, mul, inv):
+        self.sub = sub
+        self.mul = mul
+        self.inv = inv
+
+
 class FieldCtx:
     """Immutable arithmetic context for one finite field GF(p^e)."""
 
     __slots__ = (
         "p", "e", "q", "modulus", "_red", "_lock",
-        "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops",
+        "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops", "_np_arrays",
     )
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
@@ -223,6 +259,7 @@ class FieldCtx:
         self._nonres: Optional[int] = None
         self._chi: Optional[list[int]] = None
         self._np_ops: Optional[_TableOps] = None
+        self._np_arrays: Optional[_ArrayOps] = None
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -244,8 +281,7 @@ class FieldCtx:
             raise ValueError(f"expected {self.e} coordinates, got {len(cs)}")
         x = 0
         for c in reversed(cs):
-            c = int(c)
-            if not 0 <= c < self.p:
+            if not 0 <= json_int(c, "coordinate") < self.p:
                 raise ValueError(f"coordinate {c} out of range [0, {self.p})")
             x = x * self.p + c
         return x
@@ -550,6 +586,50 @@ class FieldCtx:
             inv[1:] = expv[(q - 1 - logv[1:]) % max(q - 1, 1)]
         return _TableOps(add, sub, mul, neg, inv)
 
+    def array_ops(self) -> Optional[_ArrayOps]:
+        """Numpy ops from O(q) exp/log arrays; None above the exp/log limit."""
+        if self.q > _EXP_TABLE_LIMIT:
+            return None
+        if self._np_arrays is None:
+            with self._lock:
+                if self._np_arrays is None:
+                    self._np_arrays = self._build_array_ops()
+        return self._np_arrays
+
+    def _build_array_ops(self) -> _ArrayOps:
+        import numpy as np
+
+        q, p, e = self.q, self.p, self.e
+        q1 = q - 1
+        self._ensure_tables()
+        # exp is stored twice so log x + log y needs no reduction mod q - 1;
+        # log 0 points past both copies, into zeros, so a zero factor
+        # gives 0 without a mask
+        log = np.array(self._log, dtype=np.int32)
+        log[0] = 2 * q1
+        exp = np.zeros(4 * q1 + 1, dtype=np.int32)
+        exp[:q1] = self._exp
+        exp[q1:2 * q1] = exp[:q1]
+        inv = np.zeros(q, dtype=np.int32)
+        inv[1:] = exp[q1 - log[1:]]
+        if e == 1:
+            def sub(x, y):
+                return (x - y) % p
+        elif p == 2:
+            def sub(x, y):
+                return x ^ y
+        else:
+            weights = [p ** i for i in range(e)]
+
+            def sub(x, y):
+                # (x // w - y // w) mod p is the digit difference at weight w
+                z = 0
+                for w in weights:
+                    z = z + (x // w - y // w) % p * w
+                return z
+        return _ArrayOps(_Indexed(sub),
+                         _Indexed(lambda x, y: exp[log[x] + log[y]]), inv)
+
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -591,9 +671,9 @@ def field_for_order(q: int) -> FieldCtx:
 
 def field_from_json(obj: dict) -> FieldCtx:
     """Rebuild a context from its JSON fragment, checking the modulus."""
-    p, e = int(obj["p"]), int(obj["e"])
+    p, e = json_int(obj["p"], '"p"'), json_int(obj["e"], '"e"')
     ctx = make_field(p, e)
-    mod = tuple(int(c) for c in obj["modulus"])
+    mod = tuple(json_int(c, "modulus coefficient") for c in obj["modulus"])
     if mod != ctx.modulus:
         raise ValueError(
             f"modulus {list(mod)} is not the canonical modulus "

@@ -26,7 +26,7 @@ from .errors import (
     ExtendedDualUnsupportedError,
     LengthMismatchError,
 )
-from .gf import FieldCtx, Felt, field_from_json
+from .gf import FieldCtx, Felt, field_from_json, json_int
 from .linalg import MatrixGF, matrix_from_json
 
 
@@ -164,8 +164,7 @@ def code_from_json(obj: dict) -> GrsCode:
     if type(obj["extended"]) is not bool:
         raise ValueError('"extended" must be true or false')
     for key in ("n", "k"):
-        if type(obj[key]) is not int:
-            raise ValueError(f'"{key}" must be an integer')
+        json_int(obj[key], f'"{key}"')
     ctx = field_from_json(obj["field"])
     a = tuple(ctx.element(cs) for cs in obj["alpha"])
     v = tuple(ctx.element(cs) for cs in obj["v"])

@@ -2,10 +2,13 @@
 
 Matrices are immutable row-major tuples of element indices.  Row
 reduction uses plain leftmost-nonzero pivoting; there are no numerical
-concerns in exact arithmetic.  Rank computations dispatch to a numpy
-table-indexed elimination kernel when the field is small enough to carry
-dense op tables, which is what makes the exhaustive column-subset checks
-in the verifier affordable; the pure-Python path remains the reference.
+concerns in exact arithmetic.  Rank and nonsingularity run one numpy
+elimination body, `_np_rank`, fed by the field's op provider: dense q x q
+tables for q <= 2^10 (which is what makes the exhaustive column-subset
+checks in the verifier affordable) and O(q) exp/log arrays for
+q <= 2^16.  Above that, and for `rref` and `nullspace` everywhere, the
+pure-Python `_echelon` runs; it is also the reference the kernel is
+tested against.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DuplicatePointsError, ShapeMismatchError
-from .gf import FieldCtx, Felt
+from .gf import FieldCtx, Felt, json_int
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ def matrix(ctx: FieldCtx, rows: Sequence[Sequence[Felt]]) -> MatrixGF:
 
 def matrix_from_json(ctx: FieldCtx, obj: dict) -> MatrixGF:
     entries = tuple(ctx.element(cs) for cs in obj["entries"])
-    return MatrixGF(ctx, int(obj["rows"]), int(obj["cols"]), entries)
+    return MatrixGF(ctx, json_int(obj["rows"], '"rows"'),
+                    json_int(obj["cols"], '"cols"'), entries)
 
 
 def identity(ctx: FieldCtx, n: int) -> MatrixGF:
@@ -168,9 +172,15 @@ def rank(m: MatrixGF) -> int:
     return rank_rows(m.ctx, m.rows_list())
 
 
-def rank_rows(ctx: FieldCtx, rows) -> int:
-    """Rank of a list-of-rows or ndarray; table-driven when available."""
+def _elimination_ops(ctx: FieldCtx):
+    """The field's numpy op provider for `_np_rank`, or None above 2^16."""
     ops = ctx.table_ops()
+    return ops if ops is not None else ctx.array_ops()
+
+
+def rank_rows(ctx: FieldCtx, rows) -> int:
+    """Rank of a list-of-rows or ndarray; numpy-driven when available."""
+    ops = _elimination_ops(ctx)
     if ops is not None:
         import numpy as np
         return _np_rank(np.array(rows, dtype=np.int32), ops)
@@ -217,7 +227,10 @@ def entrywise_power(m: MatrixGF, r: int) -> MatrixGF:
 # --- numpy elimination kernel ---------------------------------------------
 
 def _np_rank(a, ops) -> int:
-    """Rank by table-indexed Gaussian elimination; mutates a."""
+    """Rank by Gaussian elimination on an int32 array of elements; mutates a.
+
+    ops is a field op provider (`FieldCtx.table_ops` or `array_ops`).
+    """
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -247,7 +260,7 @@ def _np_nonsingular(a, ops) -> bool:
 
 def nonsingular_rows(ctx: FieldCtx, rows) -> bool:
     """True iff the square matrix given as rows/ndarray is invertible."""
-    ops = ctx.table_ops()
+    ops = _elimination_ops(ctx)
     if ops is not None:
         import numpy as np
         return _np_nonsingular(np.array(rows, dtype=np.int32), ops)

@@ -5,6 +5,13 @@ Every check returns a CheckResult rather than raising, so a report can
 collect failures; only precondition violations (over-budget exact checks,
 repeated points, even characteristic where odd is required) raise.
 
+Inner products (G*G^T for self-duality, the dual-identity products) are
+exact integer matmuls over the GF(p) coordinates of the stored entries,
+folded back into GF(q) with the field's own reduction rows, so they
+trust nothing about how the matrix was built.  Rank runs through
+`linalg`: numpy elimination on dense tables for q <= 2^10 and on O(q)
+exp/log arrays for q <= 2^16, the pure-Python `_echelon` above that.
+
 The exact MDS check is the definition itself -- every k-subset of
 generator columns must be nonsingular -- run with the table-indexed
 elimination kernel where the field allows it.  The randomized mode samples
@@ -27,6 +34,7 @@ from .errors import (
     BudgetExceededError,
     DuplicatePointsError,
     EvenCharacteristicError,
+    TooLargeError,
 )
 from .gf import FieldCtx, Felt
 from .grs import GrsCode, dual_coefficients, generator_matrix
@@ -65,6 +73,48 @@ class VerificationReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
+# --- inner products -----------------------------------------------------------
+
+def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
+                           upper: bool = False):
+    """(i, j, value) of the first nonzero <row i of a, row j of b> in
+    row-major order, or None; upper scans only j >= i (for a = b).
+
+    Each entry is split into its e coordinates over GF(p); the e^2
+    coordinate products are int64 matmuls reduced mod p, and degrees >= e
+    are folded back with the reduction rows, as `FieldCtx._mul_slow` does.
+    """
+    import numpy as np
+
+    p, e, n = ctx.p, ctx.e, a.ncols
+    # a coordinate product sums n terms below p^2: n (p-1)^2 < 2^63 holds
+    # for every q <= 2^20 and n < 2^23
+    if n * (p - 1) ** 2 >= 1 << 63:
+        raise TooLargeError(f"{n} columns overflow the int64 inner products")
+
+    def coords(m: MatrixGF):
+        x = np.array(m.entries, dtype=np.int64).reshape(m.nrows, m.ncols)
+        return [x // p ** t % p for t in range(e)]
+
+    ca, cb = coords(a), coords(b)
+    deg = [0] * (2 * e - 1)
+    for s, xs in enumerate(ca):
+        for t, yt in enumerate(cb):
+            deg[s + t] = deg[s + t] + (xs @ yt.T) % p
+    for d in range(e, 2 * e - 1):
+        c = deg[d] % p
+        for i, rv in enumerate(ctx._red[d - e]):
+            if rv:
+                deg[i] = deg[i] + c * rv
+    value = sum(deg[t] % p * p ** t for t in range(e))
+    nonzero = np.triu(value != 0) if upper else value != 0
+    hits = np.argwhere(nonzero)
+    if hits.size == 0:
+        return None
+    i, j = (int(x) for x in hits[0])
+    return i, j, int(value[i, j])
+
+
 # --- self-duality -----------------------------------------------------------
 
 def check_self_dual_matrix(ctx: FieldCtx, gen: MatrixGF) -> CheckResult:
@@ -76,17 +126,12 @@ def check_self_dual_matrix(ctx: FieldCtx, gen: MatrixGF) -> CheckResult:
     if rank_rows(ctx, gen.rows_list()) != k:
         return CheckResult("self-dual", "fail",
                            f"generator rank below k = {k}", "exact")
-    rows = gen.rows_list()
-    for i in range(k):
-        for j in range(i, k):
-            acc = 0
-            for xi, xj in zip(rows[i], rows[j]):
-                if xi and xj:
-                    acc = ctx.add(acc, ctx.mul(xi, xj))
-            if acc != 0:
-                return CheckResult(
-                    "self-dual", "fail",
-                    f"rows {i} and {j} have inner product {acc} != 0", "exact")
+    hit = _first_nonzero_product(ctx, gen, gen, upper=True)
+    if hit is not None:
+        i, j, acc = hit
+        return CheckResult(
+            "self-dual", "fail",
+            f"rows {i} and {j} have inner product {acc} != 0", "exact")
     return CheckResult("self-dual", "pass",
                        f"[{ncols}, {k}] with G*G^T = 0 and rank k", "exact")
 
@@ -191,18 +236,13 @@ def check_dual_identity(ctx: FieldCtx, points: Sequence[Felt],
     ones = (1,) * n
     gk = generator_matrix(GrsCode(ctx, tuple(points), ones, k))
     gd = generator_matrix(GrsCode(ctx, tuple(points), u, n - k))
-    for i in range(gd.nrows):
-        drow = gd.row(i)
-        for j in range(gk.nrows):
-            acc = 0
-            for xd, xk in zip(drow, gk.row(j)):
-                if xd and xk:
-                    acc = ctx.add(acc, ctx.mul(xd, xk))
-            if acc != 0:
-                return CheckResult(
-                    "dual-identity", "fail",
-                    f"row {i} of the dual generator is not orthogonal "
-                    f"to row {j}", "exact")
+    hit = _first_nonzero_product(ctx, gd, gk)
+    if hit is not None:
+        i, j, _ = hit
+        return CheckResult(
+            "dual-identity", "fail",
+            f"row {i} of the dual generator is not orthogonal "
+            f"to row {j}", "exact")
     if rank_rows(ctx, gk.rows_list()) != k:
         return CheckResult("dual-identity", "fail",
                            "primal generator not full rank", "exact")

@@ -6,10 +6,15 @@ Exit codes: 0 pass, 1 usage/parse error, 2 honest construction failure,
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import grsdual
 from grsdual.cli import _build_parser, _cell_label, main
 
 
@@ -302,3 +307,54 @@ def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
     code_file.write_text(json.dumps(obj))
     rc, _, err = run_cli(["verify", str(code_file)], capsys)
     assert rc == 1 and "not a valid code object" in err
+
+
+def _set_p_e_rows(obj):
+    obj["field"]["p"], obj["field"]["e"] = "5", 1.0
+    obj["generator"]["rows"] = "3"
+
+
+def _bool_alpha_coordinate(obj):
+    assert obj["alpha"][1] == [1]
+    obj["alpha"][1] = [True]
+
+
+def _float_generator_entry(obj):
+    entries = obj["generator"]["entries"]
+    entries[entries.index([1])] = [1.0]
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_p_e_rows, _bool_alpha_coordinate, _float_generator_entry,
+])
+def test_verify_rejects_coerced_field_and_matrix_json(tamper, tmp_path, capsys):
+    # each variant names the same q=5 code, so int() coercion would pass it
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(code_file)], capsys)
+    obj = json.loads(code_file.read_text())
+    tamper(obj)
+    code_file.write_text(json.dumps(obj))
+    rc, out, err = run_cli(["verify", str(code_file), "--mds-mode",
+                            "structural"], capsys)
+    assert rc == 1 and out == "" and "not a valid code object" in err
+
+
+@pytest.mark.parametrize("flags", [["--p", "4"], ["--p", "4", "--e", "2"]])
+def test_construct_rejects_non_prime_p(flags, capsys):
+    rc, out, err = run_cli(["construct", "--family", "even-char", *flags,
+                            "--n", "2"], capsys)
+    assert rc == 1 and out == ""
+    assert err == "error: --p 4 is not prime\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported lazily by the kernels that need it, so a command
+    # that never reaches them does not pay for the import
+    src = Path(grsdual.__file__).resolve().parents[1]
+    probe = "import sys, grsdual.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -2,14 +2,18 @@
 the pure elimination path and the table-driven kernel."""
 
 import random
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import FIELDS, field_and_matrix
 from grsdual import linalg as la
 from grsdual.errors import DuplicatePointsError, ShapeMismatchError
-from grsdual.gf import field_for_order, make_field
+from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import dual_coefficients
 
 
@@ -115,20 +119,112 @@ def test_entrywise_power():
     assert la.entrywise_power(zero, 5).entries == (0, 0)
 
 
+def _with_dependent_rows(ctx, rows, rnd):
+    """rows plus up to three zero, repeated or combined rows, shuffled in."""
+    rows = [list(r) for r in rows]
+    for _ in range(rnd.randint(0, 3)):
+        kind = rnd.randrange(3)
+        if kind == 0:
+            extra = [0] * len(rows[0])
+        elif kind == 1:
+            extra = list(rnd.choice(rows))
+        else:
+            x, y = rnd.choice(rows), rnd.choice(rows)
+            c = rnd.randrange(1, ctx.q)
+            extra = [ctx.add(xv, ctx.mul(c, yv)) for xv, yv in zip(x, y)]
+        rows.insert(rnd.randrange(len(rows) + 1), extra)
+    return rows
+
+
 def test_rank_table_kernel_agrees_with_pure_elimination():
     rnd = random.Random(3)
-    for _ in range(300):
-        q = rnd.choice([4, 5, 9, 13, 16, 25])
+    # dense tables up to 2^10, O(q) arrays up to 2^16 (all three kinds of
+    # subtraction: prime, characteristic 2, digit-wise), _echelon above
+    fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536]
+    for _ in range(400):
+        q = rnd.choice(fields)
         ctx = field_for_order(q)
         nrows = rnd.randint(1, 6)
         ncols = rnd.randint(1, 6)
         rows = [[rnd.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        if rnd.random() < 0.5:
+            rows = _with_dependent_rows(ctx, rows, rnd)
+            nrows = len(rows)
         fast = la.rank_rows(ctx, rows)
         copied = [list(r) for r in rows]
         _, pivots = la._echelon(ctx, copied, reduced=False)
         assert fast == len(pivots)
         if nrows == ncols:
             assert la.nonsingular_rows(ctx, rows) == (fast == nrows)
+
+
+def test_array_ops_agree_with_dense_tables():
+    for q in (4, 5, 9, 16, 25, 27, 1024):
+        ctx = field_for_order(q)
+        dense, arrays = ctx.table_ops(), ctx.array_ops()
+        x, y = np.meshgrid(np.arange(q, dtype=np.int32),
+                           np.arange(q, dtype=np.int32))
+        assert np.array_equal(arrays.mul[x, y], dense.mul[x, y])
+        assert np.array_equal(arrays.sub[x, y], dense.sub[x, y])
+        assert np.array_equal(arrays.inv, dense.inv)
+
+
+def test_array_ops_match_scalar_arithmetic_above_table_limit():
+    rnd = random.Random(5)
+    for q in (1031, 1849, 2048, 2187, 65536):
+        ctx = field_for_order(q)
+        assert ctx.table_ops() is None
+        ops = ctx.array_ops()
+        xs = np.array([0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)],
+                      dtype=np.int32)
+        ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
+        assert ops.mul[xs, ys].tolist() == [ctx.mul(int(a), int(b))
+                                            for a, b in zip(xs, ys)]
+        assert ops.sub[xs, ys].tolist() == [ctx.sub(int(a), int(b))
+                                            for a, b in zip(xs, ys)]
+        nonzero = xs[xs != 0]
+        assert ops.inv[nonzero].tolist() == [ctx.inverse(int(a))
+                                             for a in nonzero]
+    assert field_for_order(3 ** 11).array_ops() is None
+
+
+def test_fresh_field_builds_array_ops_once_under_threads(monkeypatch):
+    base = make_field(43, 2)
+    ctx = FieldCtx(base.p, base.e, base.modulus)  # not the cached context
+    builds = []
+    orig = FieldCtx._build_array_ops
+
+    def slow_build(self):
+        builds.append(self)
+        time.sleep(0.05)  # widen the window for a second builder
+        return orig(self)
+
+    monkeypatch.setattr(FieldCtx, "_build_array_ops", slow_build)
+    rnd = random.Random(6)
+    rows = [[rnd.randrange(ctx.q) for _ in range(12)] for _ in range(10)]
+    rows.append(list(rows[3]))
+    expected = len(la._echelon(base, [list(r) for r in rows],
+                               reduced=False)[1])
+    ranks = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=30)
+        ranks.append(la.rank_rows(ctx, rows))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert ranks == [expected] * 8 and expected == 10
+    assert builds == [ctx]
 
 
 def test_matmul_identity_and_shapes():

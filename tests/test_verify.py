@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from grsdual import construct as con_families
+from grsdual import linalg as la
 from grsdual import verify as ver
 from grsdual.errors import (
     BudgetExceededError,
@@ -37,6 +38,130 @@ def test_check_self_dual_matrix_pass_and_fail():
 def test_check_self_dual_on_constructed_code():
     result = con_families.construct_theorem_3_5(3, 1)
     assert ver.check_self_dual(result.code).status == "pass"
+
+
+# --- exact inner products against the scalar matmul oracle ---------------------
+
+INNER_PRODUCT_FIELDS = (7, 9, 16, 1031, 1849, 2048, 2187)
+
+
+def _self_dual_generator(ctx, k, rnd, mix=True):
+    """A self-dual [2k, k] generator P [I | A] for even k.
+
+    A is block diagonal in [[a, b], [-b, a]] with a^2 + b^2 = -1, which is
+    solvable in every finite field, so I + A A^T = 0.  With mix, P is a
+    random invertible k x k matrix, so the rows stay independent and get
+    dense; otherwise P = I.
+    """
+    roots = {ctx.mul(x, x): x for x in range(ctx.q)}
+    minus_one = ctx.neg(1)
+    a, b = next((roots[s], roots[ctx.sub(minus_one, s)])
+                for s in sorted(roots) if ctx.sub(minus_one, s) in roots)
+    rows = []
+    for i in range(k):
+        tail = [0] * k
+        m = i - i % 2
+        tail[m], tail[m + 1] = (a, b) if i % 2 == 0 else (ctx.neg(b), a)
+        rows.append([1 if j == i else 0 for j in range(k)] + tail)
+    if not mix:
+        return matrix(ctx, rows)
+    while True:
+        p_rows = [[rnd.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
+        _, pivots = la._echelon(ctx, [list(r) for r in p_rows], reduced=False)
+        if len(pivots) == k:
+            return la.matmul(matrix(ctx, p_rows), matrix(ctx, rows))
+
+
+def _tampered(gen, rnd, count):
+    """gen with count distinct entries shifted by nonzero field elements."""
+    ctx = gen.ctx
+    entries = list(gen.entries)
+    for pos in rnd.sample(range(len(entries)), count):
+        entries[pos] = ctx.add(entries[pos], rnd.randrange(1, ctx.q))
+    return la.MatrixGF(ctx, gen.nrows, gen.ncols, tuple(entries))
+
+
+def _oracle_first_product(a, b, upper=False):
+    """First nonzero entry of a * b^T in row-major order, by scalar loops."""
+    prod = la.matmul(a, la.transpose(b))
+    for i in range(prod.nrows):
+        for j in range(i if upper else 0, prod.ncols):
+            if prod.at(i, j):
+                return i, j, prod.at(i, j)
+    return None
+
+
+def _inner_product_cases(q):
+    """A clean dense generator over GF(q) and three tampered ones: one
+    and two entries of it, and one entry of the sparse [I | A]."""
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    gen = _self_dual_generator(ctx, 6, rnd)
+    sparse = _self_dual_generator(ctx, 6, rnd, mix=False)
+    return ctx, gen, (_tampered(gen, rnd, 1), _tampered(gen, rnd, 2),
+                      _tampered(sparse, rnd, 1))
+
+
+# check_self_dual_matrix details for the tampered cases, recorded with the
+# scalar-loop implementation
+PINNED_SELF_DUAL_DETAILS = {
+    7: (
+        'rows 0 and 3 have inner product 6 != 0',
+        'rows 0 and 3 have inner product 3 != 0',
+        'rows 0 and 0 have inner product 1 != 0',
+    ),
+    9: (
+        'rows 0 and 0 have inner product 3 != 0',
+        'rows 0 and 1 have inner product 4 != 0',
+        'rows 1 and 1 have inner product 3 != 0',
+    ),
+    16: (
+        'rows 0 and 5 have inner product 14 != 0',
+        'rows 0 and 0 have inner product 13 != 0',
+        'rows 0 and 0 have inner product 14 != 0',
+    ),
+    1031: (
+        'rows 0 and 1 have inner product 327 != 0',
+        'rows 0 and 2 have inner product 519 != 0',
+        'rows 3 and 3 have inner product 359 != 0',
+    ),
+    1849: (
+        'rows 0 and 3 have inner product 58 != 0',
+        'rows 0 and 1 have inner product 128 != 0',
+        'rows 1 and 1 have inner product 1304 != 0',
+    ),
+    2048: (
+        'rows 0 and 5 have inner product 1658 != 0',
+        'rows 0 and 0 have inner product 2006 != 0',
+        'rows 1 and 2 have inner product 35 != 0',
+    ),
+    2187: (
+        'rows 0 and 2 have inner product 923 != 0',
+        'rows 0 and 3 have inner product 969 != 0',
+        'rows 1 and 2 have inner product 1736 != 0',
+    ),
+}
+
+
+@pytest.mark.parametrize("q", INNER_PRODUCT_FIELDS)
+def test_inner_products_match_matmul_oracle(q):
+    ctx, gen, tampered = _inner_product_cases(q)
+    assert ver._first_nonzero_product(ctx, gen, gen, upper=True) is None
+    assert ver.check_self_dual_matrix(ctx, gen).status == "pass"
+    for bad in tampered:
+        hit = ver._first_nonzero_product(ctx, bad, bad, upper=True)
+        assert hit is not None
+        assert hit == _oracle_first_product(bad, bad, upper=True)
+        # the full product, and rectangular blocks, as the dual identity uses
+        for a, b in ((bad, bad), (bad, gen), (gen, bad)):
+            assert (ver._first_nonzero_product(ctx, a, b)
+                    == _oracle_first_product(a, b))
+        top = la.MatrixGF(ctx, 2, bad.ncols, bad.entries[:2 * bad.ncols])
+        assert ver._first_nonzero_product(ctx, gen, top) == \
+            _oracle_first_product(gen, top)
+    details = tuple(ver.check_self_dual_matrix(ctx, bad).detail
+                    for bad in tampered)
+    assert details == PINNED_SELF_DUAL_DETAILS[q]
 
 
 # --- MDS -------------------------------------------------------------------------
