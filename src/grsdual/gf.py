@@ -16,10 +16,11 @@ threads.  Scalar multiplication falls back to polynomial arithmetic for
 large fields and switches to exp/log tables once they are built; tables
 are created lazily under a lock, exactly once.
 
-Bulk row reduction (see `linalg`) reads one of two numpy op providers,
-both indexed like tables (`mul[x, y]`, `sub[x, y]`, `inv[x]`):
-`table_ops()` holds dense q x q tables for q <= 2^10, and `array_ops()`
-computes each op from O(q) exp/log arrays for q <= 2^16.  Above 2^16
+Bulk linear algebra (see `linalg`) reads one numpy op provider,
+`np_ops()`, indexed like tables (`mul[x, y]`, `sub[x, y]`, `inv[x]`).
+Its ops are computed from O(q) exp/log arrays for q <= 2^16; for
+q <= 2^10 the same functions are also evaluated once on every pair and
+kept as dense q x q tables, so each op is a single lookup.  Above 2^16
 there is no provider and the pure-Python elimination is used.
 """
 
@@ -43,7 +44,7 @@ Felt = int  # a field element: its index in [0, q)
 
 FIELD_SIZE_LIMIT = 1 << 20
 _EXP_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this q
-_NP_TABLE_LIMIT = 1 << 10   # build dense numpy op tables up to this q
+_NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
 
 
 def is_prime(n: int) -> bool:
@@ -191,19 +192,6 @@ def json_int(value, name: str) -> int:
     return value
 
 
-class _TableOps:
-    """Dense numpy operation tables for vectorized row reduction."""
-
-    __slots__ = ("add", "sub", "mul", "neg", "inv")
-
-    def __init__(self, add, sub, mul, neg, inv):
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.neg = neg
-        self.inv = inv
-
-
 class _Indexed:
     """A vectorized binary op that reads like a table: op[x, y]."""
 
@@ -216,8 +204,8 @@ class _Indexed:
         return self.fn(*key)
 
 
-class _ArrayOps:
-    """O(q) stand-ins for the dense tables, for what `_np_rank` reads."""
+class _NpOps:
+    """The numpy ops `_np_rank` reads: sub[x, y], mul[x, y], inv[x]."""
 
     __slots__ = ("sub", "mul", "inv")
 
@@ -232,7 +220,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "e", "q", "modulus", "_red", "_lock",
-        "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops", "_np_arrays",
+        "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops",
     )
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
@@ -258,8 +246,7 @@ class FieldCtx:
         self._prim: Optional[int] = None
         self._nonres: Optional[int] = None
         self._chi: Optional[list[int]] = None
-        self._np_ops: Optional[_TableOps] = None
-        self._np_arrays: Optional[_ArrayOps] = None
+        self._np_ops: Optional[_NpOps] = None
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -553,9 +540,9 @@ class FieldCtx:
             self._log = log
             self._exp = exp
 
-    def table_ops(self) -> Optional[_TableOps]:
-        """Numpy op tables for bulk linear algebra; None for large q."""
-        if self.q > _NP_TABLE_LIMIT:
+    def np_ops(self) -> Optional[_NpOps]:
+        """Numpy ops for bulk linear algebra; None above the exp/log limit."""
+        if self.q > _EXP_TABLE_LIMIT:
             return None
         if self._np_ops is None:
             with self._lock:
@@ -563,40 +550,7 @@ class FieldCtx:
                     self._np_ops = self._build_np_ops()
         return self._np_ops
 
-    def _build_np_ops(self) -> _TableOps:
-        import numpy as np
-
-        q, p, e = self.q, self.p, self.e
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.stack([(idx // p ** i) % p for i in range(e)], axis=1)
-        weights = np.array([p ** i for i in range(e)], dtype=np.int64)
-        add = (((digits[:, None, :] + digits[None, :, :]) % p) * weights).sum(
-            axis=2).astype(np.int32)
-        neg = ((((p - digits) % p) * weights).sum(axis=1)).astype(np.int32)
-        sub = add[:, neg]
-        self._ensure_tables()
-        logv = np.array(self._log, dtype=np.int64)
-        expv = np.array(self._exp, dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int32)
-        if q > 1:
-            nz = (logv[1:, None] + logv[None, 1:]) % max(q - 1, 1)
-            mul[1:, 1:] = expv[nz]
-        inv = np.zeros(q, dtype=np.int32)
-        if q > 1:
-            inv[1:] = expv[(q - 1 - logv[1:]) % max(q - 1, 1)]
-        return _TableOps(add, sub, mul, neg, inv)
-
-    def array_ops(self) -> Optional[_ArrayOps]:
-        """Numpy ops from O(q) exp/log arrays; None above the exp/log limit."""
-        if self.q > _EXP_TABLE_LIMIT:
-            return None
-        if self._np_arrays is None:
-            with self._lock:
-                if self._np_arrays is None:
-                    self._np_arrays = self._build_array_ops()
-        return self._np_arrays
-
-    def _build_array_ops(self) -> _ArrayOps:
+    def _build_np_ops(self) -> _NpOps:
         import numpy as np
 
         q, p, e = self.q, self.p, self.e
@@ -612,6 +566,10 @@ class FieldCtx:
         exp[q1:2 * q1] = exp[:q1]
         inv = np.zeros(q, dtype=np.int32)
         inv[1:] = exp[q1 - log[1:]]
+
+        def mul(x, y):
+            return exp[log[x] + log[y]]
+
         if e == 1:
             def sub(x, y):
                 return (x - y) % p
@@ -627,8 +585,11 @@ class FieldCtx:
                 for w in weights:
                     z = z + (x // w - y // w) % p * w
                 return z
-        return _ArrayOps(_Indexed(sub),
-                         _Indexed(lambda x, y: exp[log[x] + log[y]]), inv)
+        if q <= _NP_TABLE_LIMIT:
+            x, y = np.meshgrid(np.arange(q, dtype=np.int32),
+                               np.arange(q, dtype=np.int32), indexing="ij")
+            return _NpOps(sub(x, y), mul(x, y), inv)
+        return _NpOps(_Indexed(sub), _Indexed(mul), inv)
 
     # --- serialization ----------------------------------------------------
 

@@ -25,6 +25,7 @@ from .errors import (
     DuplicatePointsError,
     ExtendedDualUnsupportedError,
     LengthMismatchError,
+    ShapeMismatchError,
 )
 from .gf import FieldCtx, Felt, field_from_json, json_int
 from .linalg import MatrixGF, matrix_from_json
@@ -179,10 +180,16 @@ def stored_generator_from_json(obj: dict) -> MatrixGF | None:
 
     Kept separate from code_from_json so a verifier can check the stored
     matrix against the one implied by (a, v, k) instead of silently
-    regenerating it.
+    regenerating it.  Its shape must be k x block length.
     """
     gen = obj.get("generator")
     if gen is None:
         return None
     ctx = field_from_json(obj["field"])
-    return matrix_from_json(ctx, gen)
+    m = matrix_from_json(ctx, gen)
+    k = json_int(obj["k"], '"k"')
+    cols = json_int(obj["n"], '"n"') + (1 if obj["extended"] is True else 0)
+    if (m.nrows, m.ncols) != (k, cols):
+        raise ShapeMismatchError(
+            f"stored generator is {m.nrows}x{m.ncols}, expected {k}x{cols}")
+    return m

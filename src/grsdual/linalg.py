@@ -3,12 +3,11 @@
 Matrices are immutable row-major tuples of element indices.  Row
 reduction uses plain leftmost-nonzero pivoting; there are no numerical
 concerns in exact arithmetic.  Rank and nonsingularity run one numpy
-elimination body, `_np_rank`, fed by the field's op provider: dense q x q
-tables for q <= 2^10 (which is what makes the exhaustive column-subset
-checks in the verifier affordable) and O(q) exp/log arrays for
-q <= 2^16.  Above that, and for `rref` and `nullspace` everywhere, the
-pure-Python `_echelon` runs; it is also the reference the kernel is
-tested against.
+elimination body, `_np_rank`, on the field's op provider
+(`FieldCtx.np_ops`, q <= 2^16), whose dense small-field tables make the
+exhaustive column-subset checks in the verifier affordable.  Above 2^16,
+and for `rref` and `nullspace` everywhere, the pure-Python `_echelon`
+runs; it is also the reference the kernel is tested against.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -172,20 +171,13 @@ def rank(m: MatrixGF) -> int:
     return rank_rows(m.ctx, m.rows_list())
 
 
-def _elimination_ops(ctx: FieldCtx):
-    """The field's numpy op provider for `_np_rank`, or None above 2^16."""
-    ops = ctx.table_ops()
-    return ops if ops is not None else ctx.array_ops()
-
-
 def rank_rows(ctx: FieldCtx, rows) -> int:
     """Rank of a list-of-rows or ndarray; numpy-driven when available."""
-    ops = _elimination_ops(ctx)
+    ops = ctx.np_ops()
     if ops is not None:
         import numpy as np
-        return _np_rank(np.array(rows, dtype=np.int32), ops)
-    copied = [list(r) for r in rows]
-    _, pivots = _echelon(ctx, copied, reduced=False)
+        return _np_rank(np.array(rows, dtype=np.int32, ndmin=2), ops)
+    _, pivots = _echelon(ctx, [list(r) for r in rows], reduced=False)
     return len(pivots)
 
 
@@ -229,7 +221,7 @@ def entrywise_power(m: MatrixGF, r: int) -> MatrixGF:
 def _np_rank(a, ops) -> int:
     """Rank by Gaussian elimination on an int32 array of elements; mutates a.
 
-    ops is a field op provider (`FieldCtx.table_ops` or `array_ops`).
+    ops is the field's op provider, `FieldCtx.np_ops()`.
     """
     nrows, ncols = a.shape
     r = 0
@@ -260,10 +252,4 @@ def _np_nonsingular(a, ops) -> bool:
 
 def nonsingular_rows(ctx: FieldCtx, rows) -> bool:
     """True iff the square matrix given as rows/ndarray is invertible."""
-    ops = _elimination_ops(ctx)
-    if ops is not None:
-        import numpy as np
-        return _np_nonsingular(np.array(rows, dtype=np.int32), ops)
-    copied = [list(r) for r in rows]
-    _, pivots = _echelon(ctx, copied, reduced=False)
-    return len(pivots) == len(copied)
+    return rank_rows(ctx, rows) == len(rows)

@@ -5,16 +5,16 @@ Every check returns a CheckResult rather than raising, so a report can
 collect failures; only precondition violations (over-budget exact checks,
 repeated points, even characteristic where odd is required) raise.
 
-Inner products (G*G^T for self-duality, the dual-identity products) are
-exact integer matmuls over the GF(p) coordinates of the stored entries,
-folded back into GF(q) with the field's own reduction rows, so they
-trust nothing about how the matrix was built.  Rank runs through
-`linalg`: numpy elimination on dense tables for q <= 2^10 and on O(q)
-exp/log arrays for q <= 2^16, the pure-Python `_echelon` above that.
+Inner products (G*G^T for self-duality, the dual-identity products, and
+the codewords the minimum-distance oracle enumerates) are exact integer
+matmuls over the GF(p) coordinates of the stored entries, folded back
+into GF(q) with the field's own reduction rows, so they trust nothing
+about how the matrix was built and share no tables with the rank checks.
+Rank runs through `linalg`: numpy elimination on the field's op provider
+for q <= 2^16, the pure-Python `_echelon` above that.
 
 The exact MDS check is the definition itself -- every k-subset of
-generator columns must be nonsingular -- run with the table-indexed
-elimination kernel where the field allows it.  The randomized mode samples
+generator columns must be nonsingular.  The randomized mode samples
 subsets from a seeded generator and reports confidence only; the
 structural mode certifies via the evaluation-code shape (distinct points,
 nonzero multipliers).  Minimum distance by full codeword enumeration is
@@ -75,38 +75,45 @@ class VerificationReport:
 
 # --- inner products -----------------------------------------------------------
 
-def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
-                           upper: bool = False):
-    """(i, j, value) of the first nonzero <row i of a, row j of b> in
-    row-major order, or None; upper scans only j >= i (for a = b).
+def _elements(m: MatrixGF):
+    import numpy as np
+    return np.array(m.entries, dtype=np.int64).reshape(m.nrows, m.ncols)
+
+
+def _products(ctx: FieldCtx, x, y):
+    """x * y^T over GF(q) for int64 arrays of elements: entry (i, j) is
+    the inner product of row i of x with row j of y.
 
     Each entry is split into its e coordinates over GF(p); the e^2
     coordinate products are int64 matmuls reduced mod p, and degrees >= e
     are folded back with the reduction rows, as `FieldCtx._mul_slow` does.
     """
-    import numpy as np
-
-    p, e, n = ctx.p, ctx.e, a.ncols
+    p, e, n = ctx.p, ctx.e, x.shape[1]
     # a coordinate product sums n terms below p^2: n (p-1)^2 < 2^63 holds
     # for every q <= 2^20 and n < 2^23
     if n * (p - 1) ** 2 >= 1 << 63:
         raise TooLargeError(f"{n} columns overflow the int64 inner products")
-
-    def coords(m: MatrixGF):
-        x = np.array(m.entries, dtype=np.int64).reshape(m.nrows, m.ncols)
-        return [x // p ** t % p for t in range(e)]
-
-    ca, cb = coords(a), coords(b)
+    cx = [x // p ** t % p for t in range(e)]
+    cy = [y // p ** t % p for t in range(e)]
     deg = [0] * (2 * e - 1)
-    for s, xs in enumerate(ca):
-        for t, yt in enumerate(cb):
+    for s, xs in enumerate(cx):
+        for t, yt in enumerate(cy):
             deg[s + t] = deg[s + t] + (xs @ yt.T) % p
     for d in range(e, 2 * e - 1):
         c = deg[d] % p
         for i, rv in enumerate(ctx._red[d - e]):
             if rv:
                 deg[i] = deg[i] + c * rv
-    value = sum(deg[t] % p * p ** t for t in range(e))
+    return sum(deg[t] % p * p ** t for t in range(e))
+
+
+def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
+                           upper: bool = False):
+    """(i, j, value) of the first nonzero <row i of a, row j of b> in
+    row-major order, or None; upper scans only j >= i (for a = b)."""
+    import numpy as np
+
+    value = _products(ctx, _elements(a), _elements(b))
     nonzero = np.triu(value != 0) if upper else value != 0
     hits = np.argwhere(nonzero)
     if hits.size == 0:
@@ -151,15 +158,15 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
         return CheckResult("mds", "fail",
                            f"dimension {k} exceeds block length {ncols}",
                            "exact" if mode == "exact" else mode)
-    rows = gen.rows_list()
-    ops = ctx.table_ops()
+    ops = ctx.np_ops()
     if ops is not None:
-        import numpy as np
-        arr = np.array(rows, dtype=np.int32)
+        arr = _elements(gen).astype("int32")
 
         def nonsingular(cols):
             return _np_subset_nonsingular(arr, cols, ops)
     else:
+        rows = gen.rows_list()
+
         def nonsingular(cols):
             return nonsingular_rows(ctx, [[row[c] for c in cols]
                                           for row in rows])
@@ -293,59 +300,30 @@ def check_character_sum_bound(ctx: FieldCtx,
 
 # --- minimum distance oracle ----------------------------------------------------
 
+# messages per chunk times block length: bounds the chunk's int64 arrays
+_DISTANCE_CHUNK = 1 << 16
+
+
 def minimum_distance(code: GrsCode, budget: int = EXACT_MDS_BUDGET) -> int:
-    """Exact minimum distance by enumerating all q^k codewords."""
+    """Exact minimum distance by enumerating all q^k codewords, a chunk of
+    messages at a time, as exact products with the generator."""
+    import numpy as np
+
     ctx = code.ctx
-    total = ctx.q ** code.k
+    q, k = ctx.q, code.k
+    total = q ** k
     if total > budget:
         raise BudgetExceededError(
             f"{total} codewords exceed budget {budget}")
     gen = generator_matrix(code)
-    ops = ctx.table_ops()
-    if ops is not None:
-        return _np_min_distance(ctx, gen, total, ops)
+    g = _elements(gen)
     best = gen.ncols
-    rows = gen.rows_list()
-    message = [0] * code.k
-    for idx in range(1, total):
-        # next message in mixed radix q
-        pos = 0
-        while True:
-            message[pos] += 1
-            if message[pos] < ctx.q:
-                break
-            message[pos] = 0
-            pos += 1
-        word = [0] * gen.ncols
-        for i, mi in enumerate(message):
-            if mi:
-                for j, gij in enumerate(rows[i]):
-                    if gij:
-                        word[j] = ctx.add(word[j], ctx.mul(mi, gij))
-        weight = sum(1 for x in word if x)
-        if weight < best:
-            best = weight
-    return best
-
-
-def _np_min_distance(ctx: FieldCtx, gen: MatrixGF, total: int, ops) -> int:
-    import numpy as np
-
-    q, k, ncols = ctx.q, gen.nrows, gen.ncols
-    grows = np.array(gen.rows_list(), dtype=np.int32)
-    best = ncols
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
+    chunk = max(1, _DISTANCE_CHUNK // gen.ncols)
+    for start in range(1, total, chunk):  # message 0 is the zero word
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        words = np.zeros((idx.size, ncols), dtype=np.int32)
-        for i in range(k):
-            digits = ((idx // q ** i) % q).astype(np.int32)
-            words = ops.add[words, ops.mul[digits[:, None], grows[i][None, :]]]
-        weights = np.count_nonzero(words, axis=1)
-        if start == 0:
-            weights = weights[1:]  # drop the zero message
-        if weights.size:
-            best = min(best, int(weights.min()))
+        messages = np.stack([idx // q ** i % q for i in range(k)], axis=1)
+        words = _products(ctx, messages, g.T)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 

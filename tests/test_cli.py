@@ -358,3 +358,23 @@ def test_importing_the_cli_leaves_numpy_unloaded():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("mds_mode", ["structural", "exact"])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (1, 6), (3, 5)])
+def test_verify_rejects_wrong_generator_shape(rows, cols, mds_mode,
+                                              tmp_path, capsys):
+    # the q=5 extended code is [6, 3]: its stored generator must be 3 x 6
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(code_file)], capsys)
+    obj = json.loads(code_file.read_text())
+    gen = obj["generator"]
+    assert (gen["rows"], gen["cols"]) == (3, 6)
+    gen["entries"] = [x for i, x in enumerate(gen["entries"])
+                      if i // 6 < rows and i % 6 < cols]
+    gen["rows"], gen["cols"] = rows, cols
+    code_file.write_text(json.dumps(obj))
+    rc, out, err = run_cli(["verify", str(code_file), "--mds-mode",
+                            mds_mode], capsys)
+    assert rc == 1 and out == "" and "not a valid code object" in err

@@ -138,7 +138,7 @@ def _with_dependent_rows(ctx, rows, rnd):
 
 def test_rank_table_kernel_agrees_with_pure_elimination():
     rnd = random.Random(3)
-    # dense tables up to 2^10, O(q) arrays up to 2^16 (all three kinds of
+    # tabulated ops up to 2^10, O(q) arrays up to 2^16 (all three kinds of
     # subtraction: prime, characteristic 2, digit-wise), _echelon above
     fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536]
     for _ in range(400):
@@ -156,50 +156,53 @@ def test_rank_table_kernel_agrees_with_pure_elimination():
         assert fast == len(pivots)
         if nrows == ncols:
             assert la.nonsingular_rows(ctx, rows) == (fast == nrows)
-
-
-def test_array_ops_agree_with_dense_tables():
-    for q in (4, 5, 9, 16, 25, 27, 1024):
+    # no rows, and one row with no columns
+    for q in fields + [3 ** 11]:
         ctx = field_for_order(q)
-        dense, arrays = ctx.table_ops(), ctx.array_ops()
+        for rows in ([], [[]]):
+            _, pivots = la._echelon(ctx, [list(r) for r in rows], reduced=False)
+            assert la.rank_rows(ctx, rows) == len(pivots) == 0
+        assert la.nonsingular_rows(ctx, []) is True
+
+
+def _pairs_agree_with_scalar_ops(ctx, xs, ys):
+    ops = ctx.np_ops()
+    assert ops.mul[xs, ys].tolist() == [ctx.mul(int(a), int(b))
+                                        for a, b in zip(xs, ys)]
+    assert ops.sub[xs, ys].tolist() == [ctx.sub(int(a), int(b))
+                                        for a, b in zip(xs, ys)]
+    nonzero = xs[xs != 0]
+    assert ops.inv[nonzero].tolist() == [ctx.inverse(int(a)) for a in nonzero]
+
+
+def test_np_ops_match_scalar_arithmetic():
+    # tabulated fields (all q^2 pairs; prime, characteristic 2 and
+    # digit-wise subtraction), then O(q) arrays on sampled pairs
+    for q in (4, 5, 9, 16, 25, 27):
         x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                            np.arange(q, dtype=np.int32))
-        assert np.array_equal(arrays.mul[x, y], dense.mul[x, y])
-        assert np.array_equal(arrays.sub[x, y], dense.sub[x, y])
-        assert np.array_equal(arrays.inv, dense.inv)
-
-
-def test_array_ops_match_scalar_arithmetic_above_table_limit():
+        _pairs_agree_with_scalar_ops(field_for_order(q), x.ravel(), y.ravel())
     rnd = random.Random(5)
-    for q in (1031, 1849, 2048, 2187, 65536):
-        ctx = field_for_order(q)
-        assert ctx.table_ops() is None
-        ops = ctx.array_ops()
+    for q in (1024, 1031, 1849, 2048, 2187, 65536):
         xs = np.array([0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)],
                       dtype=np.int32)
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
-        assert ops.mul[xs, ys].tolist() == [ctx.mul(int(a), int(b))
-                                            for a, b in zip(xs, ys)]
-        assert ops.sub[xs, ys].tolist() == [ctx.sub(int(a), int(b))
-                                            for a, b in zip(xs, ys)]
-        nonzero = xs[xs != 0]
-        assert ops.inv[nonzero].tolist() == [ctx.inverse(int(a))
-                                             for a in nonzero]
-    assert field_for_order(3 ** 11).array_ops() is None
+        _pairs_agree_with_scalar_ops(field_for_order(q), xs, ys)
+    assert field_for_order(3 ** 11).np_ops() is None
 
 
-def test_fresh_field_builds_array_ops_once_under_threads(monkeypatch):
+def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
     base = make_field(43, 2)
     ctx = FieldCtx(base.p, base.e, base.modulus)  # not the cached context
     builds = []
-    orig = FieldCtx._build_array_ops
+    orig = FieldCtx._build_np_ops
 
     def slow_build(self):
         builds.append(self)
         time.sleep(0.05)  # widen the window for a second builder
         return orig(self)
 
-    monkeypatch.setattr(FieldCtx, "_build_array_ops", slow_build)
+    monkeypatch.setattr(FieldCtx, "_build_np_ops", slow_build)
     rnd = random.Random(6)
     rows = [[rnd.randrange(ctx.q) for _ in range(12)] for _ in range(10)]
     rows.append(list(rows[3]))

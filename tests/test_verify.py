@@ -3,7 +3,7 @@ dual identity, character-sum counts, distance enumeration."""
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -294,17 +294,31 @@ def test_minimum_distance_enumeration():
 
 
 def test_minimum_distance_matches_hand_enumeration():
-    ctx = make_field(5)
-    code = GrsCode(ctx, (0, 2, 3), (1, 2, 1), 2)
-    best = code.n
-    for m0 in range(5):
-        for m1 in range(5):
-            if m0 == m1 == 0:
+    for q, a, v, k in ((5, (0, 2, 3), (1, 2, 1), 2),
+                       (9, (0, 1, 3, 5), (1, 2, 4, 8), 2),
+                       (16, (0, 1, 2, 7, 11), (1, 3, 5, 9, 15), 3),
+                       (1849, (0, 5, 100, 1848), (1, 7, 1000, 1848), 1),
+                       (2048, (1, 2, 3), (5, 6, 2047), 1)):
+        ctx = field_for_order(q)
+        code = GrsCode(ctx, a, v, k)
+        best = code.n
+        for message in product(range(q), repeat=k):
+            if not any(message):
                 continue
-            word = [ctx.mul(v, ctx.add(m0, ctx.mul(m1, a)))
-                    for a, v in zip(code.a, code.v)]
+            word = []
+            for aj, vj in zip(a, v):
+                acc = 0
+                for c in reversed(message):
+                    acc = ctx.add(ctx.mul(acc, aj), c)
+                word.append(ctx.mul(vj, acc))
             best = min(best, sum(1 for x in word if x))
-    assert ver.minimum_distance(code) == best == 2  # n - k + 1
+        assert ver.minimum_distance(code) == best == code.n - k + 1, q
+
+
+def test_minimum_distance_above_the_exp_log_limit():
+    # GF(3^11) has no exp/log tables and no numpy op provider
+    code = GrsCode(field_for_order(3 ** 11), (0, 1, 2), (1, 1, 1), 1)
+    assert ver.minimum_distance(code) == 3
 
 
 # --- report assembly -------------------------------------------------------------------
