@@ -175,19 +175,39 @@ def _pairs_agree_with_scalar_ops(ctx, xs, ys):
     assert ops.inv[nonzero].tolist() == [ctx.inverse(int(a)) for a in nonzero]
 
 
-def test_np_ops_match_scalar_arithmetic():
-    # tabulated fields (all q^2 pairs; prime, characteristic 2 and
-    # digit-wise subtraction), then O(q) arrays on sampled pairs
+def test_array_ops_agree_with_dense_tables():
+    # up to 2^10 np_ops() keeps q x q tables (prime, characteristic 2 and
+    # digit-wise subtraction); all q^2 pairs against the scalar ops, and
+    # sampled pairs plus the 0 and 1 rows and columns at the limit
     for q in (4, 5, 9, 16, 25, 27):
+        ctx = field_for_order(q)
+        ops = ctx.np_ops()
+        assert ops.mul.shape == ops.sub.shape == (q, q)
         x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                            np.arange(q, dtype=np.int32))
-        _pairs_agree_with_scalar_ops(field_for_order(q), x.ravel(), y.ravel())
+        _pairs_agree_with_scalar_ops(ctx, x.ravel(), y.ravel())
+    ctx = field_for_order(1024)
+    ops = ctx.np_ops()
+    assert ops.mul.shape == ops.sub.shape == (1024, 1024)
+    rnd = random.Random(4)
+    xs = np.array([0] * 1024 + [1] * 1024 + list(range(1024)) * 2
+                  + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
+    ys = np.array(list(range(1024)) * 2 + [0] * 1024 + [1] * 1024
+                  + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
+    _pairs_agree_with_scalar_ops(ctx, xs, ys)
+
+
+def test_array_ops_match_scalar_arithmetic_above_table_limit():
+    # above 2^10 the ops are the O(q) exp/log arrays, not tables;
+    # above 2^16 there are none
     rnd = random.Random(5)
-    for q in (1024, 1031, 1849, 2048, 2187, 65536):
+    for q in (1031, 1849, 2048, 2187, 65536):
+        ctx = field_for_order(q)
+        assert not isinstance(ctx.np_ops().mul, np.ndarray)
         xs = np.array([0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)],
                       dtype=np.int32)
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
-        _pairs_agree_with_scalar_ops(field_for_order(q), xs, ys)
+        _pairs_agree_with_scalar_ops(ctx, xs, ys)
     assert field_for_order(3 ** 11).np_ops() is None
 
 
