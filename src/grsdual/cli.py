@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(low: int):
+    """argparse type: an int no smaller than low."""
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text}")
+        return int(text)
+    return count
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if output is None or output == "-":
@@ -221,8 +231,8 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("input", help="path to code JSON, or - for stdin")
     p_ver.add_argument("--mds-mode", default="auto",
                        choices=["auto", "exact", "randomized", "structural"])
-    p_ver.add_argument("--budget", type=int, default=EXACT_MDS_BUDGET)
-    p_ver.add_argument("--samples", type=int, default=RANDOM_MDS_SAMPLES)
+    p_ver.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET)
+    p_ver.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--dual-identity", action="store_true")
     p_ver.add_argument("--output", "-o")
@@ -232,7 +242,7 @@ def _build_parser() -> _Parser:
                            help="search for a square-difference point set")
     p_sea.add_argument("--q", type=int, required=True)
     p_sea.add_argument("--n", type=int, required=True)
-    p_sea.add_argument("--node-budget", type=int)
+    p_sea.add_argument("--node-budget", type=_count(0))
     p_sea.add_argument("--output", "-o")
     p_sea.set_defaults(func=_cmd_search)
 
@@ -244,8 +254,8 @@ def _build_parser() -> _Parser:
     p_swp.add_argument("--r", type=int, nargs="*")
     p_swp.add_argument("--t", type=int, nargs="*")
     p_swp.add_argument("--n", type=int, nargs="*")
-    p_swp.add_argument("--budget", type=int, default=EXACT_MDS_BUDGET)
-    p_swp.add_argument("--samples", type=int, default=RANDOM_MDS_SAMPLES)
+    p_swp.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET)
+    p_swp.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES)
     p_swp.add_argument("--seed", type=int, default=0)
     p_swp.add_argument("--out-dir")
     p_swp.set_defaults(func=_cmd_sweep)

@@ -16,12 +16,13 @@ threads.  Scalar multiplication falls back to polynomial arithmetic for
 large fields and switches to exp/log tables once they are built; tables
 are created lazily under a lock, exactly once.
 
-Bulk linear algebra (see `linalg`) reads one numpy op provider,
-`np_ops()`, indexed like tables (`mul[x, y]`, `sub[x, y]`, `inv[x]`).
-Its ops are computed from O(q) exp/log arrays for q <= 2^16; for
-q <= 2^10 the same functions are also evaluated once on every pair and
-kept as dense q x q tables, so each op is a single lookup.  Above 2^16
-there is no provider and the pure-Python elimination is used.
+Bulk linear algebra (see `linalg`) reads one numpy op provider per
+field, `np_ops()`, indexed like tables (`mul[x, y]`, `sub[x, y]`,
+`inv[x]`).  Subtraction is always vectorized.  For q <= 2^16 `mul` and
+`inv` are computed from O(q) exp/log arrays, and for q <= 2^10 all three
+are also evaluated once on every pair and kept as dense q x q tables, so
+each op is a single lookup.  Above 2^16 there are no exp/log tables, and
+the scalar `mul` and `inverse` are applied elementwise.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def json_int(value, name: str) -> int:
 
 
 class _Indexed:
-    """A vectorized binary op that reads like a table: op[x, y]."""
+    """A vectorized op that reads like a table: op[x, y] or op[x]."""
 
     __slots__ = ("fn",)
 
@@ -201,11 +202,11 @@ class _Indexed:
         self.fn = fn
 
     def __getitem__(self, key):
-        return self.fn(*key)
+        return self.fn(*key) if isinstance(key, tuple) else self.fn(key)
 
 
 class _NpOps:
-    """The numpy ops `_np_rank` reads: sub[x, y], mul[x, y], inv[x]."""
+    """What `linalg._np_echelon` reads: sub[x, y], mul[x, y], inv[x]."""
 
     __slots__ = ("sub", "mul", "inv")
 
@@ -540,10 +541,8 @@ class FieldCtx:
             self._log = log
             self._exp = exp
 
-    def np_ops(self) -> Optional[_NpOps]:
-        """Numpy ops for bulk linear algebra; None above the exp/log limit."""
-        if self.q > _EXP_TABLE_LIMIT:
-            return None
+    def np_ops(self) -> _NpOps:
+        """Numpy ops for bulk linear algebra, built once."""
         if self._np_ops is None:
             with self._lock:
                 if self._np_ops is None:
@@ -554,6 +553,27 @@ class FieldCtx:
         import numpy as np
 
         q, p, e = self.q, self.p, self.e
+        if e == 1:
+            def sub(x, y):
+                return (x - y) % p
+        elif p == 2:
+            def sub(x, y):
+                return x ^ y
+        else:
+            weights = [p ** i for i in range(e)]
+
+            def sub(x, y):
+                # (x // w - y // w) mod p is the digit difference at weight w
+                z = 0
+                for w in weights:
+                    z = z + (x // w - y // w) % p * w
+                return z
+        if q > _EXP_TABLE_LIMIT:
+            # no exp/log tables: lift the scalar ops; they give object
+            # arrays, which stores into the int32 elimination array cast back
+            return _NpOps(_Indexed(sub),
+                          _Indexed(np.frompyfunc(self.mul, 2, 1)),
+                          _Indexed(np.frompyfunc(self.inverse, 1, 1)))
         q1 = q - 1
         self._ensure_tables()
         # exp is stored twice so log x + log y needs no reduction mod q - 1;
@@ -570,21 +590,6 @@ class FieldCtx:
         def mul(x, y):
             return exp[log[x] + log[y]]
 
-        if e == 1:
-            def sub(x, y):
-                return (x - y) % p
-        elif p == 2:
-            def sub(x, y):
-                return x ^ y
-        else:
-            weights = [p ** i for i in range(e)]
-
-            def sub(x, y):
-                # (x // w - y // w) mod p is the digit difference at weight w
-                z = 0
-                for w in weights:
-                    z = z + (x // w - y // w) % p * w
-                return z
         if q <= _NP_TABLE_LIMIT:
             x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                                np.arange(q, dtype=np.int32), indexing="ij")

@@ -1,13 +1,12 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are immutable row-major tuples of element indices.  Row
-reduction uses plain leftmost-nonzero pivoting; there are no numerical
-concerns in exact arithmetic.  Rank and nonsingularity run one numpy
-elimination body, `_np_rank`, on the field's op provider
-(`FieldCtx.np_ops`, q <= 2^16), whose dense small-field tables make the
-exhaustive column-subset checks in the verifier affordable.  Above 2^16,
-and for `rref` and `nullspace` everywhere, the pure-Python `_echelon`
-runs; it is also the reference the kernel is tested against.
+Matrices are immutable row-major tuples of element indices.  All row
+reduction runs one numpy elimination body, `_np_echelon`, on the field's
+op provider (`FieldCtx.np_ops`) with plain leftmost-nonzero pivoting;
+there are no numerical concerns in exact arithmetic.  Its forward pass
+gives rank and nonsingularity, and the dense small-field tables make the
+exhaustive column-subset checks in the verifier affordable; a
+back-substitution pass gives the reduced row echelon form.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -75,43 +74,6 @@ def identity(ctx: FieldCtx, n: int) -> MatrixGF:
                           for i in range(n) for j in range(n)))
 
 
-def transpose(m: MatrixGF) -> MatrixGF:
-    return MatrixGF(m.ctx, m.ncols, m.nrows,
-                    tuple(m.at(i, j)
-                          for j in range(m.ncols) for i in range(m.nrows)))
-
-
-def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.ctx is not b.ctx or a.ncols != b.nrows:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    ctx = a.ctx
-    out = []
-    for i in range(a.nrows):
-        arow = a.row(i)
-        for j in range(b.ncols):
-            acc = 0
-            for t, av in enumerate(arow):
-                if av:
-                    acc = ctx.add(acc, ctx.mul(av, b.at(t, j)))
-            out.append(acc)
-    return MatrixGF(ctx, a.nrows, b.ncols, tuple(out))
-
-
-def mat_vec(m: MatrixGF, vec: Sequence[Felt]) -> list[Felt]:
-    if len(vec) != m.ncols:
-        raise ShapeMismatchError("vector length does not match columns")
-    ctx = m.ctx
-    out = []
-    for i in range(m.nrows):
-        acc = 0
-        for mv, xv in zip(m.row(i), vec):
-            if mv and xv:
-                acc = ctx.add(acc, ctx.mul(mv, xv))
-        out.append(acc)
-    return out
-
-
 def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:
     """The (n-1) x n matrix whose row i holds the i-th powers of points.
 
@@ -133,38 +95,11 @@ def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:
 
 # --- elimination ---------------------------------------------------------
 
-def _echelon(ctx: FieldCtx, rows: list[list[Felt]],
-             reduced: bool) -> tuple[list[list[Felt]], list[int]]:
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inverse(rows[r][c])
-        if inv != 1:
-            rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        targets = range(nr) if reduced else range(r + 1, nr)
-        for i in targets:
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                src = rows[r]
-                rows[i] = [ctx.sub(vi, ctx.mul(f, vs))
-                           for vi, vs in zip(rows[i], src)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
 def rref(m: MatrixGF) -> MatrixGF:
     """Canonical reduced row echelon form (same shape, zero rows last)."""
-    rows, _ = _echelon(m.ctx, m.rows_list(), reduced=True)
-    return matrix(m.ctx, rows)
+    a = _array(m)
+    _np_echelon(a, m.ctx.np_ops(), reduced=True)
+    return MatrixGF(m.ctx, m.nrows, m.ncols, tuple(a.ravel().tolist()))
 
 
 def rank(m: MatrixGF) -> int:
@@ -172,13 +107,10 @@ def rank(m: MatrixGF) -> int:
 
 
 def rank_rows(ctx: FieldCtx, rows) -> int:
-    """Rank of a list-of-rows or ndarray; numpy-driven when available."""
-    ops = ctx.np_ops()
-    if ops is not None:
-        import numpy as np
-        return _np_rank(np.array(rows, dtype=np.int32, ndmin=2), ops)
-    _, pivots = _echelon(ctx, [list(r) for r in rows], reduced=False)
-    return len(pivots)
+    """Rank of a list-of-rows or ndarray."""
+    import numpy as np
+    return len(_np_echelon(np.array(rows, dtype=np.int32, ndmin=2),
+                           ctx.np_ops()))
 
 
 def nullspace(m: MatrixGF) -> list[tuple[Felt, ...]]:
@@ -188,7 +120,9 @@ def nullspace(m: MatrixGF) -> list[tuple[Felt, ...]]:
     nonzero coordinate is 1, fixing the scalar left open by elimination.
     """
     ctx = m.ctx
-    rows, pivots = _echelon(ctx, m.rows_list(), reduced=True)
+    a = _array(m)
+    pivots = _np_echelon(a, ctx.np_ops(), reduced=True)
+    rows = a.tolist()
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -218,12 +152,22 @@ def entrywise_power(m: MatrixGF, r: int) -> MatrixGF:
 
 # --- numpy elimination kernel ---------------------------------------------
 
-def _np_rank(a, ops) -> int:
-    """Rank by Gaussian elimination on an int32 array of elements; mutates a.
+def _array(m: MatrixGF):
+    import numpy as np
+    return np.array(m.entries, dtype=np.int32).reshape(m.nrows, m.ncols)
 
-    ops is the field's op provider, `FieldCtx.np_ops()`.
+
+def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
+    """Row-reduce an int32 array of elements in place; return the pivot
+    columns, whose count is the rank.
+
+    ops is the field's op provider, `FieldCtx.np_ops()`.  The forward pass
+    leaves a row echelon form with unscaled pivots.  With reduced, each
+    pivot row is then scaled to lead with 1 and cleared from the rows
+    above it, giving the reduced row echelon form.
     """
     nrows, ncols = a.shape
+    pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -241,13 +185,19 @@ def _np_rank(a, ops) -> int:
             factors = ops.mul[below, inv_p]
             a[r + 1:, c:] = ops.sub[a[r + 1:, c:],
                                     ops.mul[factors[:, None], a[r, c:][None, :]]]
+        pivots.append(c)
         r += 1
-    return r
+    if reduced:
+        for r, c in enumerate(pivots):
+            a[r, c:] = ops.mul[a[r, c:], ops.inv[a[r, c]]]
+            a[:r, c:] = ops.sub[a[:r, c:],
+                                ops.mul[a[:r, c][:, None], a[r, c:][None, :]]]
+    return pivots
 
 
 def _np_nonsingular(a, ops) -> bool:
     """Nonsingularity of a square array; mutates a."""
-    return _np_rank(a, ops) == a.shape[0]
+    return len(_np_echelon(a, ops)) == a.shape[0]
 
 
 def nonsingular_rows(ctx: FieldCtx, rows) -> bool:

@@ -10,8 +10,8 @@ the codewords the minimum-distance oracle enumerates) are exact integer
 matmuls over the GF(p) coordinates of the stored entries, folded back
 into GF(q) with the field's own reduction rows, so they trust nothing
 about how the matrix was built and share no tables with the rank checks.
-Rank runs through `linalg`: numpy elimination on the field's op provider
-for q <= 2^16, the pure-Python `_echelon` above that.
+Rank runs through `linalg`, whose one numpy elimination body works on
+the field's op provider for every q.
 
 The exact MDS check is the definition itself -- every k-subset of
 generator columns must be nonsingular.  The randomized mode samples
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .gf import FieldCtx, Felt
 from .grs import GrsCode, dual_coefficients, generator_matrix
-from .linalg import MatrixGF, nonsingular_rows, rank_rows
+from .linalg import MatrixGF, rank_rows
 
 EXACT_MDS_BUDGET = 10 ** 6
 RANDOM_MDS_SAMPLES = 10 ** 4
@@ -159,25 +159,14 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
                            f"dimension {k} exceeds block length {ncols}",
                            "exact" if mode == "exact" else mode)
     ops = ctx.np_ops()
-    if ops is not None:
-        arr = _elements(gen).astype("int32")
-
-        def nonsingular(cols):
-            return _np_subset_nonsingular(arr, cols, ops)
-    else:
-        rows = gen.rows_list()
-
-        def nonsingular(cols):
-            return nonsingular_rows(ctx, [[row[c] for c in cols]
-                                          for row in rows])
-
+    arr = _elements(gen).astype("int32")
     if mode == "exact":
         total = math.comb(ncols, k)
         if total > budget:
             raise BudgetExceededError(
                 f"C({ncols},{k}) = {total} subsets exceed budget {budget}")
         for cols in combinations(range(ncols), k):
-            if not nonsingular(cols):
+            if not _np_subset_nonsingular(arr, cols, ops):
                 return CheckResult(
                     "mds", "fail",
                     f"columns {list(cols)} are singular", "exact")
@@ -185,10 +174,12 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
                            f"all {total} column {k}-subsets nonsingular",
                            "exact")
     if mode == "randomized":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = random.Random(seed)
         for _ in range(samples):
             cols = tuple(sorted(rng.sample(range(ncols), k)))
-            if not nonsingular(cols):
+            if not _np_subset_nonsingular(arr, cols, ops):
                 return CheckResult(
                     "mds", "fail",
                     f"columns {list(cols)} are singular", "randomized",

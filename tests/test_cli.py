@@ -174,6 +174,36 @@ def test_verify_structural_mode(tmp_path, capsys):
     assert checks["mds"]["mode"] == "structural"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "-1"), ("--samples", "0"), ("--budget", "-1"),
+])
+def test_verify_rejects_out_of_range_counts(flag, value, tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(out_file)], capsys)
+    rc, out, err = run_cli(["verify", str(out_file), "--mds-mode",
+                            "randomized", flag, value], capsys)
+    assert rc == 1 and out == ""
+    assert f"argument {flag}: must be at least" in err
+
+
+def test_search_rejects_negative_node_budget(capsys):
+    rc, out, err = run_cli(["search", "--q", "29", "--n", "4",
+                            "--node-budget", "-1"], capsys)
+    assert rc == 1 and out == ""
+    assert "argument --node-budget: must be at least 0" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "-3"),
+                                         ("--budget", "-1")])
+def test_sweep_rejects_out_of_range_counts_before_any_cell(flag, value,
+                                                           capsys):
+    rc, out, err = run_cli(["sweep", "--family", "theorem-3-5", "--r", "3",
+                            flag, value], capsys)
+    assert rc == 1 and out == ""  # no table
+    assert f"argument {flag}: must be at least" in err
+
+
 def test_search_found(capsys):
     rc, out, _ = run_cli(["search", "--q", "29", "--n", "4"], capsys)
     assert rc == 0

@@ -30,6 +30,7 @@ from grsdual.grs import (
     generator_matrix,
     stored_generator_from_json,
 )
+from oracles import mat_vec, matmul, transpose
 
 
 def random_code(rnd, q_choices=(5, 9, 13, 25), max_n=8, all_one_v=False):
@@ -64,7 +65,7 @@ def test_dual_coefficients_solve_the_power_rows_system():
         u = dual_coefficients(ctx, points)
         assert all(x != 0 for x in u)
         system = la.vandermonde_system(ctx, points)
-        assert la.mat_vec(system, u) == [0] * system.nrows
+        assert mat_vec(system, u) == [0] * system.nrows
 
 
 # --- generator matrices ---------------------------------------------------------
@@ -116,7 +117,7 @@ def test_encode_equals_message_times_generator():
         ctx = code.ctx
         message = [rnd.randrange(ctx.q) for _ in range(code.k)]
         gen = generator_matrix(code)
-        via_matrix = la.mat_vec(la.transpose(gen), message)
+        via_matrix = mat_vec(transpose(gen), message)
         assert encode(code, message) == via_matrix
 
 
@@ -154,7 +155,7 @@ def test_dual_code_matches_nullspace_for_general_v():
         gen = generator_matrix(code)
         dual_gen = generator_matrix(dual)
         # orthogonality: every dual row is in the nullspace of gen
-        prod = la.matmul(dual_gen, la.transpose(gen))
+        prod = matmul(dual_gen, transpose(gen))
         assert all(x == 0 for x in prod.entries)
         # dimensions match, so the spaces are equal
         assert la.rank(dual_gen) == code.n - code.k
@@ -182,8 +183,8 @@ def test_extended_dual_dimension_and_orthogonality(q):
         code = GrsCode(ctx, a, (1,) * q, k, extended=True)
         dual = dual_code(code)
         assert dual.k == q - k + 1 and dual.extended
-        prod = la.matmul(generator_matrix(code),
-                         la.transpose(generator_matrix(dual)))
+        prod = matmul(generator_matrix(code),
+                      transpose(generator_matrix(dual)))
         assert all(x == 0 for x in prod.entries)
 
 

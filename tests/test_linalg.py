@@ -1,5 +1,6 @@
-"""Row reduction, nullspaces and row equivalence, cross-checked between
-the pure elimination path and the table-driven kernel."""
+"""Row reduction, nullspaces and row equivalence: the numpy kernel on
+every kind of op provider, cross-checked against the scalar reference in
+`oracles` and against sympy."""
 
 import random
 import sys
@@ -9,12 +10,15 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import FIELDS, field_and_matrix
 from grsdual import linalg as la
 from grsdual.errors import DuplicatePointsError, ShapeMismatchError
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import dual_coefficients
+from oracles import echelon, mat_vec, matmul, transpose
 
 
 def test_vandermonde_shape_and_values():
@@ -33,7 +37,7 @@ def test_nullspace_of_power_rows_system():
     m = la.vandermonde_system(ctx, (0, 1, 2))
     basis = la.nullspace(m)
     assert basis == [(1, 3, 1)]  # frozen: solved by hand-checkable elimination
-    assert la.mat_vec(m, basis[0]) == [0, 0]
+    assert mat_vec(m, basis[0]) == [0, 0]
     assert la.nullspace(la.identity(ctx, 2)) == []
 
 
@@ -84,7 +88,7 @@ def test_row_equivalence_under_random_invertible_left_factor(data):
         if la.rank_rows(ctx, p_rows) == n:
             break
     m = la.matrix(ctx, rows)
-    pm = la.matmul(la.matrix(ctx, p_rows), m)
+    pm = matmul(la.matrix(ctx, p_rows), m)
     assert la.row_equivalent(m, pm)
     assert la.row_equivalent(pm, m)
     assert la.row_equivalent(m, m)
@@ -138,9 +142,11 @@ def _with_dependent_rows(ctx, rows, rnd):
 
 def test_rank_table_kernel_agrees_with_pure_elimination():
     rnd = random.Random(3)
-    # tabulated ops up to 2^10, O(q) arrays up to 2^16 (all three kinds of
-    # subtraction: prime, characteristic 2, digit-wise), _echelon above
-    fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536]
+    # tabulated ops up to 2^10, O(q) arrays up to 2^16, lifted scalar ops
+    # above (each with all three kinds of subtraction: prime,
+    # characteristic 2, digit-wise)
+    fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536,
+              65537, 2 ** 17, 3 ** 11]
     for _ in range(400):
         q = rnd.choice(fields)
         ctx = field_for_order(q)
@@ -152,17 +158,84 @@ def test_rank_table_kernel_agrees_with_pure_elimination():
             nrows = len(rows)
         fast = la.rank_rows(ctx, rows)
         copied = [list(r) for r in rows]
-        _, pivots = la._echelon(ctx, copied, reduced=False)
+        _, pivots = echelon(ctx, copied, reduced=False)
         assert fast == len(pivots)
         if nrows == ncols:
             assert la.nonsingular_rows(ctx, rows) == (fast == nrows)
     # no rows, and one row with no columns
-    for q in fields + [3 ** 11]:
+    for q in fields:
         ctx = field_for_order(q)
         for rows in ([], [[]]):
-            _, pivots = la._echelon(ctx, [list(r) for r in rows], reduced=False)
+            _, pivots = echelon(ctx, [list(r) for r in rows], reduced=False)
             assert la.rank_rows(ctx, rows) == len(pivots) == 0
         assert la.nonsingular_rows(ctx, []) is True
+
+
+def _random_rows(ctx, rnd, max_dim=6):
+    """A random matrix over ctx, half the time with dependent rows."""
+    nrows, ncols = rnd.randint(1, max_dim), rnd.randint(1, max_dim)
+    rows = [[rnd.randrange(ctx.q) for _ in range(ncols)] for _ in range(nrows)]
+    return _with_dependent_rows(ctx, rows, rnd) if rnd.random() < 0.5 else rows
+
+
+def test_rank_rref_nullspace_match_sympy():
+    # sympy's DomainMatrix over GF(p) shares no code with the kernel;
+    # 65537 runs on the lifted scalar ops
+    rnd = random.Random(7)
+    for p in (2, 3, 13, 1031, 65537):
+        ctx, field = make_field(p), GF(p)
+        cases = [[], [[]]] + [_random_rows(ctx, rnd) for _ in range(40)]
+        for rows in cases:
+            shape = (len(rows), len(rows[0]) if rows else 0)
+            theirs = DomainMatrix([[field(x) for x in r] for r in rows],
+                                  shape, field)
+            m = la.matrix(ctx, rows)
+            assert la.rank_rows(ctx, rows) == theirs.rank()
+            assert la.rref(m).entries == tuple(
+                int(x) % p for r in theirs.rref()[0].to_list() for x in r)
+            basis = []
+            for r in theirs.nullspace().to_list():
+                r = [int(x) % p for x in r]
+                lead = next(x for x in r if x)
+                basis.append(tuple(ctx.mul(ctx.inverse(lead), x) for x in r))
+            assert la.nullspace(m) == basis
+
+
+def test_reduced_forms_match_scalar_echelon():
+    # tabulated, O(q) array and lifted scalar providers
+    rnd = random.Random(8)
+    for q in (4, 9, 25, 1849, 2048, 2187, 3 ** 11, 2 ** 17):
+        ctx = field_for_order(q)
+        for _ in range(25):
+            rows = _random_rows(ctx, rnd)
+            m = la.matrix(ctx, rows)
+            ref, pivots = echelon(ctx, [list(r) for r in rows], reduced=True)
+            reduced = la.rref(m)
+            assert reduced.rows_list() == ref
+            assert all(type(x) is int for x in reduced.entries)
+            # the nullspace basis vector of a free column is 1 there, 0 on
+            # the other free columns, and scaled so it leads with 1
+            free = [c for c in range(m.ncols) if c not in pivots]
+            basis = la.nullspace(m)
+            assert len(basis) == len(free)
+            for fc, vec in zip(free, basis):
+                assert all(type(x) is int for x in vec)
+                assert mat_vec(m, vec) == [0] * m.nrows
+                assert next(x for x in vec if x) == 1
+                assert [c for c in free if vec[c]] == [fc]
+            n = m.nrows
+            while True:
+                p_rows = [[rnd.randrange(q) for _ in range(n)]
+                          for _ in range(n)]
+                _, p_pivots = echelon(ctx, [list(r) for r in p_rows],
+                                      reduced=False)
+                if len(p_pivots) == n:
+                    break
+            assert la.row_equivalent(m, matmul(la.matrix(ctx, p_rows), m))
+            other = [list(r) for r in rows]
+            other[rnd.randrange(n)][rnd.randrange(m.ncols)] = rnd.randrange(q)
+            assert la.row_equivalent(m, la.matrix(ctx, other)) == (
+                echelon(ctx, other, reduced=True)[0] == ref)
 
 
 def _pairs_agree_with_scalar_ops(ctx, xs, ys):
@@ -198,17 +271,17 @@ def test_array_ops_agree_with_dense_tables():
 
 
 def test_array_ops_match_scalar_arithmetic_above_table_limit():
-    # above 2^10 the ops are the O(q) exp/log arrays, not tables;
-    # above 2^16 there are none
+    # above 2^10 the ops are the O(q) exp/log arrays, not tables; above
+    # 2^16 mul and inv lift the scalar ops (prime, characteristic 2 and
+    # digit-wise subtraction)
     rnd = random.Random(5)
-    for q in (1031, 1849, 2048, 2187, 65536):
+    for q in (1031, 1849, 2048, 2187, 65536, 65537, 2 ** 17, 3 ** 11):
         ctx = field_for_order(q)
         assert not isinstance(ctx.np_ops().mul, np.ndarray)
         xs = np.array([0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)],
                       dtype=np.int32)
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
         _pairs_agree_with_scalar_ops(ctx, xs, ys)
-    assert field_for_order(3 ** 11).np_ops() is None
 
 
 def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
@@ -226,8 +299,7 @@ def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
     rnd = random.Random(6)
     rows = [[rnd.randrange(ctx.q) for _ in range(12)] for _ in range(10)]
     rows.append(list(rows[3]))
-    expected = len(la._echelon(base, [list(r) for r in rows],
-                               reduced=False)[1])
+    expected = len(echelon(base, [list(r) for r in rows], reduced=False)[1])
     ranks = []
     start = threading.Barrier(8)
 
@@ -253,10 +325,10 @@ def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
 def test_matmul_identity_and_shapes():
     ctx = make_field(7)
     m = la.matrix(ctx, [[1, 2, 3], [4, 5, 6]])
-    assert la.matmul(la.identity(ctx, 2), m).entries == m.entries
-    assert la.transpose(la.transpose(m)).entries == m.entries
+    assert matmul(la.identity(ctx, 2), m).entries == m.entries
+    assert transpose(transpose(m)).entries == m.entries
     with pytest.raises(ShapeMismatchError):
-        la.matmul(m, m)
+        matmul(m, m)
 
 
 def test_matrix_json_roundtrip():
@@ -278,6 +350,6 @@ def test_nullspace_vectors_rank_nullity():
         basis = la.nullspace(m)
         assert la.rank(m) + len(basis) == ncols
         for vec in basis:
-            assert la.mat_vec(m, vec) == [0] * nrows
+            assert mat_vec(m, vec) == [0] * nrows
             lead = next(x for x in vec if x)
             assert lead == 1

@@ -18,6 +18,7 @@ from grsdual.errors import (
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
 from grsdual.linalg import matrix
+from oracles import echelon, matmul, transpose
 
 
 # --- self-dual -----------------------------------------------------------------
@@ -67,9 +68,9 @@ def _self_dual_generator(ctx, k, rnd, mix=True):
         return matrix(ctx, rows)
     while True:
         p_rows = [[rnd.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
-        _, pivots = la._echelon(ctx, [list(r) for r in p_rows], reduced=False)
+        _, pivots = echelon(ctx, [list(r) for r in p_rows], reduced=False)
         if len(pivots) == k:
-            return la.matmul(matrix(ctx, p_rows), matrix(ctx, rows))
+            return matmul(matrix(ctx, p_rows), matrix(ctx, rows))
 
 
 def _tampered(gen, rnd, count):
@@ -83,7 +84,7 @@ def _tampered(gen, rnd, count):
 
 def _oracle_first_product(a, b, upper=False):
     """First nonzero entry of a * b^T in row-major order, by scalar loops."""
-    prod = la.matmul(a, la.transpose(b))
+    prod = matmul(a, transpose(b))
     for i in range(prod.nrows):
         for j in range(i if upper else 0, prod.ncols):
             if prod.at(i, j):
@@ -182,6 +183,16 @@ def test_check_mds_exact_fail_on_non_mds_matrix():
     # the last column pairs with either of the others singularly
     from grsdual.linalg import nonsingular_rows
     assert not nonsingular_rows(ctx, [[0, 0], [1, 0]])
+
+
+def test_check_mds_randomized_needs_a_sample():
+    ctx = make_field(5)
+    gen = matrix(ctx, [[1, 0, 1], [0, 1, 1]])
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            ver.check_mds_matrix(ctx, gen, mode="randomized", samples=samples)
+    assert ver.check_mds_matrix(ctx, gen, mode="randomized",
+                                samples=1).status == "pass"
 
 
 def test_check_mds_budget():
