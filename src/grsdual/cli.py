@@ -2,7 +2,8 @@
 
 Exit codes are scriptable: 0 success / all checks pass, 1 usage or parse
 error, 2 honest construction failure (infeasible parameters, exhausted
-search), 3 verification failure.  All JSON output is deterministic for
+search, or a search that gave up at its node budget, which says so on
+stderr), 3 verification failure.  All JSON output is deterministic for
 identical flags, including the --seed driving randomized MDS sampling.
 """
 
@@ -17,12 +18,18 @@ from typing import Optional
 
 from .construct import (
     FAMILY_TABLE,
+    SEARCH_NODE_BUDGET,
     ConstructionRequest,
     build,
     result_to_json,
     search_square_difference_set,
 )
-from .errors import ConstructionInfeasible, GrsDualError, NotPrimeError
+from .errors import (
+    ConstructionInfeasible,
+    GrsDualError,
+    NotPrimeError,
+    SearchGaveUpError,
+)
 from .gf import bounded_power, is_prime, make_field, split_prime_power
 from .grs import code_from_json, stored_generator_from_json
 from .verify import (
@@ -57,6 +64,11 @@ def _count(low: int):
     return count
 
 
+def _gave_up(exc: SearchGaveUpError) -> str:
+    return (f"search gave up after {exc.budget} nodes without finding a set "
+            "or ruling one out")
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if output is None or output == "-":
@@ -84,6 +96,9 @@ def _cmd_construct(args) -> int:
         request = ConstructionRequest(family=args.family, q=q,
                                       r=args.r, t=args.t, n=args.n)
         result = build(request)
+    except SearchGaveUpError as exc:
+        print(_gave_up(exc), file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ConstructionInfeasible as exc:
         print(f"construction infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -130,6 +145,9 @@ def _cmd_search(args) -> int:
     try:
         found = search_square_difference_set(args.q, args.n,
                                              node_budget=args.node_budget)
+    except SearchGaveUpError as exc:
+        print(_gave_up(exc), file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ConstructionInfeasible as exc:
         print(f"search infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -177,6 +195,9 @@ def _cmd_sweep(args) -> int:
                 status = "pass" if ok else "FAIL"
                 params = (f"[{code.block_length},{code.k}] over "
                           f"GF({code.ctx.q})")
+            except SearchGaveUpError as exc:
+                ok, status, mode, params, report, result = (
+                    False, "gave-up", "-", _gave_up(exc), None, None)
             except ConstructionInfeasible as exc:
                 ok, status, mode, params, report, result = (
                     False, "infeasible", "-", str(exc), None, None)
@@ -242,7 +263,8 @@ def _build_parser() -> _Parser:
                            help="search for a square-difference point set")
     p_sea.add_argument("--q", type=int, required=True)
     p_sea.add_argument("--n", type=int, required=True)
-    p_sea.add_argument("--node-budget", type=_count(0))
+    p_sea.add_argument("--node-budget", type=_count(0),
+                       default=SEARCH_NODE_BUDGET)
     p_sea.add_argument("--output", "-o")
     p_sea.set_defaults(func=_cmd_search)
 

@@ -11,8 +11,9 @@ re-verified before being returned.
 Families
   even-char        any even q, any even n <= q: everything is a square.
   extended         odd q: the length-(q+1) extended code over all of GF(q).
-  square-set       q = 1 mod 4: backtracking search for points whose
-                   pairwise differences are all nonzero squares.
+  square-set       q = 1 mod 4: points whose pairwise differences are all
+                   nonzero squares, a clique in the Paley graph, found by
+                   a bitset clique search with a node budget.
   subfield-points  q = r^2: points inside GF(r), so u lands in GF(r).
   roots-of-unity   q = r^2: points {0} plus the (n-1)-st roots of unity.
   theorem-3-5      q = r^2, r = 3 mod 4: 2t translated copies of GF(r)
@@ -33,7 +34,6 @@ from .errors import (
     BadOrderError,
     BadResidueClassError,
     BadSubfieldError,
-    BudgetExceededError,
     EvenCharacteristicError,
     InternalCheckError,
     LengthTooLongError,
@@ -42,6 +42,7 @@ from .errors import (
     NotSelfDualizableError,
     OddLengthError,
     ParameterRangeError,
+    SearchGaveUpError,
 )
 from .gf import FieldCtx, Felt, make_field, split_prime_power
 from .grs import GrsCode, code_to_json, dual_coefficients
@@ -212,50 +213,177 @@ def construct_extended(q: int) -> ConstructionResult:
     return _check_selfdual_result(ConstructionResult(code, "extended", cert))
 
 
+# Default cap on search nodes (see search_square_difference_set for what a
+# node is), so that every search ends in bounded time.  A node costs about
+# a microsecond in most searches, and up to a millisecond near q = 2^20
+# when n is close to sqrt(q).  Proving that GF(401) has no 10-point set
+# takes 19,355 nodes.
+SEARCH_NODE_BUDGET = 10 ** 5
+# Up to this q every translated neighbourhood is kept once computed: at
+# most q of them, q bits each, so at most q^2/8 bytes (2 MiB).
+_NEIGHBOURHOOD_CACHE_LIMIT = 1 << 12
+# Above the cache limit, a candidate set this small is searched on its own
+# induced subgraph, whose bitsets are this many bits wide instead of q.
+_INDUCED_LIMIT = 1 << 10
+
+
+class _Memo(dict):
+    """Dict that computes a missing value with fn and keeps it."""
+
+    def __init__(self, fn: Callable[[int], int]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    digits = format(bits, "b")[::-1]  # digits[i] is bit i
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def search_square_difference_set(q: int, n: int,
-                                 node_budget: Optional[int] = None,
+                                 node_budget: Optional[int] = SEARCH_NODE_BUDGET,
                                  ) -> Optional[tuple[Felt, ...]]:
     """Lexicographically first n-subset with all pairwise differences
     nonzero squares, or None when the exhaustive search finds none.
 
     Needs q = 1 mod 4 so that -1 is a square and the difference condition
-    is symmetric.  The first element can be pinned to 0: translating any
-    valid set by -min maps it to a lex-smaller one starting at 0, so the
-    overall lex-first set starts there.  Depth-first extension in index
-    order then yields the lex-first set; node_budget caps the number of
-    extension attempts for large fields.
+    is symmetric: such a set is a clique in the Paley graph on GF(q).  The
+    first two elements can be pinned to 0 and 1.  For any two points u, v
+    of a valid set, x -> (x - u)/(v - u) multiplies every difference by a
+    nonzero square, so it maps the set to a valid one containing 0 and 1;
+    and every n-set containing 0 and 1 is lex-smaller than every n-set
+    that does not.
+
+    Sets of elements are Python ints used as bitsets, bit y for element y.
+    N(0) has bit y set iff y is a nonzero square, and N(x) is N(0)
+    translated by x: adding x digit-wise in base p is one masked shift of
+    the bitset per nonzero base-p digit of x, a rotation for prime q.  The
+    candidates for the next point are the intersection of the chain's
+    neighbourhoods above its last point.  The search always extends the
+    chain by the lowest candidate, so it visits chains in index order and
+    the first complete one is the lex-first set.  It cuts a branch when
+    the chain plus all its candidates is shorter than n, so it cuts only
+    subtrees without a solution.
+
+    A node is one point added to the chain after 0 and 1.  Past
+    node_budget nodes (None for no limit) the search gives up with
+    SearchGaveUpError, which proves nothing either way.
+
+    Up to _NEIGHBOURHOOD_CACHE_LIMIT every neighbourhood is cached once
+    computed.  Above it, they are recomputed per node, and once at most
+    _INDUCED_LIMIT candidates are left, these are searched on their
+    induced subgraph, whose rows are read off the translated
+    neighbourhoods and are only that many bits wide.  So memory does not
+    grow with the node count.
     """
     p, e = split_prime_power(q)
     if q % 4 != 1:
         raise BadResidueClassError(f"q = {q} is not 1 mod 4")
     if n < 2:
         raise ParameterRangeError("need n >= 2")
+    if n * n > q:
+        # the Paley graph is vertex-transitive, so its clique size times
+        # its independence number is at most q, and self-complementary,
+        # so the two are equal
+        return None
+    if n == 2:
+        return (0, 1)
     ctx = make_field(p, e)
     chi = ctx.character_table()
-    sub = ctx.sub
+    budget = math.inf if node_budget is None else node_budget
     nodes = 0
 
-    def extend(chain: list[Felt], start: Felt) -> Optional[list[Felt]]:
+    def clique(cand: int, size: int, neighbours, induced=None):
+        """Lex-first points from cand that extend a chain of size < n
+        points to n, or None."""
         nonlocal nodes
-        if len(chain) == n:
-            return chain
-        for x in range(start, q):
-            if all(chi[sub(x, s)] == 1 for s in chain):
+        chain: list[int] = []
+        # level i: the candidates after the first i chain points, and
+        # their count, kept because bit_count is O(q) on wide bitsets
+        levels = [[cand, cand.bit_count()]]
+        while levels:
+            level = levels[-1]
+            cand, count = level
+            if size + count >= n and (induced is None
+                                      or count > _INDUCED_LIMIT):
+                rest = cand & (cand - 1)  # cand without its lowest bit
+                x = (cand ^ rest).bit_length() - 1
+                level[0], level[1] = rest, count - 1
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"search exceeded node budget {node_budget}")
-                found = extend(chain + [x], x + 1)
-                if found is not None:
-                    return found
+                if nodes > budget:
+                    raise SearchGaveUpError(node_budget)
+                chain.append(x)
+                size += 1
+                if size == n:
+                    return chain
+                child = rest & neighbours(x)
+                levels.append([child, child.bit_count()])
+                continue
+            found = None if size + count < n else induced(cand, size)
+            if found is not None:
+                return chain + found
+            levels.pop()
+            if chain:
+                chain.pop()
+                size -= 1
         return None
 
-    found = extend([0], 1)
-    return tuple(found) if found is not None else None
+    # translating by d at digit weight w moves the elements whose digit
+    # there is below p - d up by d*w and the rest down by (p - d)*w; combs[i]
+    # has one bit at the start of each block of p*w elements
+    full = (1 << q) - 1
+    weights = [p ** i for i in range(e)]
+    combs = [full // ((1 << (p * w)) - 1) for w in weights]
+    # N(0) parsed from its binary digits, bit q - 1 first (48 is ord("0"))
+    base = int(bytes(48 + (c == 1) for c in reversed(chi)), 2)
+
+    last = [0, base]  # the last element translated to, and N of it
+
+    def translate(x: Felt) -> int:
+        # N(x) is N(y) translated by x - y; from the last y, digits that x
+        # and y share cost nothing
+        y, bits = last
+        for w, comb in zip(weights, combs):
+            d = (x // w - y // w) % p
+            if d:
+                low = bits & ((comb << (p - d) * w) - comb)
+                bits = (low << d * w) | ((bits ^ low) >> (p - d) * w)
+        last[0], last[1] = x, bits
+        return bits
+
+    def induced(cand: int, size: int) -> Optional[list[Felt]]:
+        points = _set_bits(cand)
+        where = [(y >> 3, 1 << (y & 7)) for y in points]  # byte, bit of y
+
+        def row(i: int) -> int:
+            data = translate(points[i]).to_bytes((q + 7) // 8, "little")
+            return sum(1 << j for j in range(i + 1, len(points))
+                       if data[where[j][0]] & where[j][1])
+
+        found = clique((1 << len(points)) - 1, size, _Memo(row).__getitem__)
+        return None if found is None else [points[i] for i in found]
+
+    if q <= _NEIGHBOURHOOD_CACHE_LIMIT:
+        neighbours, small_sets = _Memo(translate).__getitem__, None
+    else:
+        neighbours, small_sets = translate, induced
+    found = clique(base & neighbours(1), 2, neighbours, small_sets)
+    return None if found is None else (0, 1, *found)
 
 
 def construct_square_set(q: int, n: int,
-                         node_budget: Optional[int] = None) -> ConstructionResult:
+                         node_budget: Optional[int] = SEARCH_NODE_BUDGET,
+                         ) -> ConstructionResult:
     """Self-dual [n, n/2] code from a square-difference point set."""
     if n % 2:
         raise OddLengthError(f"length must be even, got {n}")

@@ -6,7 +6,9 @@ the caller handed us something invalid.  ConstructionInfeasible subclasses
 mean the request was well-formed but no code with those parameters can be
 produced by the implemented families: an exhausted search, a point set
 without a self-dual scaling, a length outside a family's range.  The CLI
-reports the former with exit code 1 and the latter with exit code 2.
+reports the former with exit code 1 and the latter with exit code 2.  A
+search that runs out of its node budget (SearchGaveUpError) has proved
+nothing; the CLI exits 2 for it too, with a message saying it gave up.
 """
 
 
@@ -100,6 +102,15 @@ class NotFoundError(ConstructionInfeasible):
 
 class BudgetExceededError(GrsDualError):
     """Exact check would exceed the configured work budget."""
+
+
+class SearchGaveUpError(BudgetExceededError):
+    """A search used up its node budget before it found a witness or ruled
+    one out, so it proved nothing either way."""
+
+    def __init__(self, budget: int):
+        super().__init__(f"search exceeded node budget {budget}")
+        self.budget = budget
 
 
 class InternalCheckError(GrsDualError):

@@ -429,28 +429,40 @@ class FieldCtx:
         raise InternalCheckError("no primitive element found")
 
     def quadratic_character(self, x: Felt) -> int:
-        """0 for x = 0, +1 for nonzero squares, -1 for nonsquares (q odd)."""
+        """0 for x = 0, +1 for nonzero squares, -1 for nonsquares (q odd).
+
+        Euler's criterion, x^((q-1)/2); it never reads character_table,
+        so each can be checked against the other.
+        """
         if self.p == 2:
             raise EvenCharacteristicError(
                 "quadratic character is undefined in characteristic 2")
-        if self._chi is not None:
-            return self._chi[x]
         if x == 0:
             return 0
         return 1 if self.power(x, (self.q - 1) // 2) == 1 else -1
 
     def character_table(self) -> list[int]:
-        """Quadratic character of every element, indexed by element."""
+        """Quadratic character of every element, indexed by element.
+
+        Built from squares: x and -x have the same square, so it squares
+        one of each pair, the x whose leading base-p digit is at most
+        (p-1)/2, and marks the (q-1)/2 results.  Building the exp/log
+        tables would take twice as many products, so they are used only
+        when they already exist.
+        """
         if self.p == 2:
             raise EvenCharacteristicError(
                 "quadratic character is undefined in characteristic 2")
         if self._chi is None:
             with self._lock:
                 if self._chi is None:
-                    half = (self.q - 1) // 2
-                    chi = [0] * self.q
-                    for x in range(1, self.q):
-                        chi[x] = 1 if self.power(x, half) == 1 else -1
+                    mul = self.mul if self._exp is not None else self._mul_slow
+                    chi = [-1] * self.q
+                    chi[0] = 0
+                    for i in range(self.e):
+                        w = self.p ** i
+                        for x in range(w, w * (self.p + 1) // 2):
+                            chi[mul(x, x)] = 1
                     self._chi = chi
         return self._chi
 

@@ -1,15 +1,17 @@
-"""Scalar reference linear algebra for the tests.
+"""Scalar references for the tests.
 
 Pure-Python row reduction and products written with the scalar `FieldCtx`
 operations only.  They share no code with `linalg`'s numpy elimination
 kernel or `verify`'s coordinate matmuls, and the tests check those against
-these.
+these.  The square-difference backtracking below shares nothing with the
+bitset search in `construct` either: it tests one candidate at a time
+against the Euler criterion, not against the character table.
 """
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from grsdual.errors import ShapeMismatchError
-from grsdual.gf import FieldCtx, Felt
+from grsdual.gf import FieldCtx, Felt, field_for_order
 from grsdual.linalg import MatrixGF
 
 
@@ -81,3 +83,25 @@ def mat_vec(m: MatrixGF, vec: Sequence[Felt]) -> list[Felt]:
                 acc = ctx.add(acc, ctx.mul(mv, xv))
         out.append(acc)
     return out
+
+
+def backtrack_square_set(q: int, n: int) -> Optional[tuple[Felt, ...]]:
+    """Lex-first n-set of GF(q), q = 1 mod 4, with all pairwise
+    differences nonzero squares, or None: per-candidate backtracking from
+    the pinned point 0, in index order, with no pruning."""
+    ctx = field_for_order(q)
+    chi = [ctx.quadratic_character(x) for x in range(q)]
+    sub = ctx.sub
+
+    def extend(chain: list[Felt], start: Felt) -> Optional[list[Felt]]:
+        if len(chain) == n:
+            return chain
+        for x in range(start, q):
+            if all(chi[sub(x, s)] == 1 for s in chain):
+                found = extend(chain + [x], x + 1)
+                if found is not None:
+                    return found
+        return None
+
+    found = extend([0], 1)
+    return tuple(found) if found is not None else None

@@ -9,13 +9,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
 import grsdual
+from grsdual import construct
 from grsdual.cli import _build_parser, _cell_label, main
+from grsdual.errors import SearchGaveUpError
 
 
 def run_cli(argv, capsys):
@@ -218,6 +221,57 @@ def test_search_not_found_exits_2(capsys):
     assert json.loads(out) == {"q": 5, "n": 4, "found": False, "set": None}
 
 
+GAVE_UP = ("search gave up after {} nodes without finding a set or ruling "
+           "one out\n")
+
+
+def test_search_gives_up_at_node_budget(capsys):
+    # (401, 10) has no set, but proving that takes more than 1,000 nodes
+    rc, out, err = run_cli(["search", "--q", "401", "--n", "10",
+                            "--node-budget", "1000"], capsys)
+    assert (rc, out, err) == (2, "", GAVE_UP.format(1000))
+
+
+def test_search_proves_none_within_the_default_budget(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(["search", "--q", "401", "--n", "10"], capsys)
+    assert time.perf_counter() - t0 < 10
+    assert (rc, err) == (2, "")
+    assert json.loads(out) == {"q": 401, "n": 10, "found": False, "set": None}
+
+
+def test_construct_square_set_none_exists_is_not_giving_up(capsys):
+    rc, out, err = run_cli(["construct", "--family", "square-set",
+                            "--q", "5", "--n", "4"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("construction infeasible: no square-difference set of "
+                   "size 4 exists in GF(5)\n")
+
+
+@pytest.fixture
+def search_gives_up(monkeypatch):
+    def give_up(q, n, node_budget=None):
+        raise SearchGaveUpError(7)
+    monkeypatch.setattr(construct, "search_square_difference_set", give_up)
+
+
+@pytest.mark.parametrize("family", ["square-set", "auto"])
+def test_construct_reports_a_search_that_gave_up(family, search_gives_up,
+                                                 capsys):
+    rc, out, err = run_cli(["construct", "--family", family,
+                            "--q", "29", "--n", "4"], capsys)
+    assert (rc, out, err) == (2, "", GAVE_UP.format(7))
+
+
+def test_sweep_reports_a_search_that_gave_up(search_gives_up, capsys):
+    rc, out, _ = run_cli(["sweep", "--family", "square-set",
+                          "--q", "29", "--n", "4"], capsys)
+    assert rc == 3
+    row = out.strip().splitlines()[1].split()
+    assert row[:2] == ["square-set", "square-set_q29_n4"]
+    assert "gave-up" in row and "ruling" in row
+
+
 def test_search_wrong_residue_exits_2(capsys):
     rc, _, err = run_cli(["search", "--q", "11", "--n", "3"], capsys)
     assert rc == 2 and "1 mod 4" in err
@@ -380,14 +434,19 @@ def test_construct_rejects_non_prime_p(flags, capsys):
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is imported lazily by the kernels that need it, so a command
-    # that never reaches them does not pay for the import
+    # that never reaches them, such as a search, does not pay for the import
     src = Path(grsdual.__file__).resolve().parents[1]
-    probe = "import sys, grsdual.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    probe = ("import sys, grsdual.cli; print('numpy' in sys.modules); "
+             "rc = grsdual.cli.main(['search', '--q', '197', '--n', '10', "
+             "'-o', sys.argv[1]]); print(rc, 'numpy' in sys.modules)")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "search.json"
+        proc = subprocess.run([sys.executable, "-c", probe, str(out)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n2 False\n"
+        assert json.loads(out.read_text())["found"] is False
 
 
 @pytest.mark.parametrize("mds_mode", ["structural", "exact"])

@@ -17,12 +17,23 @@ from grsdual.errors import (
     LengthTooLongError,
     NoSubfieldSolutionError,
     NotFoundError,
+    NotPrimeError,
     NotSelfDualizableError,
     OddLengthError,
     ParameterRangeError,
+    SearchGaveUpError,
 )
-from grsdual.gf import field_for_order, make_field
+from grsdual.gf import field_for_order, make_field, split_prime_power
 from grsdual.grs import dual_coefficients, generator_matrix
+from oracles import backtrack_square_set
+
+
+def is_prime_power(q):
+    try:
+        split_prime_power(q)
+    except NotPrimeError:
+        return False
+    return True
 
 
 def assert_certified(result):
@@ -170,11 +181,11 @@ def test_selfdualize_coset_points_gf9():
 # --- square-difference search -------------------------------------------------------
 
 def oracle_lex_first_square_set(q, n):
-    """Exhaustive subset scan in lex order; independent of the search."""
+    """Exhaustive subset scan in lex order, on the Euler criterion rather
+    than the character table the search reads."""
     ctx = field_for_order(q)
-    chi = ctx.character_table()
     for cand in combinations(range(q), n):
-        if all(chi[ctx.sub(b, a)] == 1
+        if all(ctx.quadratic_character(ctx.sub(b, a)) == 1
                for a, b in combinations(cand, 2)):
             return cand
     return None
@@ -184,13 +195,43 @@ def test_search_square_difference_set_frozen_values():
     assert con.search_square_difference_set(13, 2) == (0, 1)
     assert con.search_square_difference_set(13, 3) == (0, 1, 4)
     assert con.search_square_difference_set(29, 4) == (0, 1, 5, 6)
+    # value of the per-candidate search this replaced
+    assert con.search_square_difference_set(1048573, 10) == \
+        (0, 1, 4, 11, 27, 30, 37, 400, 470, 704)
 
 
+# extension fields translate by base-p digits, not by rotation
 @pytest.mark.parametrize("q,n", [(13, 2), (13, 3), (13, 4), (17, 3),
-                                 (25, 3), (29, 4), (5, 3), (5, 4)])
+                                 (25, 3), (29, 4), (5, 3), (5, 4),
+                                 (49, 4), (81, 4), (125, 4), (169, 4)])
 def test_search_matches_exhaustive_lex_scan(q, n):
     assert con.search_square_difference_set(q, n) == \
         oracle_lex_first_square_set(q, n)
+
+
+SQUARE_SET_FIELDS = [q for q in range(5, 201, 4) if is_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", SQUARE_SET_FIELDS)
+def test_search_matches_backtracking_oracle(q, monkeypatch):
+    # every n up to the first with no set, on each neighbourhood path:
+    # cached, recomputed per node, and with small candidate sets searched
+    # on their induced subgraph; one past that n, no set exists either,
+    # since any subset of a square-difference set is one
+    paths = [(con._NEIGHBOURHOOD_CACHE_LIMIT, con._INDUCED_LIMIT),
+             (0, 0), (0, 8)]
+    n = 2
+    while True:
+        expected = backtrack_square_set(q, n)
+        for cache_limit, induced_limit in paths:
+            monkeypatch.setattr(con, "_NEIGHBOURHOOD_CACHE_LIMIT", cache_limit)
+            monkeypatch.setattr(con, "_INDUCED_LIMIT", induced_limit)
+            assert con.search_square_difference_set(q, n) == expected
+            if expected is None:
+                assert con.search_square_difference_set(q, n + 1) is None
+        if expected is None:
+            return
+        n += 1
 
 
 def test_search_rejects_wrong_residue_class():
@@ -210,6 +251,10 @@ def test_search_differences_are_squares_post_hoc():
 def test_search_node_budget():
     with pytest.raises(BudgetExceededError):
         con.search_square_difference_set(29, 4, node_budget=1)
+    # (401, 10) has no set; proving it takes more than 1,000 nodes
+    with pytest.raises(SearchGaveUpError, match="node budget 1000$"):
+        con.search_square_difference_set(401, 10, node_budget=1000)
+    assert con.search_square_difference_set(401, 10) is None
 
 
 # --- families -------------------------------------------------------------------------

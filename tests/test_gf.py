@@ -6,6 +6,7 @@ long division, exhaustive squaring tables) and then pinned as literals.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,25 @@ def test_character_multiplicative_and_matches_squares(q):
     for x in range(1, q):
         for y in range(1, q):
             assert chi[ctx.mul(x, y)] == chi[x] * chi[y]
+
+
+@pytest.mark.parametrize("q", [5, 9, 25, 125, 1031])
+def test_character_table_matches_euler_criterion(q):
+    # the table is built from squares, quadratic_character is x^((q-1)/2)
+    ctx = field_for_order(q)
+    chi = ctx.character_table()
+    assert chi == [ctx.quadratic_character(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [65537, 114689, 3 ** 11])
+def test_character_table_matches_euler_criterion_on_samples(q):
+    ctx = field_for_order(q)
+    chi = ctx.character_table()
+    assert len(chi) == q and chi.count(1) == chi.count(-1) == (q - 1) // 2
+    rng = random.Random(q)
+    samples = [0, 1, 2, q - 1] + [rng.randrange(q) for _ in range(300)]
+    for x in samples:
+        assert chi[x] == ctx.quadratic_character(x)
 
 
 @pytest.mark.parametrize("r", [3, 5, 7, 9, 11])
