@@ -214,40 +214,12 @@ def construct_extended(q: int) -> ConstructionResult:
 
 
 # Default cap on search nodes (see search_square_difference_set for what a
-# node is), so that every search ends in bounded time.  A node costs about
-# a microsecond in most searches, and up to a millisecond near q = 2^20
-# when n is close to sqrt(q).  Proving that GF(401) has no 10-point set
-# takes 19,355 nodes.
-SEARCH_NODE_BUDGET = 10 ** 5
-# Up to this q every translated neighbourhood is kept once computed: at
-# most q of them, q bits each, so at most q^2/8 bytes (2 MiB).
-_NEIGHBOURHOOD_CACHE_LIMIT = 1 << 12
-# Above the cache limit, a candidate set this small is searched on its own
-# induced subgraph, whose bitsets are this many bits wide instead of q.
-_INDUCED_LIMIT = 1 << 10
-
-
-class _Memo(dict):
-    """Dict that computes a missing value with fn and keeps it."""
-
-    def __init__(self, fn: Callable[[int], int]):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _set_bits(bits: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    digits = format(bits, "b")[::-1]  # digits[i] is bit i
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
+# node is), so that every search ends in bounded time.  A node costs a few
+# bitwise operations on q-bit ints, one set per base-p digit it translates
+# by: microseconds for q in the thousands, up to about 0.8 ms in the
+# largest fields below 2^20 (3^12, 97^3, 101^3).  Proving that GF(401)
+# has no 10-point set takes 19,355 nodes.
+SEARCH_NODE_BUDGET = 3 * 10 ** 4
 
 
 def search_square_difference_set(q: int, n: int,
@@ -279,12 +251,9 @@ def search_square_difference_set(q: int, n: int,
     node_budget nodes (None for no limit) the search gives up with
     SearchGaveUpError, which proves nothing either way.
 
-    Up to _NEIGHBOURHOOD_CACHE_LIMIT every neighbourhood is cached once
-    computed.  Above it, they are recomputed per node, and once at most
-    _INDUCED_LIMIT candidates are left, these are searched on their
-    induced subgraph, whose rows are read off the translated
-    neighbourhoods and are only that many bits wide.  So memory does not
-    grow with the node count.
+    Each node recomputes the neighbourhood of its point from the last one
+    computed.  Memory holds a q-bit int per chain point and per base-p
+    digit, and does not grow with the node count.
     """
     p, e = split_prime_power(q)
     if q % 4 != 1:
@@ -301,42 +270,6 @@ def search_square_difference_set(q: int, n: int,
     ctx = make_field(p, e)
     chi = ctx.character_table()
     budget = math.inf if node_budget is None else node_budget
-    nodes = 0
-
-    def clique(cand: int, size: int, neighbours, induced=None):
-        """Lex-first points from cand that extend a chain of size < n
-        points to n, or None."""
-        nonlocal nodes
-        chain: list[int] = []
-        # level i: the candidates after the first i chain points, and
-        # their count, kept because bit_count is O(q) on wide bitsets
-        levels = [[cand, cand.bit_count()]]
-        while levels:
-            level = levels[-1]
-            cand, count = level
-            if size + count >= n and (induced is None
-                                      or count > _INDUCED_LIMIT):
-                rest = cand & (cand - 1)  # cand without its lowest bit
-                x = (cand ^ rest).bit_length() - 1
-                level[0], level[1] = rest, count - 1
-                nodes += 1
-                if nodes > budget:
-                    raise SearchGaveUpError(node_budget)
-                chain.append(x)
-                size += 1
-                if size == n:
-                    return chain
-                child = rest & neighbours(x)
-                levels.append([child, child.bit_count()])
-                continue
-            found = None if size + count < n else induced(cand, size)
-            if found is not None:
-                return chain + found
-            levels.pop()
-            if chain:
-                chain.pop()
-                size -= 1
-        return None
 
     # translating by d at digit weight w moves the elements whose digit
     # there is below p - d up by d*w and the rest down by (p - d)*w; combs[i]
@@ -361,24 +294,31 @@ def search_square_difference_set(q: int, n: int,
         last[0], last[1] = x, bits
         return bits
 
-    def induced(cand: int, size: int) -> Optional[list[Felt]]:
-        points = _set_bits(cand)
-        where = [(y >> 3, 1 << (y & 7)) for y in points]  # byte, bit of y
-
-        def row(i: int) -> int:
-            data = translate(points[i]).to_bytes((q + 7) // 8, "little")
-            return sum(1 << j for j in range(i + 1, len(points))
-                       if data[where[j][0]] & where[j][1])
-
-        found = clique((1 << len(points)) - 1, size, _Memo(row).__getitem__)
-        return None if found is None else [points[i] for i in found]
-
-    if q <= _NEIGHBOURHOOD_CACHE_LIMIT:
-        neighbours, small_sets = _Memo(translate).__getitem__, None
-    else:
-        neighbours, small_sets = translate, induced
-    found = clique(base & neighbours(1), 2, neighbours, small_sets)
-    return None if found is None else (0, 1, *found)
+    chain = [0, 1]
+    # levels[i]: the candidates after the first i + 2 chain points, and
+    # their count, kept because bit_count is O(q)
+    cand = base & translate(1)
+    levels = [[cand, cand.bit_count()]]
+    nodes = 0
+    while levels:
+        level = levels[-1]
+        cand, count = level
+        if len(chain) + count < n:
+            levels.pop()
+            chain.pop()
+            continue
+        rest = cand & (cand - 1)  # cand without its lowest bit
+        x = (cand ^ rest).bit_length() - 1
+        level[0], level[1] = rest, count - 1
+        nodes += 1
+        if nodes > budget:
+            raise SearchGaveUpError(node_budget)
+        chain.append(x)
+        if len(chain) == n:
+            return tuple(chain)
+        child = rest & translate(x)
+        levels.append([child, child.bit_count()])
+    return None
 
 
 def construct_square_set(q: int, n: int,

@@ -213,23 +213,15 @@ SQUARE_SET_FIELDS = [q for q in range(5, 201, 4) if is_prime_power(q)]
 
 
 @pytest.mark.parametrize("q", SQUARE_SET_FIELDS)
-def test_search_matches_backtracking_oracle(q, monkeypatch):
-    # every n up to the first with no set, on each neighbourhood path:
-    # cached, recomputed per node, and with small candidate sets searched
-    # on their induced subgraph; one past that n, no set exists either,
-    # since any subset of a square-difference set is one
-    paths = [(con._NEIGHBOURHOOD_CACHE_LIMIT, con._INDUCED_LIMIT),
-             (0, 0), (0, 8)]
+def test_search_matches_backtracking_oracle(q):
+    # every n up to the first with no set; one past that n, no set exists
+    # either, since any subset of a square-difference set is one
     n = 2
     while True:
         expected = backtrack_square_set(q, n)
-        for cache_limit, induced_limit in paths:
-            monkeypatch.setattr(con, "_NEIGHBOURHOOD_CACHE_LIMIT", cache_limit)
-            monkeypatch.setattr(con, "_INDUCED_LIMIT", induced_limit)
-            assert con.search_square_difference_set(q, n) == expected
-            if expected is None:
-                assert con.search_square_difference_set(q, n + 1) is None
+        assert con.search_square_difference_set(q, n) == expected
         if expected is None:
+            assert con.search_square_difference_set(q, n + 1) is None
             return
         n += 1
 
@@ -249,8 +241,11 @@ def test_search_differences_are_squares_post_hoc():
 
 
 def test_search_node_budget():
+    # (0, 1, 5, 6) is two nodes past the pinned 0 and 1
     with pytest.raises(BudgetExceededError):
         con.search_square_difference_set(29, 4, node_budget=1)
+    assert con.search_square_difference_set(29, 4, node_budget=2) == \
+        (0, 1, 5, 6)
     # (401, 10) has no set; proving it takes more than 1,000 nodes
     with pytest.raises(SearchGaveUpError, match="node budget 1000$"):
         con.search_square_difference_set(401, 10, node_budget=1000)
