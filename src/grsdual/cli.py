@@ -2,8 +2,9 @@
 
 Exit codes are scriptable: 0 success / all checks pass, 1 usage or parse
 error, 2 honest construction failure (infeasible parameters, exhausted
-search, or a search that gave up at its node budget, which says so on
-stderr), 3 verification failure.  All JSON output is deterministic for
+search, or a search that gave up at its node budget) or an exact MDS check
+that gave up at its --budget (both say so on stderr and prove nothing
+either way), 3 verification failure.  All JSON output is deterministic for
 identical flags, including the --seed driving randomized MDS sampling.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +27,7 @@ from .construct import (
     search_square_difference_set,
 )
 from .errors import (
+    BudgetExceededError,
     ConstructionInfeasible,
     GrsDualError,
     NotPrimeError,
@@ -69,8 +72,60 @@ def _gave_up(exc: SearchGaveUpError) -> str:
             "or ruling one out")
 
 
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte.
+
+    indent=2 makes the json module fall back to its pure-Python encoder,
+    and code JSON is mostly lists of coordinate lists.  So a list of plain
+    ints is written by one str.join, and a list of equally long such
+    lists, a coordinate list, by one %-format.  Everything else, scalars,
+    strings and keys included, goes through json.dumps, so escaping and
+    number formatting stay its own.
+    """
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline: str, parts: list[str]) -> None:
+    # newline is "\n" plus the indentation of the line obj starts on
+    inner = newline + "  "
+    if type(obj) is list and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            parts.append("[" + inner + ("," + inner).join(map(str, obj))
+                         + newline + "]")
+            return
+        if kinds == {list} and len(set(map(len, obj))) == 1:
+            flat = tuple(chain.from_iterable(obj))
+            if flat and set(map(type, flat)) == {int}:
+                deeper = inner + "  "
+                row = ("[" + deeper + ("," + deeper).join(["%s"] * len(obj[0]))
+                       + inner + "]")
+                parts.append("[" + inner + ("," + inner).join([row] * len(obj))
+                             % flat + newline + "]")
+                return
+        sep = "[" + inner
+        for x in obj:
+            parts.append(sep)
+            _json_parts(x, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(sep + json.dumps(key) + ": ")
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        # json.dumps escapes newlines inside strings, so every newline it
+        # writes is layout and takes the current indentation
+        parts.append(json.dumps(obj, indent=2).replace("\n", newline))
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json_text(payload) + "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -134,6 +189,10 @@ def _cmd_verify(args) -> int:
                              seed=args.seed,
                              dual_identity=args.dual_identity,
                              stored_generator=stored)
+    except BudgetExceededError as exc:
+        print(f"exact MDS check gave up: {exc}; it proved nothing either way",
+              file=sys.stderr)
+        return EXIT_INFEASIBLE
     except GrsDualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -214,8 +273,7 @@ def _cmd_sweep(args) -> int:
                 payload = result_to_json(result)
                 if report is not None:
                     payload["report"] = report.to_json()
-                (out / f"{_cell_label(request)}.json").write_text(
-                    json.dumps(payload, indent=2) + "\n")
+                _emit(payload, str(out / f"{_cell_label(request)}.json"))
     _print_table(rows)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 

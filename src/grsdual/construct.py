@@ -45,7 +45,7 @@ from .errors import (
     SearchGaveUpError,
 )
 from .gf import FieldCtx, Felt, make_field, split_prime_power
-from .grs import GrsCode, code_to_json, dual_coefficients
+from .grs import GrsCode, code_to_json, difference_products, dual_coefficients
 from .linalg import entrywise_power, row_equivalent, vandermonde_system
 
 @dataclass(frozen=True)
@@ -438,28 +438,23 @@ def _check_block_products(ctx: FieldCtx, r: int, t: int, beta: Felt,
     in GF(r); the product over any other block l equals
     (a_{l0} - a_l) * beta * (beta^(r-1) - 1); and beta^(r-1) - 1 = -2.
     """
+    import numpy as np
+
     minus_two = ctx.neg(ctx.add(1, 1))
     beta_shift = ctx.sub(ctx.power(beta, r - 1), 1)
     if beta_shift != minus_two:
         raise InternalCheckError("beta^(r-1) - 1 != -2")
-    cross_unit = ctx.mul(beta, beta_shift)
-    for i, ai in enumerate(points):
-        l0 = i // r
-        own = 1
-        for j in range(l0 * r, l0 * r + r):
-            if j != i:
-                own = ctx.mul(own, ctx.sub(ai, points[j]))
-        if not ctx.in_subfield(own, r):
-            raise InternalCheckError("own-block product left GF(r)")
-        for bl in range(2 * t):
-            if bl == l0:
-                continue
-            prod = 1
-            for j in range(bl * r, bl * r + r):
-                prod = ctx.mul(prod, ctx.sub(ai, points[j]))
-            expected = ctx.mul(ctx.sub(labels[l0], labels[bl]), cross_unit)
-            if prod != expected:
-                raise InternalCheckError("cross-block product mismatch")
+    ops = ctx.np_ops()
+    prods = difference_products(ctx, points, blocks=2 * t)
+    own = np.repeat(np.arange(2 * t), r)
+    if not np.isin(prods[np.arange(own.size), own], labels).all():
+        raise InternalCheckError("own-block product left GF(r)")
+    lab = np.array(labels[:2 * t], dtype=np.int32)
+    expected = ops.mul[ops.sub[lab[own, None], lab[None, :]],
+                       ctx.mul(beta, beta_shift)]
+    cross = own[:, None] != np.arange(2 * t)[None, :]
+    if (prods != expected)[cross].any():
+        raise InternalCheckError("cross-block product mismatch")
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -618,7 +613,7 @@ def result_to_json(result: ConstructionResult) -> dict:
         return None if x is None else ctx.coeffs(x)
 
     def vec(xs: Optional[tuple[Felt, ...]]):
-        return None if xs is None else [ctx.coeffs(x) for x in xs]
+        return None if xs is None else ctx.coords(xs)
 
     data = code_to_json(result.code)
     data["family"] = result.family

@@ -14,6 +14,13 @@ u_i is the product of the inverses of all differences (a_i - a_j).  The
 all-ones-v case is the textbook identity; the entrywise division by v is
 the natural generalization and is cross-checked against the elimination
 nullspace throughout the test suite rather than trusted blindly.
+
+Dual coefficients, generator rows and the theorem-3-5 block products run
+on the field's numpy op provider (`FieldCtx.np_ops`): one difference-
+product kernel, `difference_products`, reduces rows of the difference
+matrix, and generator row i + 1 is row i times the points, entrywise.
+The verifier's inner products do not use that provider, so a generator
+built here is checked by arithmetic it does not share.
 """
 
 from __future__ import annotations
@@ -65,6 +72,41 @@ class GrsCode:
         return self.n + (1 if self.extended else 0)
 
 
+# entries of the difference matrix held at once: rows are reduced a chunk
+# at a time, so memory stays bounded for long point sets
+_DIFFERENCE_CHUNK = 1 << 20
+
+
+def difference_products(ctx: FieldCtx, points: Sequence[Felt],
+                        blocks: int = 1):
+    """(n, blocks) array: entry (i, b) is the product of (a_i - a_j) over
+    the j != i in the b-th of `blocks` equal runs of the points.
+
+    One kernel on the field's op provider: the n x n difference matrix
+    with ones on its diagonal, each row block reduced by log-depth
+    pairwise products.  Tabulated, exp/log and lifted ops index alike.
+    """
+    import numpy as np
+
+    n = len(points)
+    ops = ctx.np_ops()
+    a = np.array(points, dtype=np.int32)
+    out = []
+    chunk = max(1, _DIFFERENCE_CHUNK // n)
+    for start in range(0, n, chunk):
+        rows = np.arange(start, min(start + chunk, n))
+        d = ops.sub[a[rows, None], a[None, :]]
+        d[np.arange(rows.size), rows] = 1
+        d = d.reshape(rows.size, blocks, n // blocks)
+        while d.shape[2] > 1:
+            half = d.shape[2] // 2
+            paired = ops.mul[d[:, :, :half], d[:, :, half:2 * half]]
+            d = (np.concatenate((paired, d[:, :, 2 * half:]), axis=2)
+                 if d.shape[2] % 2 else paired)
+        out.append(d[:, :, 0])
+    return np.concatenate(out)
+
+
 def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]:
     """u with u_i the inverse of the product of (a_i - a_j) over j != i.
 
@@ -76,29 +118,26 @@ def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]
         raise DuplicatePointsError("evaluation points must be distinct")
     if n < 2:
         raise ValueError("need at least two points")
-    out = []
-    for i, ai in enumerate(points):
-        prod = 1
-        for j, aj in enumerate(points):
-            if j != i:
-                prod = ctx.mul(prod, ctx.sub(ai, aj))
-        out.append(ctx.inverse(prod))
-    return tuple(out)
+    prod = difference_products(ctx, points)[:, 0]
+    return tuple(ctx.np_ops().inv[prod].tolist())
 
 
 def generator_matrix(code: GrsCode) -> MatrixGF:
     """k x N matrix with row i = (v_j a_j^i); extended column last."""
-    ctx = code.ctx
-    ncols = code.block_length
-    entries: list[Felt] = []
-    powers = [1] * code.n
-    for i in range(code.k):
-        row = [ctx.mul(vj, pw) for vj, pw in zip(code.v, powers)]
-        if code.extended:
-            row.append(1 if i == code.k - 1 else 0)
-        entries.extend(row)
-        powers = [ctx.mul(pw, aj) for pw, aj in zip(powers, code.a)]
-    return MatrixGF(ctx, code.k, ncols, tuple(entries))
+    import numpy as np
+
+    mul = code.ctx.np_ops().mul
+    a = np.array(code.a, dtype=np.int32)
+    rows = [np.array(code.v, dtype=np.int32)]
+    for _ in range(code.k - 1):
+        rows.append(mul[rows[-1], a])
+    gen = np.stack(rows)
+    if code.extended:
+        last = np.zeros((code.k, 1), dtype=gen.dtype)
+        last[-1] = 1
+        gen = np.hstack((gen, last))
+    return MatrixGF(code.ctx, code.k, code.block_length,
+                    tuple(gen.ravel().tolist()))
 
 
 def encode(code: GrsCode, message: Sequence[Felt]) -> list[Felt]:
@@ -155,8 +194,8 @@ def code_to_json(code: GrsCode) -> dict:
         "n": code.n,
         "k": code.k,
         "extended": code.extended,
-        "alpha": [ctx.coeffs(x) for x in code.a],
-        "v": [ctx.coeffs(x) for x in code.v],
+        "alpha": ctx.coords(code.a),
+        "v": ctx.coords(code.v),
         "generator": generator_matrix(code).to_json(),
     }
 

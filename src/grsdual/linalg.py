@@ -1,12 +1,14 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are immutable row-major tuples of element indices.  All row
-reduction runs one numpy elimination body, `_np_echelon`, on the field's
-op provider (`FieldCtx.np_ops`) with plain leftmost-nonzero pivoting;
-there are no numerical concerns in exact arithmetic.  Its forward pass
-gives rank and nonsingularity, and the dense small-field tables make the
-exhaustive column-subset checks in the verifier affordable; a
-back-substitution pass gives the reduced row echelon form.
+Matrices are immutable row-major tuples of element indices; their JSON
+form lists each entry's coordinates, from one vectorized digit split
+(`FieldCtx.coords`).  All row reduction runs one numpy elimination body,
+`_np_echelon`, with plain leftmost-nonzero pivoting on the field's op
+provider (`FieldCtx.np_ops`), the same provider the GRS layer builds its
+matrices with; there are no numerical concerns in exact arithmetic.
+Its forward pass gives rank and nonsingularity, and the dense small-field
+tables make the exhaustive column-subset checks in the verifier
+affordable; a back-substitution pass gives the reduced row echelon form.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -50,7 +52,7 @@ class MatrixGF:
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [self.ctx.coeffs(x) for x in self.entries],
+            "entries": self.ctx.coords(self.entries),
         }
 
 

@@ -1,9 +1,10 @@
 """Scalar references for the tests.
 
-Pure-Python row reduction and products written with the scalar `FieldCtx`
-operations only.  They share no code with `linalg`'s numpy elimination
-kernel or `verify`'s coordinate matmuls, and the tests check those against
-these.  The square-difference backtracking below shares nothing with the
+Pure-Python row reduction, products, dual coefficients and generator
+matrices written with the scalar `FieldCtx` operations only.  They share
+no code with `linalg`'s numpy elimination kernel, `grs`'s difference-
+product kernel or `verify`'s coordinate matmuls, and the tests check those
+against these.  The square-difference backtracking below shares nothing with the
 bitset search in `construct` either: it tests one candidate at a time
 against the Euler criterion, not against the character table.
 """
@@ -12,6 +13,7 @@ from typing import Optional, Sequence
 
 from grsdual.errors import ShapeMismatchError
 from grsdual.gf import FieldCtx, Felt, field_for_order
+from grsdual.grs import GrsCode
 from grsdual.linalg import MatrixGF
 
 
@@ -83,6 +85,33 @@ def mat_vec(m: MatrixGF, vec: Sequence[Felt]) -> list[Felt]:
                 acc = ctx.add(acc, ctx.mul(mv, xv))
         out.append(acc)
     return out
+
+
+def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]:
+    """u_i = 1 / prod_{j != i} (a_i - a_j), one scalar product at a time."""
+    out = []
+    for i, ai in enumerate(points):
+        prod = 1
+        for j, aj in enumerate(points):
+            if j != i:
+                prod = ctx.mul(prod, ctx.sub(ai, aj))
+        out.append(ctx.inverse(prod))
+    return tuple(out)
+
+
+def generator_matrix(code: GrsCode) -> MatrixGF:
+    """k x N matrix with row i = (v_j a_j^i); extended column last."""
+    ctx = code.ctx
+    ncols = code.block_length
+    entries: list[Felt] = []
+    powers = [1] * code.n
+    for i in range(code.k):
+        row = [ctx.mul(vj, pw) for vj, pw in zip(code.v, powers)]
+        if code.extended:
+            row.append(1 if i == code.k - 1 else 0)
+        entries.extend(row)
+        powers = [ctx.mul(pw, aj) for pw, aj in zip(powers, code.a)]
+    return MatrixGF(ctx, code.k, ncols, tuple(entries))
 
 
 def backtrack_square_set(q: int, n: int) -> Optional[tuple[Felt, ...]]:

@@ -1,10 +1,11 @@
 """Front-end contract: flags, JSON artifacts, exit codes.
 
-Exit codes: 0 pass, 1 usage/parse error, 2 honest construction failure,
-3 verification failure.
+Exit codes: 0 pass, 1 usage/parse error, 2 honest construction failure or
+a check that gave up at its budget, 3 verification failure.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -14,10 +15,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grsdual
 from grsdual import construct
-from grsdual.cli import _build_parser, _cell_label, main
+from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
 
 
@@ -467,3 +470,78 @@ def test_verify_rejects_wrong_generator_shape(rows, cols, mds_mode,
     rc, out, err = run_cli(["verify", str(code_file), "--mds-mode",
                             mds_mode], capsys)
     assert rc == 1 and out == "" and "not a valid code object" in err
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+_ints = st.integers(-2 ** 70, 2 ** 70)
+_strings = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00é€😀 ')) | st.text()
+_scalars = (st.none() | st.booleans() | _ints | st.floats() | _strings)
+# lists of ints with bools mixed in, lists of int lists, and coordinate
+# lists: equally long int lists, as every code object holds
+_int_lists = st.lists(_ints | st.booleans())
+_ragged_lists = st.lists(st.lists(_ints, max_size=3))
+_coordinate_lists = st.integers(1, 3).flatmap(
+    lambda e: st.lists(st.lists(_ints, min_size=e, max_size=e)))
+_json_values = st.recursive(
+    _scalars | _int_lists | _ragged_lists | _coordinate_lists,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(_json_values)
+@settings(deadline=None, max_examples=200)
+def test_json_writer_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("result", [
+    lambda: construct.construct_even_char(8, 4),
+    lambda: construct.construct_extended(7),
+    lambda: construct.construct_square_set(13, 2),
+    lambda: construct.construct_subfield_points(7, 6),
+    lambda: construct.construct_roots_of_unity(49, 4),
+    lambda: construct.construct_theorem_3_5(3, 1),
+])
+def test_json_writer_matches_json_dumps_on_every_family(result):
+    obj = construct.result_to_json(result())
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+# The README's CLI examples, pinned by exit code and the SHA-256 of what
+# they print and write.  The hashes were recorded with json.dumps(obj,
+# indent=2) as the writer, so they hold the writer to those bytes.
+README_EXAMPLES = (
+    (["construct", "--family", "theorem-3-5", "--r", "3", "--t", "1"], 0,
+     "0224b8df3e5e513c85e7bdc502564f5bf2dda1a19f2c7da2f51f7705bf796894"),
+    (["construct", "--family", "extended", "--q", "5", "-o", "code.json"], 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "code.json", "--dual-identity"], 0,
+     "99b49f15937a860713eeefc80f2c4424e1621dc3acc3433a71a3e91e8d1e0881"),
+    (["search", "--q", "29", "--n", "4"], 0,
+     "63fad5413646aebe0ecdaa0bec4e6e02847757b851029f8d9fb419202c70087b"),
+)
+README_CODE_JSON = (
+    "2178c883d322af0d3ce3caac8a3bd2aec32995ca2be539976f9a5e4bbc243a55")
+
+
+def test_readme_cli_examples_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, expected_rc, stdout_sha in README_EXAMPLES:
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == expected_rc, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
+    written = (tmp_path / "code.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == README_CODE_JSON
+
+
+def test_verify_over_budget_exact_mds_gives_up(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "29",
+             "-o", str(code_file)], capsys)
+    rc, out, err = run_cli(["verify", str(code_file), "--mds-mode", "exact",
+                            "--budget", "10"], capsys)
+    assert rc == 2 and out == ""
+    assert err == ("exact MDS check gave up: C(30,15) = 155117520 subsets "
+                   "exceed budget 10; it proved nothing either way\n")

@@ -14,6 +14,7 @@ from grsdual.errors import (
     BadSubfieldError,
     BudgetExceededError,
     EvenCharacteristicError,
+    InternalCheckError,
     LengthTooLongError,
     NoSubfieldSolutionError,
     NotFoundError,
@@ -382,6 +383,44 @@ def test_construct_theorem_3_5_r7():
         beta = result.certificate.beta
         assert ctx.quadratic_character(beta) == 1  # even power of gamma
         assert ctx.sub(ctx.power(beta, 6), 1) == ctx.neg(2)
+
+
+@pytest.mark.parametrize("r, t", [(3, 1), (7, 2), (43, 1)])
+def test_block_products_catch_a_tampered_point_or_beta(r, t, monkeypatch):
+    # GF(9) and GF(49) have dense op tables, GF(1849) exp/log arrays
+    real, products = con._check_block_products, con.difference_products
+
+    class Checked(Exception):
+        pass
+
+    def tamper(ctx, r, t, beta, labels, points):
+        real(ctx, r, t, beta, labels, points)
+        # 2 lies in GF(r)*, so 2*beta keeps beta^(r-1) - 1 = -2 and only
+        # the cross-block products can notice the change
+        with pytest.raises(InternalCheckError, match="cross-block"):
+            real(ctx, r, t, ctx.mul(beta, 2), labels, points)
+        spare = next(x for x in range(ctx.q) if x not in points)
+        for i in (0, r // 2, len(points) - 1):
+            moved = list(points)
+            moved[i] = spare
+            with pytest.raises(InternalCheckError):
+                real(ctx, r, t, beta, labels, moved)
+
+        # one own-block product moved out of GF(r) by the primitive
+        # element, which lies outside it
+        def own_block_off(ctx, points, blocks=1):
+            prods = products(ctx, points, blocks)
+            prods[0, 0] = ctx.mul(int(prods[0, 0]), ctx.primitive_element())
+            return prods
+
+        monkeypatch.setattr(con, "difference_products", own_block_off)
+        with pytest.raises(InternalCheckError, match="own-block"):
+            real(ctx, r, t, beta, labels, points)
+        raise Checked
+
+    monkeypatch.setattr(con, "_check_block_products", tamper)
+    with pytest.raises(Checked):
+        con.construct_theorem_3_5(r, t)
 
 
 def test_construct_theorem_3_5_parameter_errors():

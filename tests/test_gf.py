@@ -149,6 +149,19 @@ def test_mul_matches_poly_oracle_exhaustively(p, e):
             assert ctx.mul(x, y) == oracle_mul(ctx, x, y)
 
 
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(2, 21)] + [
+    (3, 2), (3, 11), (3, 12), (5, 8), (7, 6), (13, 5), (101, 3), (263, 2)])
+def test_slow_mul_matches_poly_oracle_on_samples(p, e):
+    # the exp/log tables up to 2^16 are built from _mul_slow, and above
+    # that it is the product; in characteristic 2 it works on bit masks
+    ctx = make_field(p, e)
+    rnd = random.Random(p * 100 + e)
+    pairs = [(ctx.q - 1, ctx.q - 1), (1, ctx.q - 1), (0, 5 % ctx.q)]
+    pairs += [(rnd.randrange(ctx.q), rnd.randrange(ctx.q)) for _ in range(200)]
+    for x, y in pairs:
+        assert ctx._mul_slow(x, y) == oracle_mul(ctx, x, y), (x, y)
+
+
 def test_power_and_negative_exponents():
     ctx = make_field(3, 2)
     for x in range(1, 9):

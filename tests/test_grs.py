@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELDS
+from grsdual import grs
 from grsdual import linalg as la
 from grsdual.errors import (
     DuplicatePointsError,
@@ -24,12 +25,14 @@ from grsdual.grs import (
     GrsCode,
     code_from_json,
     code_to_json,
+    difference_products,
     dual_code,
     dual_coefficients,
     encode,
     generator_matrix,
     stored_generator_from_json,
 )
+import oracles
 from oracles import mat_vec, matmul, transpose
 
 
@@ -66,6 +69,58 @@ def test_dual_coefficients_solve_the_power_rows_system():
         assert all(x != 0 for x in u)
         system = la.vandermonde_system(ctx, points)
         assert mat_vec(system, u) == [0] * system.nrows
+
+
+# tabulated (q <= 2^10), exp/log (q <= 2^16) and lifted scalar providers
+KERNEL_FIELDS = (5, 9, 729, 1849, 2048, 3 ** 11, 2 ** 17)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_dual_coefficients_match_scalar_oracle(q):
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    for n in sorted({2, min(q, 3), min(q, 9), min(q, 40)}):
+        points = tuple(rnd.sample(range(q), n))
+        assert dual_coefficients(ctx, points) == oracles.dual_coefficients(
+            ctx, points), n
+    # 0 and 1 among the points, and every point of a small field
+    points = tuple(range(min(q, 12)))
+    assert dual_coefficients(ctx, points) == oracles.dual_coefficients(
+        ctx, points)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_generator_matrix_matches_scalar_oracle(q):
+    ctx = field_for_order(q)
+    rnd = random.Random(q + 1)
+    n = min(q, 11)
+    points = tuple(rnd.sample(range(1, q), n - 1)) + (0,)
+    mults = tuple(rnd.randint(1, q - 1) for _ in points)
+    for extended in (False, True):
+        for k in (1, 2, n, n + extended):
+            code = GrsCode(ctx, points, mults, k, extended)
+            assert generator_matrix(code) == oracles.generator_matrix(code), (
+                extended, k)
+
+
+@pytest.mark.parametrize("chunk", (1 << 20, 40))
+@pytest.mark.parametrize("q", (25, 1849, 3 ** 11))
+def test_difference_products_by_block(q, chunk, monkeypatch):
+    # a chunk of 40 entries reduces the 12 rows 3 at a time
+    monkeypatch.setattr(grs, "_DIFFERENCE_CHUNK", chunk)
+    ctx = field_for_order(q)
+    rnd = random.Random(q + 2)
+    points = rnd.sample(range(q), 12)
+    for blocks in (1, 2, 3, 4, 6, 12):
+        width = 12 // blocks
+        got = difference_products(ctx, points, blocks).tolist()
+        for i, ai in enumerate(points):
+            for b in range(blocks):
+                prod = 1
+                for j in range(b * width, (b + 1) * width):
+                    if j != i:
+                        prod = ctx.mul(prod, ctx.sub(ai, points[j]))
+                assert got[i][b] == prod, (blocks, i, b)
 
 
 # --- generator matrices ---------------------------------------------------------
