@@ -13,9 +13,8 @@ roots, root-of-unity lists, JSON exports) reproducible bit for bit.
 
 A FieldCtx is immutable after construction and safe to share between
 threads.  Scalar multiplication falls back to polynomial arithmetic for
-large fields (in characteristic 2 a carry-less product of bit masks) and
-switches to exp/log tables once they are built; tables are created
-lazily under a lock, exactly once.
+large fields and switches to exp/log tables once they are built; tables
+are created lazily under a lock, exactly once.
 
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
@@ -224,7 +223,7 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field GF(p^e)."""
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_red", "_fold", "_mod_bits", "_lock",
+        "p", "e", "q", "modulus", "_red", "_lock",
         "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops",
     )
 
@@ -233,8 +232,7 @@ class FieldCtx:
         self.e = e
         self.q = p ** e
         self.modulus = tuple(int(c) % p for c in modulus)
-        # reduction rows: coefficients of x^(e+j) mod modulus, j = 0..e-2,
-        # which `verify`'s coordinate inner products fold with
+        # reduction rows: coefficients of x^(e+j) mod modulus, j = 0..e-2
         red: list[tuple[int, ...]] = []
         if e > 1:
             cur = [(-c) % p for c in self.modulus[:e]]
@@ -246,11 +244,6 @@ class FieldCtx:
                     cur = [(cv + top * bv) % p for cv, bv in zip(cur, red[0])]
                 red.append(tuple(cur))
         self._red = tuple(red)
-        # x^e = sum of f * x^i over _fold, the modulus's nonzero low terms
-        # negated; for p = 2 the modulus is also kept as a bit mask
-        self._fold = tuple((i, (-c) % p)
-                           for i, c in enumerate(self.modulus[:e]) if c)
-        self._mod_bits = sum(c << i for i, c in enumerate(self.modulus))
         self._lock = threading.RLock()
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
@@ -336,34 +329,24 @@ class FieldCtx:
         p, e = self.p, self.e
         if e == 1:
             return (x * y) % p
-        if p == 2:
-            # carry-less shift and add, reducing each shift by the modulus
-            top, mod, z = 1 << e, self._mod_bits, 0
-            while y:
-                if y & 1:
-                    z ^= x
-                y >>= 1
-                x <<= 1
-                if x & top:
-                    x ^= mod
-            return z
-        # schoolbook product, then x^d for d >= e folded down from the top
-        # with the modulus's nonzero low terms; reduced mod p only when read
         a = self.coeffs(x)
+        b = self.coeffs(y)
         prod = [0] * (2 * e - 1)
-        for j in range(e):
-            y, bj = divmod(y, p)
-            if bj:
-                for i, ai in enumerate(a, j):
-                    prod[i] += ai * bj
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] = (prod[i + j] + ai * bj) % p
         for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d] % p
+            c = prod[d]
             if c:
-                for i, f in self._fold:
-                    prod[d - e + i] += c * f
+                prod[d] = 0
+                for i, rv in enumerate(self._red[d - e]):
+                    if rv:
+                        prod[i] = (prod[i] + c * rv) % p
         z = 0
-        for d in range(e - 1, -1, -1):
-            z = z * p + prod[d] % p
+        for c in reversed(prod[:e]):
+            z = z * p + c
         return z
 
     def inverse(self, x: Felt) -> Felt:

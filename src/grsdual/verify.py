@@ -86,8 +86,7 @@ def _products(ctx: FieldCtx, x, y):
 
     Each entry is split into its e coordinates over GF(p); the e^2
     coordinate products are int64 matmuls reduced mod p, and degrees >= e
-    are folded back with the field's reduction rows (x^d mod the modulus),
-    which the scalar `FieldCtx._mul_slow` does not use.
+    are folded back with the reduction rows, as `FieldCtx._mul_slow` does.
     """
     p, e, n = ctx.p, ctx.e, x.shape[1]
     # a coordinate product sums n terms below p^2: n (p-1)^2 < 2^63 holds

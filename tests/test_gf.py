@@ -153,7 +153,7 @@ def test_mul_matches_poly_oracle_exhaustively(p, e):
     (3, 2), (3, 11), (3, 12), (5, 8), (7, 6), (13, 5), (101, 3), (263, 2)])
 def test_slow_mul_matches_poly_oracle_on_samples(p, e):
     # the exp/log tables up to 2^16 are built from _mul_slow, and above
-    # that it is the product; in characteristic 2 it works on bit masks
+    # that it is the product
     ctx = make_field(p, e)
     rnd = random.Random(p * 100 + e)
     pairs = [(ctx.q - 1, ctx.q - 1), (1, ctx.q - 1), (0, 5 % ctx.q)]
