@@ -149,8 +149,9 @@ def test_mul_matches_poly_oracle_exhaustively(p, e):
             assert ctx.mul(x, y) == oracle_mul(ctx, x, y)
 
 
-@pytest.mark.parametrize("p,e", [(2, e) for e in range(2, 21)] + [
-    (3, 2), (3, 11), (3, 12), (5, 8), (7, 6), (13, 5), (101, 3), (263, 2)])
+@pytest.mark.parametrize("p,e", [
+    (2, 11), (2, 17), (2, 20), (3, 2), (3, 11), (3, 12), (5, 8), (7, 6),
+    (13, 5), (101, 3), (263, 2)])
 def test_slow_mul_matches_poly_oracle_on_samples(p, e):
     # the exp/log tables up to 2^16 are built from _mul_slow, and above
     # that it is the product
