@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
     try:
         code = code_from_json(obj)
         stored = stored_generator_from_json(obj)
-    except (GrsDualError, ValueError, KeyError, TypeError) as exc:
+    except (GrsDualError, ValueError) as exc:
         print(f"error: not a valid code object: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

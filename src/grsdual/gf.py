@@ -403,13 +403,15 @@ class FieldCtx:
     def subfield_elements(self, r: int) -> list[Felt]:
         """The r elements of GF(r) inside GF(q), in index order.
 
-        This fixed list is the canonical labeling of the subfield used by
-        the coset constructions.
+        GF(r)* is the group of (r-1)-th roots of unity, r - 1 powers of
+        one generator, so no scan of GF(q) is needed.  This fixed list is
+        the canonical labeling of the subfield used by the coset
+        constructions.
         """
         self._subfield_degree(r)
-        out = [x for x in range(self.q) if self.power(x, r) == x]
-        if len(out) != r:
-            raise InternalCheckError("subfield enumeration has wrong size")
+        out = [0] + self.roots_of_unity(r - 1)
+        if len(set(out)) != r or any(self.power(x, r) != x for x in out):
+            raise InternalCheckError("subfield enumeration is not GF(r)")
         return out
 
     def primitive_element(self) -> Felt:

@@ -34,7 +34,7 @@ from .errors import (
     LengthMismatchError,
     ShapeMismatchError,
 )
-from .gf import FieldCtx, Felt, field_from_json, json_int
+from .gf import FieldCtx, Felt, field_from_json
 from .linalg import MatrixGF, matrix_from_json
 
 
@@ -200,15 +200,68 @@ def code_to_json(code: GrsCode) -> dict:
     }
 
 
+# the JSON type of each field of a code object, a dict for a nested
+# object; "generator" is optional (absent or null)
+_CODE_SCHEMA = {
+    "field": {"p": int, "e": int, "modulus": list},
+    "n": int, "k": int, "extended": bool, "alpha": list, "v": list,
+}
+_GENERATOR_SCHEMA = {"rows": int, "cols": int, "entries": list}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false",
+               type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _check_fields(obj: dict, schema: dict, path: str = "") -> None:
+    for key, want in schema.items():
+        name = path + key
+        if key not in obj:
+            raise ValueError(f'"{name}" is missing')
+        kind = dict if isinstance(want, dict) else want
+        if type(obj[key]) is not kind:
+            raise ValueError(f'"{name}" must be {_JSON_TYPES[kind]}, '
+                             f"got {_json_type(obj[key])}")
+        if kind is dict:
+            _check_fields(obj[key], want, name + ".")
+
+
+def check_code_json(obj) -> None:
+    """ValueError naming the first missing or mistyped field of a code
+    object, down to each coordinate list being an array; the coordinates
+    themselves are checked as the elements are read."""
+    if type(obj) is not dict:
+        raise ValueError(
+            f"a code must be a JSON object, got {_json_type(obj)}")
+    _check_fields(obj, _CODE_SCHEMA)
+    lists = {"alpha": obj["alpha"], "v": obj["v"]}
+    if obj.get("generator") is not None:
+        _check_fields(obj, {"generator": _GENERATOR_SCHEMA})
+        lists["generator.entries"] = obj["generator"]["entries"]
+    for name, items in lists.items():
+        for i, cs in enumerate(items):
+            if type(cs) is not list:
+                raise ValueError(f'"{name}[{i}]" must be an array of '
+                                 f"coordinates, got {_json_type(cs)}")
+
+
+def _read_elements(ctx: FieldCtx, obj: dict, key: str) -> tuple[Felt, ...]:
+    """The elements of the coordinate arrays obj[key]; a bad coordinate's
+    ValueError names the field."""
+    try:
+        return tuple(ctx.element(cs) for cs in obj[key])
+    except ValueError as exc:
+        raise ValueError(f'"{key}": {exc}') from None
+
+
 def code_from_json(obj: dict) -> GrsCode:
-    if type(obj["extended"]) is not bool:
-        raise ValueError('"extended" must be true or false')
-    for key in ("n", "k"):
-        json_int(obj[key], f'"{key}"')
+    check_code_json(obj)
     ctx = field_from_json(obj["field"])
-    a = tuple(ctx.element(cs) for cs in obj["alpha"])
-    v = tuple(ctx.element(cs) for cs in obj["v"])
-    code = GrsCode(ctx, a, v, obj["k"], obj["extended"])
+    code = GrsCode(ctx, _read_elements(ctx, obj, "alpha"),
+                   _read_elements(ctx, obj, "v"), obj["k"], obj["extended"])
     if code.n != obj["n"]:
         raise ValueError("stored n does not match the alpha list")
     return code
@@ -221,13 +274,16 @@ def stored_generator_from_json(obj: dict) -> MatrixGF | None:
     matrix against the one implied by (a, v, k) instead of silently
     regenerating it.  Its shape must be k x block length.
     """
+    check_code_json(obj)
     gen = obj.get("generator")
     if gen is None:
         return None
     ctx = field_from_json(obj["field"])
-    m = matrix_from_json(ctx, gen)
-    k = json_int(obj["k"], '"k"')
-    cols = json_int(obj["n"], '"n"') + (1 if obj["extended"] is True else 0)
+    try:
+        m = matrix_from_json(ctx, gen)
+    except ValueError as exc:
+        raise ValueError(f'"generator.entries": {exc}') from None
+    k, cols = obj["k"], obj["n"] + (1 if obj["extended"] else 0)
     if (m.nrows, m.ncols) != (k, cols):
         raise ShapeMismatchError(
             f"stored generator is {m.nrows}x{m.ncols}, expected {k}x{cols}")

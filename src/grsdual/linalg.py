@@ -6,9 +6,10 @@ form lists each entry's coordinates, from one vectorized digit split
 `_np_echelon`, with plain leftmost-nonzero pivoting on the field's op
 provider (`FieldCtx.np_ops`), the same provider the GRS layer builds its
 matrices with; there are no numerical concerns in exact arithmetic.
-Its forward pass gives rank and nonsingularity, and the dense small-field
-tables make the exhaustive column-subset checks in the verifier
-affordable; a back-substitution pass gives the reduced row echelon form.
+Its forward pass gives rank and nonsingularity; a back-substitution pass
+gives the reduced row echelon form.  The verifier's MDS check reduces a
+generator once with both passes, then runs the forward pass on one small
+block of that form per column subset.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each

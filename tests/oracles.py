@@ -4,17 +4,24 @@ Pure-Python row reduction, products, dual coefficients and generator
 matrices written with the scalar `FieldCtx` operations only.  They share
 no code with `linalg`'s numpy elimination kernel, `grs`'s difference-
 product kernel or `verify`'s coordinate matmuls, and the tests check those
-against these.  The square-difference backtracking below shares nothing with the
-bitset search in `construct` either: it tests one candidate at a time
-against the Euler criterion, not against the character table.
+against these.  The MDS check below is the definition taken literally:
+every k x k column subset of the generator, row-reduced on its own, where
+`verify` reduces the generator once and tests small blocks of that form.
+The square-difference backtracking below shares nothing with the bitset
+search in `construct` either: it tests one candidate at a time against
+the Euler criterion, not against the character table.
 """
 
+import math
+import random
+from itertools import combinations
 from typing import Optional, Sequence
 
-from grsdual.errors import ShapeMismatchError
+from grsdual.errors import BudgetExceededError, ShapeMismatchError
 from grsdual.gf import FieldCtx, Felt, field_for_order
 from grsdual.grs import GrsCode
 from grsdual.linalg import MatrixGF
+from grsdual.verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, CheckResult
 
 
 def echelon(ctx: FieldCtx, rows: list[list[Felt]],
@@ -48,6 +55,54 @@ def echelon(ctx: FieldCtx, rows: list[list[Felt]],
         if r == nr:
             break
     return rows, pivots
+
+
+def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
+                     budget: int = EXACT_MDS_BUDGET,
+                     samples: int = RANDOM_MDS_SAMPLES,
+                     seed: int = 0) -> CheckResult:
+    """`verify.check_mds_matrix` as one full k x k elimination per column
+    subset: the same subset walk, the same results and details."""
+    k, ncols = gen.nrows, gen.ncols
+    if k > ncols:
+        return CheckResult("mds", "fail",
+                           f"dimension {k} exceeds block length {ncols}",
+                           "exact" if mode == "exact" else mode)
+    rows = gen.rows_list()
+
+    def nonsingular(cols) -> bool:
+        sub = [[row[c] for c in cols] for row in rows]
+        return len(echelon(ctx, sub, reduced=False)[1]) == k
+
+    if mode == "exact":
+        total = math.comb(ncols, k)
+        if total > budget:
+            raise BudgetExceededError(
+                f"C({ncols},{k}) = {total} subsets exceed budget {budget}")
+        for cols in combinations(range(ncols), k):
+            if not nonsingular(cols):
+                return CheckResult(
+                    "mds", "fail",
+                    f"columns {list(cols)} are singular", "exact")
+        return CheckResult("mds", "pass",
+                           f"all {total} column {k}-subsets nonsingular",
+                           "exact")
+    if mode == "randomized":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        rng = random.Random(seed)
+        for _ in range(samples):
+            cols = tuple(sorted(rng.sample(range(ncols), k)))
+            if not nonsingular(cols):
+                return CheckResult(
+                    "mds", "fail",
+                    f"columns {list(cols)} are singular", "randomized",
+                    seed=seed)
+        return CheckResult(
+            "mds", "pass",
+            f"{samples} sampled column {k}-subsets nonsingular "
+            "(statistical evidence, not a proof)", "randomized", seed=seed)
+    raise ValueError(f"unknown mds mode {mode!r}")
 
 
 def transpose(m: MatrixGF) -> MatrixGF:

@@ -6,6 +6,7 @@ a check that gave up at its budget, 3 verification failure.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -394,6 +395,33 @@ def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
     code_file.write_text(json.dumps(obj))
     rc, _, err = run_cli(["verify", str(code_file)], capsys)
     assert rc == 1 and "not a valid code object" in err
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "extended"},
+     '"extended" is missing'),
+    (lambda obj: {**obj, "field": {"p": 5, "e": 1}},
+     '"field.modulus" is missing'),
+    (lambda obj: [obj], "a code must be a JSON object, got an array"),
+    (lambda obj: {**obj, "field": [1]},
+     '"field" must be an object, got an array'),
+    (lambda obj: {**obj, "generator": {**obj["generator"],
+                                       "entries": {"x": 1}}},
+     '"generator.entries" must be an array, got an object'),
+    (lambda obj: {**obj, "alpha": [[0], [1], 3, [3], [4]]},
+     '"alpha[2]" must be an array of coordinates, got an integer'),
+])
+def test_verify_schema_names_the_bad_field(tamper, message, monkeypatch,
+                                           capsys):
+    # each case printed a leaked Python message (a bare key, "list indices
+    # must be integers", "coordinate must be an integer, got 'x'")
+    _, out, _ = run_cli(["construct", "--family", "extended", "--q", "5"],
+                        capsys)
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(json.dumps(tamper(json.loads(out)))))
+    rc, out, err = run_cli(["verify", "-"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: not a valid code object: {message}\n"
 
 
 def _set_p_e_rows(obj):

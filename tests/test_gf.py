@@ -241,6 +241,29 @@ def test_subfield_elements_listing():
     assert sub[:2] == [0, 1]
 
 
+@pytest.mark.parametrize("r", [3, 5, 7, 9, 25, 27, 43])
+def test_subfield_elements_match_a_scan_of_the_field(r):
+    ctx = field_for_order(r * r)
+    assert ctx.subfield_elements(r) == [
+        x for x in range(ctx.q) if ctx.power(x, r) == x]
+
+
+def test_subfield_elements_do_not_scan_the_field(monkeypatch):
+    # GF(343) inside GF(7^6): r + 1 powers, not one per element of GF(r^2)
+    ctx = make_field(7, 6)
+    calls = []
+    power = type(ctx).power
+
+    def counted(self, x, n):
+        calls.append(x)
+        return power(self, x, n)
+
+    monkeypatch.setattr(type(ctx), "power", counted)
+    sub = ctx.subfield_elements(343)
+    assert len(sub) == 343 and sub == sorted(sub) and sub[:2] == [0, 1]
+    assert len(calls) <= 343 + 1
+
+
 # --- multiplicative structure -----------------------------------------------------
 
 def test_primitive_element_frozen_values():

@@ -3,6 +3,7 @@ dual identity, character-sum counts, distance enumeration."""
 
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +19,7 @@ from grsdual.errors import (
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
 from grsdual.linalg import matrix
+import oracles
 from oracles import echelon, matmul, transpose
 
 
@@ -219,6 +221,110 @@ def test_check_mds_randomized_finds_planted_defect():
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                samples=500, seed=1)
     assert res.status == "fail"
+
+
+# --- MDS against the full-subset oracle -----------------------------------------
+
+# tabulated (9, 16, 25), exp/log (1031, 2048) and lifted (2^17) op providers
+MDS_ORACLE_FIELDS = (9, 16, 25, 1031, 2048, 1 << 17)
+
+
+def _mds_cases(ctx, rnd):
+    """Generators, as rows, on which the systematic-form check must agree
+    with the oracle: GRS (MDS) and random ones for k = 1 to k = N, then
+    defects that move the pivots or lower the rank."""
+    q = ctx.q
+
+    def grs_rows(k, n):
+        points = tuple(rnd.sample(range(q), n))
+        v = tuple(rnd.randrange(1, q) for _ in range(n))
+        return generator_matrix(GrsCode(ctx, points, v, k)).rows_list()
+
+    cases = []
+    for k, n in ((1, 1), (1, 5), (2, 5), (3, 6), (4, 7), (5, 5)):
+        cases.append(grs_rows(k, n))
+        cases.append([[rnd.randrange(q) for _ in range(n)] for _ in range(k)])
+    c = rnd.randrange(2, q)
+    dependent, repeated, zero, low_rank = (grs_rows(3, 7) for _ in range(4))
+    for row in dependent:   # still rank 3, with pivots in columns 0, 2, 3
+        row[1] = ctx.mul(c, row[0])
+    for row in repeated:
+        row[4] = row[2]
+    for row in zero:
+        row[3] = 0
+    low_rank[2] = [ctx.add(x, ctx.mul(c, y))
+                   for x, y in zip(low_rank[0], low_rank[1])]
+    return cases + [dependent, repeated, zero, low_rank]
+
+
+@pytest.mark.parametrize("q", MDS_ORACLE_FIELDS)
+def test_mds_check_matches_full_subset_oracle(q):
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    statuses = set()
+    for rows in _mds_cases(ctx, rnd):
+        gen = matrix(ctx, rows)
+        for mode in ("exact", "randomized"):
+            seed = rnd.randrange(10 ** 6)
+            got = ver.check_mds_matrix(ctx, gen, mode=mode, samples=40,
+                                       seed=seed)
+            want = oracles.check_mds_matrix(ctx, gen, mode=mode, samples=40,
+                                            seed=seed)
+            assert got == want, (mode, seed, rows)
+            statuses.add(got.status)
+    assert statuses == {"pass", "fail"}
+
+
+def test_mds_check_reports_the_first_subset_below_full_rank():
+    ctx = make_field(5)
+    gen = matrix(ctx, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])  # rank 1
+    exact = ver.check_mds_matrix(ctx, gen, mode="exact")
+    assert exact.detail == "columns [0, 1] are singular"
+    first = tuple(sorted(random.Random(5).sample(range(5), 2)))
+    sampled = ver.check_mds_matrix(ctx, gen, mode="randomized", seed=5)
+    assert sampled.detail == f"columns {list(first)} are singular"
+
+
+def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
+    # the benchmark counts verify._np_subset_nonsingular and
+    # linalg._np_nonsingular calls as "subsets checked" and "eliminations";
+    # both must stay one per subset walked
+    calls = {"subsets": 0, "eliminations": 0}
+    blocks = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            if key == "eliminations":
+                blocks.append(args[0].shape)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ver, "_np_subset_nonsingular",
+                        counted("subsets", ver._np_subset_nonsingular))
+    monkeypatch.setattr(la, "_np_nonsingular",
+                        counted("eliminations", la._np_nonsingular))
+    code = con_families.construct_theorem_3_5(3, 1).code
+    assert ver.check_mds(code, mode="exact").status == "pass"
+    assert calls == {"subsets": 20, "eliminations": 20}, (
+        "an exact check of the [6, 3] code must test its C(6, 3) = 20 "
+        "subsets with one _np_subset_nonsingular and one _np_nonsingular "
+        "call each")
+    # pivots in columns 0-2: a subset with i of them leaves a (3-i)x(3-i)
+    # block, for C(3, i) C(3, 3-i) subsets
+    assert Counter(blocks) == {(3, 3): 1, (2, 2): 9, (1, 1): 9, (0, 0): 1}
+    # with column 4 a copy of column 2 the walk stops at the first subset
+    # that holds both
+    rows = generator_matrix(code).rows_list()
+    for row in rows:
+        row[4] = row[2]
+    calls.update(subsets=0, eliminations=0)
+    res = ver.check_mds_matrix(code.ctx, matrix(code.ctx, rows), mode="exact")
+    walked, first = next((i + 1, cols) for i, cols
+                         in enumerate(combinations(range(6), 3))
+                         if {2, 4} <= set(cols))
+    assert res.detail == f"columns {list(first)} are singular"
+    assert calls == {"subsets": walked, "eliminations": walked}
 
 
 def test_check_mds_structural():
