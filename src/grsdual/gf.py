@@ -599,7 +599,8 @@ class FieldCtx:
                           _Indexed(np.frompyfunc(self.mul, 2, 1)),
                           _Indexed(np.frompyfunc(self.inverse, 1, 1)))
         q1 = q - 1
-        self._ensure_tables()
+        if self._exp is None:
+            self._ensure_tables()
         # exp is stored twice so log x + log y needs no reduction mod q - 1;
         # log 0 points past both copies, into zeros, so a zero factor
         # gives 0 without a mask

@@ -10,6 +10,12 @@ the codewords the minimum-distance oracle enumerates) are exact integer
 matmuls over the GF(p) coordinates of the stored entries, folded back
 into GF(q) with the field's own reduction rows, so they trust nothing
 about how the matrix was built and share no tables with the rank checks.
+Runs of c consecutive coordinates are packed into one int64, B bits a
+slot (Kronecker substitution), so an inner product of n-entry rows takes
+ceil(e/c)^2 matmuls rather than e^2.  A slot sums at most n c (p-1)^2
+coordinate products, B = bit_length(n c (p-1)^2) holds that, and c is
+the largest with (2c - 1) B <= 63: no slot carries into the next and no
+sum overflows, so every coordinate sum read back is exact.
 Rank runs through `linalg`, whose one numpy elimination body works on
 the field's op provider for every q.
 
@@ -87,30 +93,73 @@ def _elements(m: MatrixGF):
     return np.array(m.entries, dtype=np.int64).reshape(m.nrows, m.ncols)
 
 
+def _slots(p: int, e: int, n: int) -> tuple[int, int]:
+    """(c, B) for products of rows of n entries over GF(p^e): c
+    consecutive GF(p) coordinates share one int64, B bits each.
+
+    A slot of a packed product sums at most c * n coordinate products,
+    each at most (p-1)^2, so it fits B = bit_length(n c (p-1)^2) bits;
+    c is the largest (up to e) whose 2c - 1 product slots fit 63 bits.
+    """
+    def bits(c):
+        return (n * c * (p - 1) ** 2).bit_length()
+
+    c = 1
+    while c < e and (2 * c + 1) * bits(c + 1) <= 63:
+        c += 1
+    return c, bits(c)
+
+
 def _products(ctx: FieldCtx, x, y):
     """x * y^T over GF(q) for int64 arrays of elements: entry (i, j) is
     the inner product of row i of x with row j of y.
 
-    Each entry is split into its e coordinates over GF(p); the e^2
-    coordinate products are int64 matmuls reduced mod p, and degrees >= e
+    Each entry is split into its e coordinates over GF(p), and each run of
+    c consecutive coordinates is packed into one int64 as a polynomial in
+    2^B (Kronecker substitution; c and B from `_slots`).  One int64 matmul
+    of two packed runs then carries 2c - 1 coordinate-degree sums, slot i
+    read back as (P >> B i) & mask.  No slot can exceed n c (p-1)^2 <
+    2^B and the top slot ends below bit (2c - 1) B <= 63, so no slot
+    carries into the next and nothing overflows: the result is exact.
+    That is ceil(e/c)^2 matmuls where a coordinate at a time needs e^2;
+    c = 1 is exactly that.  Each slot is reduced mod p, and degrees >= e
     are folded back with the reduction rows, as `FieldCtx._mul_slow` does.
+    The matmuls are `einsum` calls: numpy has no BLAS for integers, and
+    its einsum loop beats its integer `@` on these shapes.
     """
+    import numpy as np
+
     p, e, n = ctx.p, ctx.e, x.shape[1]
     # a coordinate product sums n terms below p^2: n (p-1)^2 < 2^63 holds
     # for every q <= 2^20 and n < 2^23
     if n * (p - 1) ** 2 >= 1 << 63:
         raise TooLargeError(f"{n} columns overflow the int64 inner products")
-    cx = [x // p ** t % p for t in range(e)]
-    cy = [y // p ** t % p for t in range(e)]
+    c, bits = _slots(p, e, n)
+    mask = (1 << bits) - 1
+
+    def runs(a):
+        """(first coordinate, length, packed int64 array) per run."""
+        digits = [a] if e == 1 else [a // p ** t % p for t in range(e)]
+        for s in range(0, e, c):
+            run = digits[s:s + c]
+            packed = run[0]
+            for i in range(1, len(run)):
+                packed = packed + (run[i] << (bits * i))
+            yield s, len(run), packed
+
     deg = [0] * (2 * e - 1)
-    for s, xs in enumerate(cx):
-        for t, yt in enumerate(cy):
-            deg[s + t] = deg[s + t] + (xs @ yt.T) % p
+    ys = list(runs(y))
+    for s, ls, xs in runs(x):
+        for t, lt, yt in ys:
+            prod = np.einsum("ik,jk->ij", xs, yt)
+            for i in range(ls + lt - 1):
+                slot = (prod >> (bits * i)) & mask
+                deg[s + t + i] = deg[s + t + i] + slot % p
     for d in range(e, 2 * e - 1):
-        c = deg[d] % p
+        top = deg[d] % p
         for i, rv in enumerate(ctx._red[d - e]):
             if rv:
-                deg[i] = deg[i] + c * rv
+                deg[i] = deg[i] + top * rv
     return sum(deg[t] % p * p ** t for t in range(e))
 
 

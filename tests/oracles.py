@@ -3,10 +3,13 @@
 Pure-Python row reduction, products, dual coefficients and generator
 matrices written with the scalar `FieldCtx` operations only.  They share
 no code with `linalg`'s numpy elimination kernel, `grs`'s difference-
-product kernel or `verify`'s coordinate matmuls, and the tests check those
-against these.  The MDS check below is the definition taken literally:
-every k x k column subset of the generator, row-reduced on its own, where
-`verify` reduces the generator once and tests small blocks of that form.
+product kernel or `verify`'s packed coordinate matmuls, and the tests
+check those against these.  `products` is the one numpy reference: the
+coordinate product one GF(p) coordinate pair at a time, e^2 matmuls,
+which `verify._products` packs into fewer.  The MDS check below is the
+definition taken literally: every k x k column subset of the generator,
+row-reduced on its own, where `verify` reduces the generator once and
+tests small blocks of that form.
 The square-difference backtracking below shares nothing with the bitset
 search in `construct` either: it tests one candidate at a time against
 the Euler criterion, not against the character table.
@@ -103,6 +106,25 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
             f"{samples} sampled column {k}-subsets nonsingular "
             "(statistical evidence, not a proof)", "randomized", seed=seed)
     raise ValueError(f"unknown mds mode {mode!r}")
+
+
+def products(ctx: FieldCtx, x, y):
+    """x * y^T over GF(q) for int64 arrays of elements, one coordinate
+    pair at a time: the e^2 int64 matmuls of the coordinates, each reduced
+    mod p, and degrees >= e folded back with the reduction rows."""
+    p, e = ctx.p, ctx.e
+    cx = [x // p ** t % p for t in range(e)]
+    cy = [y // p ** t % p for t in range(e)]
+    deg = [0] * (2 * e - 1)
+    for s, xs in enumerate(cx):
+        for t, yt in enumerate(cy):
+            deg[s + t] = deg[s + t] + (xs @ yt.T) % p
+    for d in range(e, 2 * e - 1):
+        c = deg[d] % p
+        for i, rv in enumerate(ctx._red[d - e]):
+            if rv:
+                deg[i] = deg[i] + c * rv
+    return sum(deg[t] % p * p ** t for t in range(e))
 
 
 def transpose(m: MatrixGF) -> MatrixGF:

@@ -24,6 +24,7 @@ from grsdual.errors import (
 )
 from grsdual.gf import (
     FIELD_SIZE_LIMIT,
+    FieldCtx,
     field_for_order,
     field_from_json,
     is_prime,
@@ -394,6 +395,32 @@ def test_roots_of_unity_are_exactly_the_mth_roots(ctx):
         assert len(roots) == m == len(set(roots))
         assert all(ctx.power(z, m) == 1 for z in roots)
         assert roots == [z for z in range(ctx.q) if ctx.power(z, m) == 1]
+
+
+# --- lazily built tables ------------------------------------------------------------
+
+@pytest.mark.parametrize("q", (16, 2048))  # dense numpy tables, exp/log only
+@pytest.mark.parametrize("first", ("mul", "np_ops"))
+def test_tables_are_asked_for_only_while_unbuilt(q, first, monkeypatch):
+    # every _ensure_tables call builds: np_ops skips it once a scalar op
+    # has built the tables, and the scalar ops skip it once np_ops has
+    cached = field_for_order(q)
+    ctx = FieldCtx(cached.p, cached.e, cached.modulus)
+    product = cached.mul(2, 3)
+    calls = []
+    ensure = FieldCtx._ensure_tables
+
+    def counted(self):
+        calls.append(self._exp is None)
+        ensure(self)
+
+    monkeypatch.setattr(FieldCtx, "_ensure_tables", counted)
+    if first == "mul":
+        assert ctx.mul(2, 3) == product
+    ops = ctx.np_ops()
+    ctx.mul(3, 5), ctx.inverse(7), ctx.power(5, 9)
+    assert ctx.np_ops() is ops
+    assert calls == [True]
 
 
 # --- serialization ------------------------------------------------------------------

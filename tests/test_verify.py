@@ -15,6 +15,7 @@ from grsdual.errors import (
     BudgetExceededError,
     DuplicatePointsError,
     EvenCharacteristicError,
+    TooLargeError,
 )
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
@@ -165,6 +166,82 @@ def test_inner_products_match_matmul_oracle(q):
     details = tuple(ver.check_self_dual_matrix(ctx, bad).detail
                     for bad in tampered)
     assert details == PINNED_SELF_DUAL_DETAILS[q]
+
+
+# --- packed coordinate products against the coordinate-pair oracle -------------
+
+PACKED_PRODUCT_FIELDS = (7, 1031, 9, 729, 1849, 16, 2048, 3 ** 11)
+
+
+def test_slots_pack_as_many_coordinates_as_63_bits_hold():
+    # (c, B): ceil(e/c)^2 matmuls, 16 for GF(2048) at n = 128 against 121
+    assert ver._slots(2, 11, 127) == (4, 9)    # 7 slots of 9 bits
+    assert ver._slots(2, 11, 128) == (3, 9)    # 4 * 128 needs 10 bits
+    assert ver._slots(3, 6, 162) == (3, 11)    # GF(729): 4 against 36
+    assert ver._slots(43, 2, 172) == (2, 20)   # GF(1849): 1 against 4
+    assert ver._slots(1031, 1, 10 ** 6) == (1, 40)
+    assert _packing_edges(2, 11, 4096) == [1, 2, 5, 25, 127, 1365]
+    for p, e in ((2, 11), (3, 11), (43, 2), (2, 20), (1048573, 1)):
+        for n in (1, 2, 127, 128, 1000, 1 << 22):
+            c, bits = ver._slots(p, e, n)
+            assert 1 <= c <= e and bits == (n * c * (p - 1) ** 2).bit_length()
+            assert c == 1 or (2 * c - 1) * bits <= 63
+            wider = (n * (c + 1) * (p - 1) ** 2).bit_length()
+            assert c == e or (2 * c + 1) * wider > 63
+
+
+def _packing_edges(p, e, limit):
+    """The widths n < limit after which `_slots` packs fewer coordinates."""
+    return [n for n in range(1, limit)
+            if ver._slots(p, e, n)[0] != ver._slots(p, e, n + 1)[0]]
+
+
+@pytest.mark.parametrize("q", PACKED_PRODUCT_FIELDS)
+def test_packed_products_match_coordinate_pair_oracle(q):
+    import numpy as np
+
+    ctx = field_for_order(q)
+    p, e = ctx.p, ctx.e
+    rng = np.random.default_rng(q)
+    # each side of every width below 1400 where fewer coordinates fit
+    edges = _packing_edges(p, e, 1400)
+    widths = sorted({1, 3, 40, 172}.union(*({n, n + 1} for n in edges)))
+    for n in widths:
+        x = rng.integers(0, q, (3, n))
+        y = rng.integers(0, q, (5, n))
+        cols = rng.integers(0, q, (n, 4)).T  # a transposed view, as g.T
+        full = np.full((4, n), q - 1, dtype=np.int64)  # every slot at its bound
+        for a, b in ((x, y), (y, x), (x, cols), (full, full), (full, y),
+                     (x[:1], full)):
+            got = ver._products(ctx, a, b)
+            assert got.shape == (len(a), len(b))
+            assert np.array_equal(got, oracles.products(ctx, a, b)), n
+    # and the oracle itself against scalar field arithmetic
+    x, y = rng.integers(0, q, (3, 7)), rng.integers(0, q, (4, 7))
+    want = matmul(matrix(ctx, x.tolist()), transpose(matrix(ctx, y.tolist())))
+    assert oracles.products(ctx, x, y).ravel().tolist() == list(want.entries)
+
+
+@pytest.mark.parametrize("p, e", ((1048573, 1), (31, 4)))
+def test_products_refuse_int64_overflow_before_allocating(p, e):
+    import tracemalloc
+
+    import numpy as np
+
+    ctx = make_field(p, e)
+    n = -(-(1 << 63) // (p - 1) ** 2)  # the least n with n (p-1)^2 >= 2^63
+    # zero strides: an array of 2 x n entries that occupies 8 bytes
+    x = np.broadcast_to(np.int64(ctx.q - 1), (2, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError) as err:
+            ver._products(ctx, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{n} columns overflow the int64 inner products"
+    assert peak < 1 << 16
+    assert (n - 1) * (p - 1) ** 2 < 1 << 63  # one column fewer would fit
 
 
 # --- MDS -------------------------------------------------------------------------
