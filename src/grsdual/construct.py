@@ -45,7 +45,13 @@ from .errors import (
     SearchGaveUpError,
 )
 from .gf import FieldCtx, Felt, make_field, split_prime_power
-from .grs import GrsCode, code_to_json, difference_products, dual_coefficients
+from .grs import (
+    GrsCode,
+    check_block_length,
+    code_to_json,
+    difference_products,
+    dual_coefficients,
+)
 from .linalg import entrywise_power, row_equivalent, vandermonde_system
 
 @dataclass(frozen=True)
@@ -220,6 +226,14 @@ def construct_extended(q: int) -> ConstructionResult:
 # largest fields below 2^20 (3^12, 97^3, 101^3).  Proving that GF(401)
 # has no 10-point set takes 19,355 nodes.
 SEARCH_NODE_BUDGET = 3 * 10 ** 4
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bools as binary digits
+
+
+def _square_bitset(chi: Sequence[int]) -> int:
+    """N(0), bit y set iff chi[y] = 1, parsed from its binary digits (bit
+    q - 1 first) with no Python-level loop over the elements."""
+    digits = bytes(map((1).__eq__, reversed(chi)))
+    return int(digits.translate(_BINARY_DIGITS), 2)
 
 
 def search_square_difference_set(q: int, n: int,
@@ -277,8 +291,7 @@ def search_square_difference_set(q: int, n: int,
     full = (1 << q) - 1
     weights = [p ** i for i in range(e)]
     combs = [full // ((1 << (p * w)) - 1) for w in weights]
-    # N(0) parsed from its binary digits, bit q - 1 first (48 is ord("0"))
-    base = int(bytes(48 + (c == 1) for c in reversed(chi)), 2)
+    base = _square_bitset(chi)
 
     last = [0, base]  # the last element translated to, and N of it
 
@@ -384,6 +397,7 @@ def construct_roots_of_unity(q: int, n: int) -> ConstructionResult:
     m = n - 1
     if (q - 1) % m != 0:
         raise BadOrderError(f"n - 1 = {m} does not divide q - 1 = {q - 1}")
+    check_block_length(n)  # before the n roots are listed
     ctx = make_field(p, e)
     points = tuple([0] + ctx.roots_of_unity(m))
     u = dual_coefficients(ctx, points)
@@ -411,6 +425,7 @@ def construct_theorem_3_5(r: int, t: int) -> ConstructionResult:
     if not 1 <= t <= (r - 1) // 2:
         raise ParameterRangeError(
             f"t = {t} outside [1, {(r - 1) // 2}] for r = {r}")
+    check_block_length(2 * t * r)  # before the 2tr points are listed
     ctx = make_field(p, 2 * d)
     gamma = ctx.primitive_element()
     beta = ctx.power(gamma, (r + 1) // 2)

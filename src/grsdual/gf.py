@@ -12,9 +12,13 @@ smallest.  This makes every derived quantity (primitive elements, square
 roots, root-of-unity lists, JSON exports) reproducible bit for bit.
 
 A FieldCtx is immutable after construction and safe to share between
-threads.  Scalar multiplication falls back to polynomial arithmetic for
-large fields and switches to exp/log tables once they are built; tables
-are created lazily under a lock, exactly once.
+threads.  Scalar multiplication switches to exp/log tables once they are
+built; tables are created lazily under a lock, exactly once.  Until then,
+and always above 2^16, the product comes from coordinates in plain Python
+ints, with no numpy: a carry-less shift-and-xor product for p = 2, and for
+odd p one int product of the coordinates packed into fixed-width slots
+(Kronecker substitution), reduced by a second product with the reduction
+rows packed the same way.  Every exp/log table build runs on it.
 
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
@@ -29,6 +33,7 @@ elementwise.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Optional, Sequence
 
@@ -48,6 +53,7 @@ Felt = int  # a field element: its index in [0, q)
 FIELD_SIZE_LIMIT = 1 << 20
 _EXP_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this q
 _NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
+_SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by width
 
 
 def is_prime(n: int) -> bool:
@@ -223,7 +229,7 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field GF(p^e)."""
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_red", "_lock",
+        "p", "e", "q", "modulus", "_red", "_packed", "_lock",
         "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops",
     )
 
@@ -244,6 +250,7 @@ class FieldCtx:
                     cur = [(cv + top * bv) % p for cv, bv in zip(cur, red[0])]
                 red.append(tuple(cur))
         self._red = tuple(red)
+        self._packed = self._pack_reduction()
         self._lock = threading.RLock()
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
@@ -325,28 +332,74 @@ class FieldCtx:
             return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
         return self._mul_slow(x, y)
 
+    def _pack_reduction(self):
+        """What `_mul_slow` reads, built from the modulus and `_red` alone.
+
+        For p = 2 it is the modulus as a bit mask.  For odd p it is
+        (B, bytes of t * M, memoryview format of a slot, M): slots of B
+        bits, B a whole number of bytes, and M the map from the 2e - 1
+        coordinates t of an unreduced product to the e reduced ones,
+        packed into one int.  Row d of that map is x^d mod the modulus
+        (unit vectors for d < e, `_red[d - e]` above); its entry for
+        coordinate i sits in slot (2e - 2 - d) + S i, S = 4e - 3.
+        """
+        p, e = self.p, self.e
+        if p == 2:
+            return sum(c << i for i, c in enumerate(self.modulus))
+        if e == 1:
+            return None
+        top = 2 * e - 2
+        stride = 2 * top + 1
+        # a slot of t * M sums at most 2e - 1 products of a product
+        # coordinate (at most e (p-1)^2) with a row entry (at most p - 1)
+        need = ((2 * e - 1) * e * (p - 1) ** 3).bit_length()
+        nbytes = next(n for n in (1, 2, 4, 8) if 8 * n >= need)
+        bits = 8 * nbytes
+        rows = [[int(i == d) for i in range(e)] for d in range(e)]
+        rows += self._red
+        packed = 0
+        for d, row in enumerate(rows):
+            for i, r in enumerate(row):
+                packed |= r << bits * (top - d + stride * i)
+        size = nbytes * (2 * top + 1 + stride * (e - 1))
+        return bits, size, _SLOT_FORMAT[nbytes], packed
+
     def _mul_slow(self, x: Felt, y: Felt) -> Felt:
+        """The product from coordinates, without tables.
+
+        p = 2: a carry-less shift-and-xor product, reduced by the modulus
+        bit mask whenever a shift reaches degree e.  Odd p (Kronecker
+        substitution, as in `verify._products`): the coordinates of x and
+        y go into B-bit slots of one int each, so one int product t
+        carries the 2e - 1 coordinates of the unreduced product, and t * M
+        carries each reduced coordinate i, not yet taken mod p, in slot
+        (2e - 2) + S i.  No slot reaches 2^B, so none carries into the
+        next, and the e slots are read back from the bytes of t * M.
+        """
         p, e = self.p, self.e
         if e == 1:
             return (x * y) % p
-        a = self.coeffs(x)
-        b = self.coeffs(y)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i, rv in enumerate(self._red[d - e]):
-                    if rv:
-                        prod[i] = (prod[i] + c * rv) % p
+        if p == 2:
+            top, mod, z = self.q, self._packed, 0
+            while y:
+                if y & 1:
+                    z ^= x
+                y >>= 1
+                x <<= 1
+                if x & top:
+                    x ^= mod
+            return z
+        bits, size, fmt, packed = self._packed
+        a = b = 0
+        for shift in range(0, bits * e, bits):
+            x, c = divmod(x, p)
+            y, d = divmod(y, p)
+            a |= c << shift
+            b |= d << shift
+        slots = memoryview((a * b * packed).to_bytes(size, sys.byteorder))
         z = 0
-        for c in reversed(prod[:e]):
-            z = z * p + c
+        for c in reversed(slots.cast(fmt)[2 * e - 2::4 * e - 3]):
+            z = z * p + c % p
         return z
 
     def inverse(self, x: Felt) -> Felt:
@@ -458,9 +511,10 @@ class FieldCtx:
 
         Built from squares: x and -x have the same square, so it squares
         one of each pair, the x whose leading base-p digit is at most
-        (p-1)/2, and marks the (q-1)/2 results.  Building the exp/log
-        tables would take twice as many products, so they are used only
-        when they already exist.
+        (p-1)/2, and marks the (q-1)/2 results.  In a prime field each
+        square is x * x mod p, inline; an extension field squares with
+        `_mul_slow`, or with the exp/log tables when they already exist
+        (building them would take twice as many products).
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -468,13 +522,18 @@ class FieldCtx:
         if self._chi is None:
             with self._lock:
                 if self._chi is None:
-                    mul = self.mul if self._exp is not None else self._mul_slow
-                    chi = [-1] * self.q
+                    q = self.q
+                    chi = [-1] * q
                     chi[0] = 0
-                    for i in range(self.e):
-                        w = self.p ** i
-                        for x in range(w, w * (self.p + 1) // 2):
-                            chi[mul(x, x)] = 1
+                    if self.e == 1:
+                        for x in range(1, (q + 1) // 2):
+                            chi[x * x % q] = 1
+                    else:
+                        mul = self._mul_slow if self._exp is None else self.mul
+                        for i in range(self.e):
+                            w = self.p ** i
+                            for x in range(w, w * (self.p + 1) // 2):
+                                chi[mul(x, x)] = 1
                     self._chi = chi
         return self._chi
 

@@ -123,7 +123,8 @@ def _products(ctx: FieldCtx, x, y):
     carries into the next and nothing overflows: the result is exact.
     That is ceil(e/c)^2 matmuls where a coordinate at a time needs e^2;
     c = 1 is exactly that.  Each slot is reduced mod p, and degrees >= e
-    are folded back with the reduction rows, as `FieldCtx._mul_slow` does.
+    are folded back with the reduction rows `FieldCtx._red`, the rows
+    `FieldCtx._mul_slow` packs into its reduction product.
     The matmuls are `einsum` calls: numpy has no BLAS for integers, and
     its einsum loop beats its integer `@` on these shapes.
     """

@@ -23,6 +23,7 @@ import grsdual
 from grsdual import construct
 from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
+from grsdual.grs import MAX_BLOCK_LENGTH
 
 
 def run_cli(argv, capsys):
@@ -478,6 +479,51 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n2 False\n"
         assert json.loads(out.read_text())["found"] is False
+
+
+def test_extension_field_searches_leave_numpy_unloaded():
+    # the character table and the search run on the scalar product there
+    src = Path(grsdual.__file__).resolve().parents[1]
+    probe = ("import sys, grsdual.cli; "
+             "rcs = [grsdual.cli.main(['search', '--q', q, '--n', n, "
+             "'-o', sys.argv[1]]) "
+             "for q, n in (('125', '8'), ('15625', '10'))]; "
+             "print(rcs, 'numpy' in sys.modules)")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "search.json"
+        proc = subprocess.run([sys.executable, "-c", probe, str(out)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[2, 0] False\n"
+        assert json.loads(out.read_text())["found"] is True
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(grsdual.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grsdual", "search", "--q", "29", "--n", "4"],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    rc, out, _ = run_cli(["search", "--q", "29", "--n", "4"], capsys)
+    assert (proc.returncode, rc) == (0, 0)
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("argv, length", [
+    (["--family", "extended", "--q", "1048573"], 1048574),
+    (["--family", "roots-of-unity", "--q", "1042441", "--n", "130306"],
+     130306),
+    (["--family", "theorem-3-5", "--r", "1019", "--t", "509"], 1037342),
+    (["--family", "even-char", "--q", "2048", "--n", "1282"], 1282),
+])
+def test_construct_refuses_long_codes_before_building(argv, length, capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(["construct", *argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err == (f"error: block length {length} exceeds the limit "
+                   f"{MAX_BLOCK_LENGTH}\n")
 
 
 @pytest.mark.parametrize("mds_mode", ["structural", "exact"])

@@ -23,8 +23,9 @@ from grsdual.errors import (
     OddLengthError,
     ParameterRangeError,
     SearchGaveUpError,
+    TooLargeError,
 )
-from grsdual.gf import field_for_order, make_field, split_prime_power
+from grsdual.gf import FieldCtx, field_for_order, make_field, split_prime_power
 from grsdual.grs import dual_coefficients, generator_matrix
 from oracles import backtrack_square_set
 
@@ -225,6 +226,26 @@ def test_search_matches_backtracking_oracle(q):
             assert con.search_square_difference_set(q, n + 1) is None
             return
         n += 1
+
+
+def test_long_coset_families_are_refused_before_listing_points(monkeypatch):
+    def listed(*args):
+        raise AssertionError("points listed before the length check")
+
+    monkeypatch.setattr(FieldCtx, "roots_of_unity", listed)
+    monkeypatch.setattr(FieldCtx, "subfield_elements", listed)
+    with pytest.raises(TooLargeError, match="block length 130306"):
+        con.construct_roots_of_unity(1042441, 130306)
+    with pytest.raises(TooLargeError, match="block length 1037342"):
+        con.construct_theorem_3_5(1019, 509)
+
+
+@pytest.mark.parametrize("q", [13, 125, 15625])
+def test_search_bitset_is_the_set_of_nonzero_squares(q):
+    ctx = field_for_order(q)
+    chi = ctx.character_table()
+    squares = {ctx.mul(y, y) for y in range(1, q)}
+    assert con._square_bitset(chi) == sum(1 << s for s in squares)
 
 
 def test_search_rejects_wrong_residue_class():

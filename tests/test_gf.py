@@ -150,18 +150,59 @@ def test_mul_matches_poly_oracle_exhaustively(p, e):
             assert ctx.mul(x, y) == oracle_mul(ctx, x, y)
 
 
-@pytest.mark.parametrize("p,e", [
-    (2, 11), (2, 17), (2, 20), (3, 2), (3, 11), (3, 12), (5, 8), (7, 6),
-    (13, 5), (101, 3), (263, 2)])
-def test_slow_mul_matches_poly_oracle_on_samples(p, e):
-    # the exp/log tables up to 2^16 are built from _mul_slow, and above
-    # that it is the product
-    ctx = make_field(p, e)
-    rnd = random.Random(p * 100 + e)
+def _check_slow_mul_on_samples(ctx, seed):
+    rnd = random.Random(seed)
     pairs = [(ctx.q - 1, ctx.q - 1), (1, ctx.q - 1), (0, 5 % ctx.q)]
     pairs += [(rnd.randrange(ctx.q), rnd.randrange(ctx.q)) for _ in range(200)]
     for x, y in pairs:
         assert ctx._mul_slow(x, y) == oracle_mul(ctx, x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,e", [
+    (2, 11), (2, 17), (2, 20), (3, 2), (3, 11), (3, 12), (5, 8), (7, 6),
+    (13, 5), (101, 3), (263, 2)] + [
+    (2, e) for e in range(2, 20) if e not in (11, 17)])
+def test_slow_mul_matches_poly_oracle_on_samples(p, e):
+    # the exp/log tables up to 2^16 are built from _mul_slow, and above
+    # that it is the product; p = 2 is sampled at every degree
+    _check_slow_mul_on_samples(make_field(p, e), p * 100 + e)
+
+
+@pytest.mark.parametrize("p,e", [(3, 11), (3, 12), (5, 6), (7, 5), (13, 4),
+                                 (1021, 2)])
+def test_packed_mul_matches_poly_oracle_with_dense_moduli(p, e):
+    # canonical moduli are sparse; a product is ring arithmetic mod f, so
+    # any monic f will do, and dense ones fill the reduction rows.  All
+    # low coefficients 1 make x^e = -(1 + ... + x^(e-1)), every entry p-1
+    rnd = random.Random(p + e)
+    moduli = [(1,) * e + (1,)]
+    moduli += [tuple(rnd.randrange(1, p) for _ in range(e)) + (1,)
+               for _ in range(3)]
+    for i, modulus in enumerate(moduli):
+        ctx = FieldCtx(p, e, modulus)
+        assert all(ctx._red[0])
+        _check_slow_mul_on_samples(ctx, i)
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (5, 3), (3, 5)])
+def test_slow_mul_matches_poly_oracle_exhaustively(p, e):
+    # a context of its own, so no other test's lazy tables are involved
+    ctx = FieldCtx(p, e, make_field(p, e).modulus)
+    for x in range(ctx.q):
+        for y in range(ctx.q):
+            assert ctx._mul_slow(x, y) == oracle_mul(ctx, x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,e", [(5, 6), (2, 11)])
+def test_slow_mul_walk_by_the_primitive_element_closes(p, e):
+    # the exp/log table build: q - 1 distinct powers, then back to 1
+    ctx = FieldCtx(p, e, make_field(p, e).modulus)
+    g = ctx.primitive_element()
+    seen, cur = set(), 1
+    for _ in range(ctx.q - 1):
+        seen.add(cur)
+        cur = ctx._mul_slow(cur, g)
+    assert cur == 1 and len(seen) == ctx.q - 1 and 0 not in seen
 
 
 def test_power_and_negative_exponents():
@@ -324,7 +365,7 @@ def test_character_table_matches_euler_criterion(q):
     assert chi == [ctx.quadratic_character(x) for x in range(q)]
 
 
-@pytest.mark.parametrize("q", [65537, 114689, 3 ** 11])
+@pytest.mark.parametrize("q", [5 ** 6, 65537, 114689, 3 ** 11])
 def test_character_table_matches_euler_criterion_on_samples(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()

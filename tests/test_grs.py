@@ -19,9 +19,11 @@ from grsdual.errors import (
     DuplicatePointsError,
     ExtendedDualUnsupportedError,
     LengthMismatchError,
+    TooLargeError,
 )
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import (
+    MAX_BLOCK_LENGTH,
     GrsCode,
     code_from_json,
     code_to_json,
@@ -323,3 +325,14 @@ def test_code_json_rejects_inconsistent_n():
     blob["n"] = 4
     with pytest.raises(ValueError):
         code_from_json(blob)
+
+
+def test_block_length_limit_admits_the_longest_allowed_code():
+    ctx = make_field(2, 11)
+    code = GrsCode(ctx, range(MAX_BLOCK_LENGTH), (1,) * MAX_BLOCK_LENGTH, 1)
+    assert code.block_length == MAX_BLOCK_LENGTH
+    with pytest.raises(TooLargeError, match=f"limit {MAX_BLOCK_LENGTH}"):
+        GrsCode(ctx, range(MAX_BLOCK_LENGTH), (1,) * MAX_BLOCK_LENGTH, 1,
+                extended=True)
+    with pytest.raises(TooLargeError):
+        dual_coefficients(ctx, range(MAX_BLOCK_LENGTH + 1))
