@@ -586,12 +586,14 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
                    r: Optional[int] = None, t: Optional[int] = None,
                    ) -> ConstructionResult:
     """First family that succeeds, most specific family first."""
+    if q is not None and r is not None and q != r * r:
+        raise ValueError(f"r = {r} does not fit q = {q}: auto needs q = r^2")
     if q is None and r is not None:
         q = r * r
         if n is None and t is not None:
             n = 2 * t * r
     if q is None or n is None:
-        raise ParameterRangeError("auto needs q (or r) and a target length n")
+        raise ValueError("auto needs q (or r) and a target length n")
     attempts = []
     # the table lists the most general family first, so try it backwards
     for family in reversed(FAMILY_TABLE.values()):
@@ -612,13 +614,16 @@ def build(request: ConstructionRequest) -> ConstructionResult:
     family = FAMILY_TABLE.get(request.family)
     if family is None:
         raise ValueError(f"unknown family {request.family!r}")
-    args = [getattr(request, name) for name in family.params]
-    missing = [name for name, value in zip(family.params, args)
-               if value is None]
-    if missing:
-        raise ValueError(
-            f"family {request.family!r} needs {', '.join(missing)}")
-    return family.construct(*args)
+    given = [name for name in ("q", "r", "t", "n")
+             if getattr(request, name) is not None]
+    missing = [name for name in family.params if name not in given]
+    unread = [name for name in given if name not in family.params]
+    for problem, names in (("needs", missing), ("does not take", unread)):
+        if names:
+            raise ValueError(
+                f"family {request.family!r} {problem} {', '.join(names)}")
+    return family.construct(*(getattr(request, name)
+                              for name in family.params))
 
 
 def result_to_json(result: ConstructionResult) -> dict:

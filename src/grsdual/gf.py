@@ -18,17 +18,15 @@ and always above 2^16, the product comes from coordinates in plain Python
 ints, with no numpy: a carry-less shift-and-xor product for p = 2, and for
 odd p one int product of the coordinates packed into fixed-width slots
 (Kronecker substitution), reduced by a second product with the reduction
-rows packed the same way.  Every exp/log table build runs on it.
+rows packed the same way.  The exp/log build takes its matrices from it.
 
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
 (`mul[x, y]`, `sub[x, y]`, `inv[x]`).  Subtraction is always vectorized.
-For q <= 2^16 `mul` and `inv` are computed from O(q) exp/log arrays, and
-for q <= 2^10 all three are also evaluated once on every pair and kept
-as dense q x q tables, so each op is a single lookup.  Above 2^16 there
-are no exp/log tables, and the scalar `mul` and `inverse` are applied
-elementwise.
+`mul` and `inv` are computed from O(q) exp/log arrays, which numpy builds
+for every field, and for q <= 2^10 all three are also evaluated once on
+every pair and kept as dense q x q tables, so each op is a single lookup.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .errors import (
 Felt = int  # a field element: its index in [0, q)
 
 FIELD_SIZE_LIMIT = 1 << 20
-_EXP_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this q
+_EXP_TABLE_LIMIT = 1 << 16  # scalar ops read exp/log lists up to this q
 _NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
 _SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by width
 
@@ -230,7 +228,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "e", "q", "modulus", "_red", "_packed", "_lock",
-        "_exp", "_log", "_prim", "_nonres", "_chi", "_np_ops",
+        "_exp", "_log", "_tables", "_prim", "_nonres", "_chi", "_np_ops",
     )
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
@@ -254,6 +252,7 @@ class FieldCtx:
         self._lock = threading.RLock()
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
+        self._tables = None  # int32 numpy (exp, log), built for np_ops
         self._prim: Optional[int] = None
         self._nonres: Optional[int] = None
         self._chi: Optional[list[int]] = None
@@ -514,7 +513,7 @@ class FieldCtx:
         (p-1)/2, and marks the (q-1)/2 results.  In a prime field each
         square is x * x mod p, inline; an extension field squares with
         `_mul_slow`, or with the exp/log tables when they already exist
-        (building them would take twice as many products).
+        (building them would import numpy, which a search never does).
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -606,23 +605,43 @@ class FieldCtx:
     # --- lazily built tables ---------------------------------------------
 
     def _ensure_tables(self) -> None:
-        if self._exp is not None:
-            return
+        """Build the int32 exp/log arrays by doubling.  exp[n:2n] is g^n
+        exp[:n], and multiplying by g^n maps coordinates by the e x e
+        matrix with row i = g^n x^i.  Up to 2^16 the scalar ops also get
+        the arrays as Python lists."""
+        import numpy as np
+
         with self._lock:
-            if self._exp is not None:
+            if self._tables is not None:
                 return
-            g = self._prim if self._prim is not None else self._find_primitive()
-            self._prim = g
-            q1 = self.q - 1
-            exp = [0] * max(q1, 1)
-            log = [0] * self.q
-            cur = 1
-            for i in range(q1):
-                exp[i] = cur
-                log[cur] = i
-                cur = self._mul_slow(cur, g)
-            self._log = log
-            self._exp = exp
+            p, e, q1 = self.p, self.e, self.q - 1
+            powers = [p ** i for i in range(e)]  # the elements x^i
+            # wide enough for a sum of e coordinate products
+            wide = np.uint8 if e * (p - 1) ** 2 < 256 else np.int64
+            c = np.zeros((e, q1), dtype=wide)  # c[i, k]: coordinate i of g^k
+            c[0, 0] = 1
+            n, gn = 1, self.primitive_element()
+            while n < q1:
+                m = min(n, q1 - n)
+                rows = [self.coeffs(self._mul_slow(gn, x)) for x in powers]
+                np.einsum("ij,ik->jk", np.array(rows, dtype=wide), c[:, :m],
+                          out=c[:, n:n + m])
+                c[:, n:n + m] %= p
+                n += m
+                gn = self._mul_slow(gn, gn)
+            exp = np.einsum("ik,i->k", c, np.array(powers, dtype=np.int32))
+            exp = exp.astype(np.int32, copy=False)
+            del c  # the largest array, freed before log is built
+            log = np.full(q1 + 1, 2 * q1, dtype=np.int32)  # log 0: np ops
+            steps = np.arange(q1, dtype=np.int32)
+            log[exp] = steps
+            # log[exp[i]] == i for every i only if the q - 1 powers differ
+            if exp.min() == 0 or (log[exp] != steps).any():
+                raise InternalCheckError(f"bad exp table for GF({self.q})")
+            if self.q <= _EXP_TABLE_LIMIT:
+                self._log = log.tolist()
+                self._exp = exp.tolist()
+            self._tables = exp, log
 
     def np_ops(self) -> _NpOps:
         """Numpy ops for bulk linear algebra, built once."""
@@ -651,23 +670,16 @@ class FieldCtx:
                 for w in weights:
                     z = z + (x // w - y // w) % p * w
                 return z
-        if q > _EXP_TABLE_LIMIT:
-            # no exp/log tables: lift the scalar ops; they give object
-            # arrays, which stores into the int32 elimination array cast back
-            return _NpOps(_Indexed(sub),
-                          _Indexed(np.frompyfunc(self.mul, 2, 1)),
-                          _Indexed(np.frompyfunc(self.inverse, 1, 1)))
         q1 = q - 1
-        if self._exp is None:
+        if self._tables is None:
             self._ensure_tables()
         # exp is stored twice so log x + log y needs no reduction mod q - 1;
-        # log 0 points past both copies, into zeros, so a zero factor
+        # log 0 is 2(q - 1), past both copies, into zeros, so a zero factor
         # gives 0 without a mask
-        log = np.array(self._log, dtype=np.int32)
-        log[0] = 2 * q1
+        exp_q1, log = self._tables
         exp = np.zeros(4 * q1 + 1, dtype=np.int32)
-        exp[:q1] = self._exp
-        exp[q1:2 * q1] = exp[:q1]
+        exp[:q1] = exp_q1
+        exp[q1:2 * q1] = exp_q1
         inv = np.zeros(q, dtype=np.int32)
         inv[1:] = exp[q1 - log[1:]]
 

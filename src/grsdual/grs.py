@@ -43,8 +43,7 @@ from .linalg import MatrixGF, matrix_from_json
 # k <= N it also bounds the k x N generator.  Constructing and verifying
 # (--mds-mode structural) the even-char [1280, 640] code over GF(2048)
 # took 23 s on a 2-vCPU machine, and [1024, 512] over GF(1024) 17 s; the
-# time grows about as N^3.  Above 2^16, where the field ops are lifted
-# scalar calls, a few hundred already take minutes.
+# time grows about as N^3.
 MAX_BLOCK_LENGTH = 1280
 
 
@@ -102,7 +101,7 @@ def difference_products(ctx: FieldCtx, points: Sequence[Felt],
 
     One kernel on the field's op provider: the n x n difference matrix
     with ones on its diagonal, each row block reduced by log-depth
-    pairwise products.  Tabulated, exp/log and lifted ops index alike.
+    pairwise products.  Tabulated and exp/log ops index alike.
     """
     import numpy as np
 

@@ -78,6 +78,43 @@ def test_construct_usage_errors_exit_1(capsys):
     assert rc == 1  # 6 is not a prime power
 
 
+@pytest.mark.parametrize("argv, message", [
+    # auto without a length or without a field is a usage error, not an
+    # infeasible construction
+    (["--family", "auto", "--q", "9"], "auto needs q (or r) and a target"),
+    (["--family", "auto", "--n", "6"], "auto needs q (or r) and a target"),
+    # a flag the named family does not read is refused, not ignored
+    (["--family", "even-char", "--q", "8", "--r", "3", "--n", "4"],
+     "family 'even-char' does not take r"),
+    (["--family", "subfield-points", "--r", "5", "--n", "4", "--t", "1"],
+     "family 'subfield-points' does not take t"),
+    # auto's r must be the square root of its q
+    (["--family", "auto", "--q", "9", "--n", "6", "--r", "5"],
+     "r = 5 does not fit q = 9"),
+])
+def test_construct_rejects_missing_unread_and_conflicting_flags(
+        argv, message, capsys):
+    rc, out, err = run_cli(["construct", *argv], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_theorem_3_5_above_2_16_round_trip_is_fast(tmp_path, capsys):
+    # [526, 263] over GF(263^2) = GF(69169), above the scalar ops' 2^16
+    # tables: bulk arithmetic runs on the exp/log arrays
+    out_file = tmp_path / "code.json"
+    start = time.perf_counter()
+    rc, _, err = run_cli(["construct", "--family", "theorem-3-5", "--r", "263",
+                          "--t", "1", "-o", str(out_file)], capsys)
+    assert rc == 0, err
+    rc, out, err = run_cli(["verify", str(out_file), "--mds-mode",
+                            "structural", "--dual-identity"], capsys)
+    elapsed = time.perf_counter() - start
+    assert rc == 0, err
+    assert json.loads(out)["overall"] is True
+    assert elapsed < 10, elapsed
+
+
 def test_construct_output_is_deterministic(capsys):
     args = ["construct", "--family", "roots-of-unity", "--q", "25", "--n", "4"]
     rc1, out1, _ = run_cli(args, capsys)

@@ -5,12 +5,16 @@ inline oracles below (lexicographic irreducibility scan, plain polynomial
 long division, exhaustive squaring tables) and then pinned as literals.
 """
 
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.ntheory import primerange, primitive_root
 
 from conftest import FIELDS, ODD_FIELDS, field_and_elements
 from grsdual.errors import (
@@ -23,6 +27,7 @@ from grsdual.errors import (
     TooLargeError,
 )
 from grsdual.gf import (
+    _EXP_TABLE_LIMIT,
     FIELD_SIZE_LIMIT,
     FieldCtx,
     field_for_order,
@@ -66,6 +71,11 @@ def oracle_square_set(ctx):
     return {ctx.mul(y, y) for y in range(1, ctx.q)}
 
 
+def sympy_irreducible(coeffs, p):
+    """Irreducibility over GF(p) by sympy; coefficients constant first."""
+    return Poly(list(reversed(coeffs)), symbols("x"), modulus=p).is_irreducible
+
+
 # --- construction ------------------------------------------------------------
 
 def test_make_field_prime_convention():
@@ -79,6 +89,21 @@ def test_make_field_canonical_modulus_matches_lex_scan():
                         (7, (1, 0, 1))]:
         assert oracle_lex_first_irreducible_quadratic(p) == expected
         assert make_field(p, 2).modulus == expected
+
+
+@pytest.mark.parametrize("p,e", [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 2), (3, 3),
+    (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_canonical_modulus_is_the_lex_first_irreducible_by_sympy(p, e):
+    # product() counts with c_0 most significant: lexicographic order on
+    # (c_0, ..., c_{e-1}), the order the canonical modulus is first in
+    modulus = make_field(p, e).modulus
+    assert len(modulus) == e + 1 and modulus[-1] == 1
+    assert sympy_irreducible(modulus, p)
+    for low in itertools.product(range(p), repeat=e):
+        if low == modulus[:e]:
+            break
+        assert not sympy_irreducible(low + (1,), p), low
 
 
 def test_make_field_rejects_composite():
@@ -163,8 +188,8 @@ def _check_slow_mul_on_samples(ctx, seed):
     (13, 5), (101, 3), (263, 2)] + [
     (2, e) for e in range(2, 20) if e not in (11, 17)])
 def test_slow_mul_matches_poly_oracle_on_samples(p, e):
-    # the exp/log tables up to 2^16 are built from _mul_slow, and above
-    # that it is the product; p = 2 is sampled at every degree
+    # the exp/log build takes its doubling matrices from _mul_slow, and
+    # above 2^16 it is the scalar product; p = 2 is sampled at every degree
     _check_slow_mul_on_samples(make_field(p, e), p * 100 + e)
 
 
@@ -195,7 +220,7 @@ def test_slow_mul_matches_poly_oracle_exhaustively(p, e):
 
 @pytest.mark.parametrize("p,e", [(5, 6), (2, 11)])
 def test_slow_mul_walk_by_the_primitive_element_closes(p, e):
-    # the exp/log table build: q - 1 distinct powers, then back to 1
+    # q - 1 distinct powers, then back to 1
     ctx = FieldCtx(p, e, make_field(p, e).modulus)
     g = ctx.primitive_element()
     seen, cur = set(), 1
@@ -312,6 +337,11 @@ def test_primitive_element_frozen_values():
     assert make_field(5).primitive_element() == 2   # order of 2 mod 5 is 4
     assert make_field(3, 2).primitive_element() == 4  # 1+x; 2 and x fall short
     assert make_field(2).primitive_element() == 1   # q - 1 = 1
+
+
+def test_primitive_element_is_sympys_smallest_primitive_root():
+    for p in primerange(2, 400):
+        assert make_field(p).primitive_element() == primitive_root(p), p
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
@@ -462,6 +492,48 @@ def test_tables_are_asked_for_only_while_unbuilt(q, first, monkeypatch):
     ctx.mul(3, 5), ctx.inverse(7), ctx.power(5, 9)
     assert ctx.np_ops() is ops
     assert calls == [True]
+
+
+def _check_tables_against_slow_powers(ctx, seed):
+    # the arrays the exp/log build leaves, against square-and-multiply on
+    # _mul_slow: q - 1 distinct nonzero powers, sampled exp[i] = g^i and
+    # log[exp[i]] = i
+    ctx._ensure_tables()
+    exp, log = ctx._tables
+    q1 = ctx.q - 1
+    assert exp.dtype == log.dtype == np.int32
+    assert exp.shape == (q1,) and log.shape == (ctx.q,)
+    assert exp.min() > 0 and np.unique(exp).size == q1
+    g = ctx.primitive_element()
+    rnd = random.Random(seed)
+    for i in [0, q1 - 1] + [rnd.randrange(q1) for _ in range(200)]:
+        assert int(exp[i]) == ctx._pow_slow(g, i), i
+        assert int(log[exp[i]]) == i
+    # the scalar ops read Python lists of the same tables only up to 2^16
+    if ctx.q <= _EXP_TABLE_LIMIT:
+        assert ctx._exp == exp.tolist() and ctx._log == log.tolist()
+    else:
+        assert ctx._exp is None and ctx._log is None
+
+
+@pytest.mark.parametrize("p,e", [
+    (2, 17), (2, 20), (3, 11), (3, 12), (1048573, 1), (263, 2), (1021, 2),
+    (2, 1), (3, 1), (2, 8), (5, 3), (65537, 1), (2, 16)])
+def test_exp_log_tables_match_slow_powers(p, e):
+    # a context of its own, so its arrays go with it
+    _check_tables_against_slow_powers(
+        FieldCtx(p, e, make_field(p, e).modulus), p * 100 + e)
+
+
+def test_exp_log_tables_with_a_dense_modulus():
+    # every coefficient nonzero fills the reduction rows, unlike the
+    # sparse canonical moduli; the first such irreducible, by sympy
+    p, e = 3, 7
+    modulus = next(low + (1,) for low in itertools.product((1, 2), repeat=e)
+                   if sympy_irreducible(low + (1,), p))
+    ctx = FieldCtx(p, e, modulus)
+    assert all(ctx._red[0]) and modulus != make_field(p, e).modulus
+    _check_tables_against_slow_powers(ctx, 37)
 
 
 # --- serialization ------------------------------------------------------------------

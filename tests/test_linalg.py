@@ -142,8 +142,8 @@ def _with_dependent_rows(ctx, rows, rnd):
 
 def test_rank_table_kernel_agrees_with_pure_elimination():
     rnd = random.Random(3)
-    # tabulated ops up to 2^10, O(q) arrays up to 2^16, lifted scalar ops
-    # above (each with all three kinds of subtraction: prime,
+    # tabulated ops up to 2^10, O(q) exp/log arrays above, on both sides
+    # of 2^16 (each with all three kinds of subtraction: prime,
     # characteristic 2, digit-wise)
     fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536,
               65537, 2 ** 17, 3 ** 11]
@@ -180,7 +180,7 @@ def _random_rows(ctx, rnd, max_dim=6):
 
 def test_rank_rref_nullspace_match_sympy():
     # sympy's DomainMatrix over GF(p) shares no code with the kernel;
-    # 65537 runs on the lifted scalar ops
+    # 65537 is the first prime field above the scalar ops' 2^16 lists
     rnd = random.Random(7)
     for p in (2, 3, 13, 1031, 65537):
         ctx, field = make_field(p), GF(p)
@@ -202,7 +202,7 @@ def test_rank_rref_nullspace_match_sympy():
 
 
 def test_reduced_forms_match_scalar_echelon():
-    # tabulated, O(q) array and lifted scalar providers
+    # tabulated and O(q) array providers, on both sides of 2^16
     rnd = random.Random(8)
     for q in (4, 9, 25, 1849, 2048, 2187, 3 ** 11, 2 ** 17):
         ctx = field_for_order(q)
@@ -271,16 +271,20 @@ def test_array_ops_agree_with_dense_tables():
 
 
 def test_array_ops_match_scalar_arithmetic_above_table_limit():
-    # above 2^10 the ops are the O(q) exp/log arrays, not tables; above
-    # 2^16 mul and inv lift the scalar ops (prime, characteristic 2 and
+    # above 2^10 the ops are the O(q) exp/log arrays, not tables, up to
+    # the 2^20 field size limit; above 2^16 the scalar ops they are
+    # checked against run without tables (prime, characteristic 2 and
     # digit-wise subtraction)
     rnd = random.Random(5)
-    for q in (1031, 1849, 2048, 2187, 65536, 65537, 2 ** 17, 3 ** 11):
+    for q in (1031, 1849, 2048, 2187, 65536, 65537, 2 ** 17, 3 ** 11,
+              2 ** 20, 3 ** 12, 1048573):
         ctx = field_for_order(q)
-        assert not isinstance(ctx.np_ops().mul, np.ndarray)
+        ops = ctx.np_ops()
+        assert not isinstance(ops.mul, np.ndarray)
         xs = np.array([0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)],
                       dtype=np.int32)
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
+        assert ops.mul[xs, ys].dtype == ops.inv.dtype == np.int32
         _pairs_agree_with_scalar_ops(ctx, xs, ys)
 
 

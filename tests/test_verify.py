@@ -302,7 +302,7 @@ def test_check_mds_randomized_finds_planted_defect():
 
 # --- MDS against the full-subset oracle -----------------------------------------
 
-# tabulated (9, 16, 25), exp/log (1031, 2048) and lifted (2^17) op providers
+# tabulated (9, 16, 25) and exp/log (1031, 2048, 2^17) op providers
 MDS_ORACLE_FIELDS = (9, 16, 25, 1031, 2048, 1 << 17)
 
 
