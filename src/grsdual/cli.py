@@ -236,8 +236,15 @@ def _cell_label(request: ConstructionRequest) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    families = (FAMILY_TABLE.values() if args.family == "all"
-                else [FAMILY_TABLE[args.family]])
+    if args.family == "all":
+        families = FAMILY_TABLE.values()
+    else:
+        families = [FAMILY_TABLE[args.family]]
+        try:  # a grid flag the family does not read would be ignored
+            families[0].check_given(args, needed=False)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     rows = []
     all_ok = True
     for family in families:
@@ -298,7 +305,7 @@ def _build_parser() -> _Parser:
     p_con.add_argument("--family", required=True,
                        choices=[*FAMILY_TABLE, "auto"])
     p_con.add_argument("--p", type=int)
-    p_con.add_argument("--e", type=int)
+    p_con.add_argument("--e", type=_count(1))
     p_con.add_argument("--q", type=int)
     p_con.add_argument("--r", type=int)
     p_con.add_argument("--t", type=int)

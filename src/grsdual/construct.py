@@ -125,7 +125,6 @@ def has_subfield_solution(ctx: FieldCtx, points: Sequence[Felt]) -> bool:
 # --- the generic self-dualizing step --------------------------------------
 
 def _certified_selfdual(ctx: FieldCtx, points: Sequence[Felt],
-                        family_w: Optional[tuple[Felt, ...]] = None,
                         ) -> tuple[GrsCode, Certificate]:
     n = len(points)
     if n % 2:
@@ -133,7 +132,7 @@ def _certified_selfdual(ctx: FieldCtx, points: Sequence[Felt],
     a = tuple(points)
     u = dual_coefficients(ctx, a)
     lam: Optional[Felt] = None
-    w: Optional[tuple[Felt, ...]] = family_w
+    w: Optional[tuple[Felt, ...]] = None
     if ctx.p == 2:
         lam = 1
         v = tuple(ctx.sqrt(ui) for ui in u)
@@ -552,6 +551,19 @@ class Family:
         # looked up at call time, so a rebound construct_<name> is used
         return globals()["construct_" + self.name.replace("-", "_")](*args)
 
+    def check_given(self, fields, needed: bool = True) -> None:
+        """ValueError if fields (q, r, t, n attributes, None when unset)
+        sets one this family does not take, or, if needed, lacks one."""
+        given = [name for name in ("q", "r", "t", "n")
+                 if getattr(fields, name) is not None]
+        missing = [name for name in self.params if name not in given]
+        unread = [name for name in given if name not in self.params]
+        for problem, names in (("needs", missing if needed else []),
+                               ("does not take", unread)):
+            if names:
+                raise ValueError(
+                    f"family {self.name!r} {problem} {', '.join(names)}")
+
     def sweep_requests(self, overrides) -> Iterator[ConstructionRequest]:
         # lazy, so an out-of-range override fails at its first cell
         return (ConstructionRequest(self.name, **cell)
@@ -614,14 +626,7 @@ def build(request: ConstructionRequest) -> ConstructionResult:
     family = FAMILY_TABLE.get(request.family)
     if family is None:
         raise ValueError(f"unknown family {request.family!r}")
-    given = [name for name in ("q", "r", "t", "n")
-             if getattr(request, name) is not None]
-    missing = [name for name in family.params if name not in given]
-    unread = [name for name in given if name not in family.params]
-    for problem, names in (("needs", missing), ("does not take", unread)):
-        if names:
-            raise ValueError(
-                f"family {request.family!r} {problem} {', '.join(names)}")
+    family.check_given(request)
     return family.construct(*(getattr(request, name)
                               for name in family.params))
 

@@ -12,21 +12,25 @@ smallest.  This makes every derived quantity (primitive elements, square
 roots, root-of-unity lists, JSON exports) reproducible bit for bit.
 
 A FieldCtx is immutable after construction and safe to share between
-threads.  Scalar multiplication switches to exp/log tables once they are
-built; tables are created lazily under a lock, exactly once.  Until then,
-and always above 2^16, the product comes from coordinates in plain Python
-ints, with no numpy: a carry-less shift-and-xor product for p = 2, and for
-odd p one int product of the coordinates packed into fixed-width slots
-(Kronecker substitution), reduced by a second product with the reduction
-rows packed the same way.  The exp/log build takes its matrices from it.
+threads.  Every product, inverse, power and square root, scalar or
+vectorized, reads one set of int32 numpy arrays (exp, log, inv), built
+lazily under a lock, exactly once, for every q <= 2^20.  Scalar ops read
+them with `.item()`, so their results stay Python ints.  Subtraction needs
+no tables: `_digit_sub` subtracts base-p digits, on ints and int arrays
+alike.  Before the tables exist, and wherever they must not be built (the
+extension-field character table of a search, which never imports numpy),
+`_mul_slow` multiplies from coordinates in plain Python ints: a carry-less
+shift-and-xor product for p = 2, and for odd p one int product of the
+coordinates packed into fixed-width slots (Kronecker substitution),
+reduced by a second product with the reduction rows packed the same way.
+The table build takes its doubling matrices from it.
 
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
-(`mul[x, y]`, `sub[x, y]`, `inv[x]`).  Subtraction is always vectorized.
-`mul` and `inv` are computed from O(q) exp/log arrays, which numpy builds
-for every field, and for q <= 2^10 all three are also evaluated once on
-every pair and kept as dense q x q tables, so each op is a single lookup.
+(`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For q <= 2^10 `mul` and `sub` are
+also evaluated once on every pair and kept as dense q x q tables, so each
+op is a single lookup.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .errors import (
 Felt = int  # a field element: its index in [0, q)
 
 FIELD_SIZE_LIMIT = 1 << 20
-_EXP_TABLE_LIMIT = 1 << 16  # scalar ops read exp/log lists up to this q
 _NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
 _SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by width
 
@@ -199,6 +202,23 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def _digit_sub(p: int, e: int):
+    """x - y in GF(p^e), base-p digit by digit, on ints or int arrays."""
+    if e == 1:
+        return lambda x, y: (x - y) % p
+    if p == 2:
+        return lambda x, y: x ^ y
+    weights = [p ** i for i in range(e)]
+
+    def sub(x, y):
+        # (x // w - y // w) mod p is the digit difference at weight w
+        z = 0
+        for w in weights:
+            z = z + (x // w - y // w) % p * w
+        return z
+    return sub
+
+
 class _Indexed:
     """A vectorized op that reads like a table: op[x, y] or op[x]."""
 
@@ -227,8 +247,8 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field GF(p^e)."""
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_red", "_packed", "_lock",
-        "_exp", "_log", "_tables", "_prim", "_nonres", "_chi", "_np_ops",
+        "p", "e", "q", "modulus", "_red", "_packed", "_sub", "_lock",
+        "_tables", "_prim", "_chi", "_np_ops",
     )
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
@@ -249,12 +269,10 @@ class FieldCtx:
                 red.append(tuple(cur))
         self._red = tuple(red)
         self._packed = self._pack_reduction()
+        self._sub = _digit_sub(p, e)
         self._lock = threading.RLock()
-        self._exp: Optional[list[int]] = None
-        self._log: Optional[list[int]] = None
-        self._tables = None  # int32 numpy (exp, log), built for np_ops
+        self._tables = None  # int32 numpy (exp, log, inv)
         self._prim: Optional[int] = None
-        self._nonres: Optional[int] = None
         self._chi: Optional[list[int]] = None
         self._np_ops: Optional[_NpOps] = None
 
@@ -293,43 +311,17 @@ class FieldCtx:
     # --- ring operations -------------------------------------------------
 
     def add(self, x: Felt, y: Felt) -> Felt:
-        p = self.p
-        if self.e == 1:
-            return (x + y) % p
-        if p == 2:
-            return x ^ y
-        z, shift = 0, 1
-        while x or y:
-            z += ((x % p) + (y % p)) % p * shift
-            x //= p
-            y //= p
-            shift *= p
-        return z
+        return self._sub(x, self._sub(0, y))
 
     def neg(self, x: Felt) -> Felt:
-        p = self.p
-        if self.e == 1:
-            return (p - x) % p
-        if p == 2:
-            return x
-        z, shift = 0, 1
-        while x:
-            z += (p - (x % p)) % p * shift
-            x //= p
-            shift *= p
-        return z
+        return self._sub(0, x)
 
     def sub(self, x: Felt, y: Felt) -> Felt:
-        return self.add(x, self.neg(y))
+        return self._sub(x, y)
 
     def mul(self, x: Felt, y: Felt) -> Felt:
-        if self._exp is None and self.q <= _EXP_TABLE_LIMIT:
-            self._ensure_tables()
-        if self._exp is not None:
-            if x == 0 or y == 0:
-                return 0
-            return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        return self._mul_slow(x, y)
+        exp, log, _ = self._arrays()
+        return exp.item(log.item(x) + log.item(y))
 
     def _pack_reduction(self):
         """What `_mul_slow` reads, built from the modulus and `_red` alone.
@@ -404,26 +396,19 @@ class FieldCtx:
     def inverse(self, x: Felt) -> Felt:
         if x == 0:
             raise DivisionByZeroError("zero has no multiplicative inverse")
-        if self._exp is None and self.q <= _EXP_TABLE_LIMIT:
-            self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)]
-        return self._pow_slow(x, self.q - 2)
+        return self._arrays()[2].item(x)
 
     def div(self, x: Felt, y: Felt) -> Felt:
         return self.mul(x, self.inverse(y))
 
     def power(self, x: Felt, n: int) -> Felt:
-        """x^n with square-and-multiply; n < 0 allowed for nonzero x."""
+        """x^n from the exp/log tables; n < 0 allowed for nonzero x."""
         if n < 0:
             return self.power(self.inverse(x), -n)
         if x == 0:
             return 1 if n == 0 else 0
-        if self._exp is None and self.q <= _EXP_TABLE_LIMIT:
-            self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self._log[x] * n) % (self.q - 1)]
-        return self._pow_slow(x, n)
+        exp, log, _ = self._arrays()
+        return exp.item(log.item(x) * n % (self.q - 1))
 
     def _pow_slow(self, x: Felt, n: int) -> Felt:
         acc = 1
@@ -512,8 +497,8 @@ class FieldCtx:
         one of each pair, the x whose leading base-p digit is at most
         (p-1)/2, and marks the (q-1)/2 results.  In a prime field each
         square is x * x mod p, inline; an extension field squares with
-        `_mul_slow`, or with the exp/log tables when they already exist
-        (building them would import numpy, which a search never does).
+        `_mul_slow`, since the tables would import numpy, which a search
+        never does.
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -528,11 +513,10 @@ class FieldCtx:
                         for x in range(1, (q + 1) // 2):
                             chi[x * x % q] = 1
                     else:
-                        mul = self._mul_slow if self._exp is None else self.mul
                         for i in range(self.e):
                             w = self.p ** i
                             for x in range(w, w * (self.p + 1) // 2):
-                                chi[mul(x, x)] = 1
+                                chi[self._mul_slow(x, x)] = 1
                     self._chi = chi
         return self._chi
 
@@ -540,54 +524,26 @@ class FieldCtx:
         """Smallest-index element of character -1 (q odd)."""
         if self.p == 2:
             raise EvenCharacteristicError("every element is a square")
-        if self._nonres is None:
-            with self._lock:
-                if self._nonres is None:
-                    half = (self.q - 1) // 2
-                    for x in range(2, self.q):
-                        if self.power(x, half) != 1:
-                            self._nonres = x
-                            break
-                    else:
-                        raise InternalCheckError("no quadratic nonresidue")
-        return self._nonres
+        return next(x for x in range(2, self.q)
+                    if self.quadratic_character(x) == -1)
 
     def sqrt(self, x: Felt) -> Felt:
         """Deterministic square root: the root of smaller index.
 
-        In characteristic 2 the root x^(q/2) is unique.  For odd q a
-        Tonelli-Shanks descent runs inside the multiplicative group, with
-        the auxiliary nonresidue fixed as the smallest-index one; of the
-        two roots +/-y the smaller index is returned.
+        In characteristic 2 the root x^(q/2) is unique.  For odd q, x is a
+        square exactly when k = log x is even, and its roots are
+        +/-g^(k/2); the one of smaller index is returned.
         """
         if x == 0:
             return 0
         if self.p == 2:
             return self.power(x, self.q // 2)
-        if self.quadratic_character(x) == -1:
+        exp, log, _ = self._arrays()
+        k = log.item(x)
+        if k % 2:
             raise NonResidueError(f"{x} is not a square in GF({self.q})")
-        m, s = self.q - 1, 0
-        while m % 2 == 0:
-            m //= 2
-            s += 1
-        y = self.power(x, (m + 1) // 2)
-        t = self.power(x, m)
-        if t != 1:
-            c = self.power(self.smallest_nonresidue(), m)
-            while t != 1:
-                i, tt = 0, t
-                while tt != 1:
-                    tt = self.mul(tt, tt)
-                    i += 1
-                b = c
-                for _ in range(s - i - 1):
-                    b = self.mul(b, b)
-                y = self.mul(y, b)
-                c = self.mul(b, b)
-                t = self.mul(t, c)
-                s = i
-        other = self.neg(y)
-        return y if y <= other else other
+        y = exp.item(k // 2)
+        return min(y, self.neg(y))
 
     def roots_of_unity(self, m: int) -> list[Felt]:
         """The m distinct solutions of z^m = 1, sorted by index."""
@@ -604,11 +560,21 @@ class FieldCtx:
 
     # --- lazily built tables ---------------------------------------------
 
+    def _arrays(self):
+        """(exp, log, inv), built on first use."""
+        if self._tables is None:
+            self._ensure_tables()
+        return self._tables
+
     def _ensure_tables(self) -> None:
-        """Build the int32 exp/log arrays by doubling.  exp[n:2n] is g^n
-        exp[:n], and multiplying by g^n maps coordinates by the e x e
-        matrix with row i = g^n x^i.  Up to 2^16 the scalar ops also get
-        the arrays as Python lists."""
+        """Build the int32 arrays exp, log and inv, once.
+
+        The q - 1 powers of g come by doubling: exp[n:2n] is g^n exp[:n],
+        and multiplying by g^n maps coordinates by the e x e matrix with
+        row i = g^n x^i.  exp holds them twice, so log x + log y needs no
+        reduction mod q - 1, then zeros up to 4(q - 1): log 0 is 2(q - 1),
+        so a zero factor reads a zero without a branch.
+        """
         import numpy as np
 
         with self._lock:
@@ -629,19 +595,20 @@ class FieldCtx:
                 c[:, n:n + m] %= p
                 n += m
                 gn = self._mul_slow(gn, gn)
-            exp = np.einsum("ik,i->k", c, np.array(powers, dtype=np.int32))
-            exp = exp.astype(np.int32, copy=False)
-            del c  # the largest array, freed before log is built
-            log = np.full(q1 + 1, 2 * q1, dtype=np.int32)  # log 0: np ops
+            gk = np.einsum("ik,i->k", c, np.array(powers, dtype=np.int32))
+            del c  # the largest array, freed before exp and log are built
+            exp = np.zeros(4 * q1 + 1, dtype=np.int32)
+            exp[:q1] = exp[q1:2 * q1] = gk
+            del gk
+            log = np.full(q1 + 1, 2 * q1, dtype=np.int32)
             steps = np.arange(q1, dtype=np.int32)
-            log[exp] = steps
+            log[exp[:q1]] = steps
             # log[exp[i]] == i for every i only if the q - 1 powers differ
-            if exp.min() == 0 or (log[exp] != steps).any():
+            if exp[:q1].min() == 0 or (log[exp[:q1]] != steps).any():
                 raise InternalCheckError(f"bad exp table for GF({self.q})")
-            if self.q <= _EXP_TABLE_LIMIT:
-                self._log = log.tolist()
-                self._exp = exp.tolist()
-            self._tables = exp, log
+            inv = np.zeros(q1 + 1, dtype=np.int32)
+            inv[1:] = exp[q1 - log[1:]]
+            self._tables = exp, log, inv
 
     def np_ops(self) -> _NpOps:
         """Numpy ops for bulk linear algebra, built once."""
@@ -654,34 +621,8 @@ class FieldCtx:
     def _build_np_ops(self) -> _NpOps:
         import numpy as np
 
-        q, p, e = self.q, self.p, self.e
-        if e == 1:
-            def sub(x, y):
-                return (x - y) % p
-        elif p == 2:
-            def sub(x, y):
-                return x ^ y
-        else:
-            weights = [p ** i for i in range(e)]
-
-            def sub(x, y):
-                # (x // w - y // w) mod p is the digit difference at weight w
-                z = 0
-                for w in weights:
-                    z = z + (x // w - y // w) % p * w
-                return z
-        q1 = q - 1
-        if self._tables is None:
-            self._ensure_tables()
-        # exp is stored twice so log x + log y needs no reduction mod q - 1;
-        # log 0 is 2(q - 1), past both copies, into zeros, so a zero factor
-        # gives 0 without a mask
-        exp_q1, log = self._tables
-        exp = np.zeros(4 * q1 + 1, dtype=np.int32)
-        exp[:q1] = exp_q1
-        exp[q1:2 * q1] = exp_q1
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[q1 - log[1:]]
+        exp, log, inv = self._arrays()
+        sub, q = self._sub, self.q
 
         def mul(x, y):
             return exp[log[x] + log[y]]

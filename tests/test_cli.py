@@ -100,8 +100,8 @@ def test_construct_rejects_missing_unread_and_conflicting_flags(
 
 
 def test_theorem_3_5_above_2_16_round_trip_is_fast(tmp_path, capsys):
-    # [526, 263] over GF(263^2) = GF(69169), above the scalar ops' 2^16
-    # tables: bulk arithmetic runs on the exp/log arrays
+    # [526, 263] over GF(263^2) = GF(69169), above 2^16: scalar and bulk
+    # arithmetic run on the exp/log arrays
     out_file = tmp_path / "code.json"
     start = time.perf_counter()
     rc, _, err = run_cli(["construct", "--family", "theorem-3-5", "--r", "263",
@@ -247,6 +247,30 @@ def test_sweep_rejects_out_of_range_counts_before_any_cell(flag, value,
                             flag, value], capsys)
     assert rc == 1 and out == ""  # no table
     assert f"argument {flag}: must be at least" in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--family", "extended", "--t", "11"], "family 'extended' does not take t"),
+    (["--family", "theorem-3-5", "--q", "1", "-1", "--r", "27"],
+     "family 'theorem-3-5' does not take q"),
+])
+def test_sweep_rejects_flags_its_family_does_not_read(argv, unread,
+                                                      monkeypatch, capsys):
+    # refused like construct refuses them, before the grid's first cell
+    cells = []
+    monkeypatch.setattr(grsdual.cli, "build", cells.append)
+    rc, out, err = run_cli(["sweep", *argv], capsys)
+    assert (rc, out, cells) == (1, "", [])
+    assert err == f"error: {unread}\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_construct_rejects_e_below_one(value, capsys):
+    # argparse names the flag; no float or "1 is not a prime power" leaks
+    rc, out, err = run_cli(["construct", "--family", "even-char", "--p", "2",
+                            "--e", value, "--n", "2"], capsys)
+    assert (rc, out) == (1, "")
+    assert f"argument --e: must be at least 1, got {value}" in err
 
 
 def test_search_found(capsys):

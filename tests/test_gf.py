@@ -27,7 +27,6 @@ from grsdual.errors import (
     TooLargeError,
 )
 from grsdual.gf import (
-    _EXP_TABLE_LIMIT,
     FIELD_SIZE_LIMIT,
     FieldCtx,
     field_for_order,
@@ -188,8 +187,9 @@ def _check_slow_mul_on_samples(ctx, seed):
     (13, 5), (101, 3), (263, 2)] + [
     (2, e) for e in range(2, 20) if e not in (11, 17)])
 def test_slow_mul_matches_poly_oracle_on_samples(p, e):
-    # the exp/log build takes its doubling matrices from _mul_slow, and
-    # above 2^16 it is the scalar product; p = 2 is sampled at every degree
+    # the exp/log build takes its doubling matrices from _mul_slow, and the
+    # extension-field character table squares with it; p = 2 is sampled at
+    # every degree
     _check_slow_mul_on_samples(make_field(p, e), p * 100 + e)
 
 
@@ -468,6 +468,43 @@ def test_roots_of_unity_are_exactly_the_mth_roots(ctx):
         assert roots == [z for z in range(ctx.q) if ctx.power(z, m) == 1]
 
 
+# --- scalar ops against independent oracles, at every field size -----------------
+
+def _coordinate_op(ctx, op, *xs):
+    """op applied coordinate by coordinate over GF(p)."""
+    return ctx.element([op(*cs) % ctx.p for cs in zip(*map(ctx.coeffs, xs))])
+
+
+@pytest.mark.parametrize("p,e", [
+    (2, 17), (3, 11), (263, 2), (1048573, 1),
+    (2, 8), (5, 3), (1031, 1), (2, 16), (65537, 1)])
+def test_scalar_ops_match_slow_and_coordinate_oracles(p, e):
+    # the scalar ops read the exp/log/inv arrays and _digit_sub; _mul_slow,
+    # _pow_slow and coordinates share neither
+    ctx = make_field(p, e)
+    q = ctx.q
+    rnd = random.Random(q)
+    xs = [0, 1, q - 1] + [rnd.randrange(q) for _ in range(200)]
+    for x in xs:
+        y, n = rnd.randrange(q), rnd.randrange(3 * q)
+        assert ctx.mul(x, y) == ctx._mul_slow(x, y), (x, y)
+        assert ctx.power(x, n) == ctx._pow_slow(x, n), (x, n)
+        assert ctx.add(x, y) == _coordinate_op(ctx, int.__add__, x, y)
+        assert ctx.sub(x, y) == _coordinate_op(ctx, int.__sub__, x, y)
+        assert ctx.neg(x) == _coordinate_op(ctx, int.__neg__, x)
+        if x:
+            inverse = ctx._pow_slow(x, q - 2)
+            assert ctx.inverse(x) == inverse, x
+            assert ctx.power(x, -n) == ctx._pow_slow(inverse, n), (x, n)
+        if x and p != 2 and ctx._pow_slow(x, (q - 1) // 2) != 1:
+            with pytest.raises(NonResidueError,
+                               match=rf"^{x} is not a square in GF\({q}\)$"):
+                ctx.sqrt(x)
+        else:
+            root = ctx.sqrt(x)
+            assert ctx._mul_slow(root, root) == x and root <= ctx.neg(root)
+
+
 # --- lazily built tables ------------------------------------------------------------
 
 @pytest.mark.parametrize("q", (16, 2048))  # dense numpy tables, exp/log only
@@ -482,7 +519,7 @@ def test_tables_are_asked_for_only_while_unbuilt(q, first, monkeypatch):
     ensure = FieldCtx._ensure_tables
 
     def counted(self):
-        calls.append(self._exp is None)
+        calls.append(self._tables is None)
         ensure(self)
 
     monkeypatch.setattr(FieldCtx, "_ensure_tables", counted)
@@ -496,24 +533,26 @@ def test_tables_are_asked_for_only_while_unbuilt(q, first, monkeypatch):
 
 def _check_tables_against_slow_powers(ctx, seed):
     # the arrays the exp/log build leaves, against square-and-multiply on
-    # _mul_slow: q - 1 distinct nonzero powers, sampled exp[i] = g^i and
-    # log[exp[i]] = i
+    # _mul_slow: q - 1 distinct nonzero powers, stored twice and then
+    # zeros up to 4(q - 1), log 0 = 2(q - 1) pointing into the zeros;
+    # sampled exp[i] = g^i, log[exp[i]] = i and inv[x] = x^(q-2)
     ctx._ensure_tables()
-    exp, log = ctx._tables
+    exp, log, inv = ctx._tables
     q1 = ctx.q - 1
-    assert exp.dtype == log.dtype == np.int32
-    assert exp.shape == (q1,) and log.shape == (ctx.q,)
-    assert exp.min() > 0 and np.unique(exp).size == q1
+    assert exp.dtype == log.dtype == inv.dtype == np.int32
+    assert exp.shape == (4 * q1 + 1,) and log.shape == inv.shape == (ctx.q,)
+    assert exp[:q1].min() > 0 and np.unique(exp[:q1]).size == q1
+    assert (exp[q1:2 * q1] == exp[:q1]).all() and not exp[2 * q1:].any()
+    assert int(log[0]) == 2 * q1 and int(inv[0]) == 0
     g = ctx.primitive_element()
     rnd = random.Random(seed)
     for i in [0, q1 - 1] + [rnd.randrange(q1) for _ in range(200)]:
-        assert int(exp[i]) == ctx._pow_slow(g, i), i
-        assert int(log[exp[i]]) == i
-    # the scalar ops read Python lists of the same tables only up to 2^16
-    if ctx.q <= _EXP_TABLE_LIMIT:
-        assert ctx._exp == exp.tolist() and ctx._log == log.tolist()
-    else:
-        assert ctx._exp is None and ctx._log is None
+        x = int(exp[i])
+        assert x == ctx._pow_slow(g, i), i
+        assert int(log[x]) == i
+        assert int(inv[x]) == ctx._pow_slow(x, q1 - 1), x
+    # the numpy ops read the same arrays, not copies
+    assert ctx.np_ops().inv is inv
 
 
 @pytest.mark.parametrize("p,e", [

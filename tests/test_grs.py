@@ -73,8 +73,7 @@ def test_dual_coefficients_solve_the_power_rows_system():
         assert mat_vec(system, u) == [0] * system.nrows
 
 
-# tabulated (q <= 2^10) and exp/log providers, below and above the
-# scalar ops' 2^16 tables
+# tabulated (q <= 2^10) and exp/log providers, below and above 2^16
 KERNEL_FIELDS = (5, 9, 729, 1849, 2048, 3 ** 11, 2 ** 17)
 
 

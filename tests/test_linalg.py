@@ -142,8 +142,8 @@ def _with_dependent_rows(ctx, rows, rnd):
 
 def test_rank_table_kernel_agrees_with_pure_elimination():
     rnd = random.Random(3)
-    # tabulated ops up to 2^10, O(q) exp/log arrays above, on both sides
-    # of 2^16 (each with all three kinds of subtraction: prime,
+    # tabulated ops up to 2^10, O(q) exp/log arrays above, up to 2^17 and
+    # 3^11 (each with all three kinds of subtraction: prime,
     # characteristic 2, digit-wise)
     fields = [4, 5, 9, 13, 16, 25, 1031, 1849, 2048, 2187, 65536,
               65537, 2 ** 17, 3 ** 11]
@@ -180,7 +180,7 @@ def _random_rows(ctx, rnd, max_dim=6):
 
 def test_rank_rref_nullspace_match_sympy():
     # sympy's DomainMatrix over GF(p) shares no code with the kernel;
-    # 65537 is the first prime field above the scalar ops' 2^16 lists
+    # 65537 is the first prime field above 2^16
     rnd = random.Random(7)
     for p in (2, 3, 13, 1031, 65537):
         ctx, field = make_field(p), GF(p)
@@ -202,7 +202,7 @@ def test_rank_rref_nullspace_match_sympy():
 
 
 def test_reduced_forms_match_scalar_echelon():
-    # tabulated and O(q) array providers, on both sides of 2^16
+    # tabulated and O(q) array providers, below and above 2^16
     rnd = random.Random(8)
     for q in (4, 9, 25, 1849, 2048, 2187, 3 ** 11, 2 ** 17):
         ctx = field_for_order(q)
@@ -238,19 +238,23 @@ def test_reduced_forms_match_scalar_echelon():
                 echelon(ctx, other, reduced=True)[0] == ref)
 
 
-def _pairs_agree_with_scalar_ops(ctx, xs, ys):
+def _pairs_agree_with_oracles(ctx, xs, ys):
+    # the scalar ops read the same arrays and subtraction as np_ops(), so
+    # the references are _mul_slow, x^(q-2) by _pow_slow and coordinates
     ops = ctx.np_ops()
-    assert ops.mul[xs, ys].tolist() == [ctx.mul(int(a), int(b))
-                                        for a, b in zip(xs, ys)]
-    assert ops.sub[xs, ys].tolist() == [ctx.sub(int(a), int(b))
-                                        for a, b in zip(xs, ys)]
+    p, pairs = ctx.p, list(zip(xs.tolist(), ys.tolist()))
+    assert ops.mul[xs, ys].tolist() == [ctx._mul_slow(a, b) for a, b in pairs]
+    assert ops.sub[xs, ys].tolist() == [
+        ctx.element([(c - d) % p for c, d in zip(ctx.coeffs(a), ctx.coeffs(b))])
+        for a, b in pairs]
     nonzero = xs[xs != 0]
-    assert ops.inv[nonzero].tolist() == [ctx.inverse(int(a)) for a in nonzero]
+    assert ops.inv[nonzero].tolist() == [ctx._pow_slow(a, ctx.q - 2)
+                                         for a in nonzero.tolist()]
 
 
 def test_array_ops_agree_with_dense_tables():
     # up to 2^10 np_ops() keeps q x q tables (prime, characteristic 2 and
-    # digit-wise subtraction); all q^2 pairs against the scalar ops, and
+    # digit-wise subtraction); all q^2 pairs against the oracles, and
     # sampled pairs plus the 0 and 1 rows and columns at the limit
     for q in (4, 5, 9, 16, 25, 27):
         ctx = field_for_order(q)
@@ -258,7 +262,7 @@ def test_array_ops_agree_with_dense_tables():
         assert ops.mul.shape == ops.sub.shape == (q, q)
         x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                            np.arange(q, dtype=np.int32))
-        _pairs_agree_with_scalar_ops(ctx, x.ravel(), y.ravel())
+        _pairs_agree_with_oracles(ctx, x.ravel(), y.ravel())
     ctx = field_for_order(1024)
     ops = ctx.np_ops()
     assert ops.mul.shape == ops.sub.shape == (1024, 1024)
@@ -267,14 +271,13 @@ def test_array_ops_agree_with_dense_tables():
                   + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
     ys = np.array(list(range(1024)) * 2 + [0] * 1024 + [1] * 1024
                   + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
-    _pairs_agree_with_scalar_ops(ctx, xs, ys)
+    _pairs_agree_with_oracles(ctx, xs, ys)
 
 
 def test_array_ops_match_scalar_arithmetic_above_table_limit():
     # above 2^10 the ops are the O(q) exp/log arrays, not tables, up to
-    # the 2^20 field size limit; above 2^16 the scalar ops they are
-    # checked against run without tables (prime, characteristic 2 and
-    # digit-wise subtraction)
+    # the 2^20 field size limit (prime, characteristic 2 and digit-wise
+    # subtraction)
     rnd = random.Random(5)
     for q in (1031, 1849, 2048, 2187, 65536, 65537, 2 ** 17, 3 ** 11,
               2 ** 20, 3 ** 12, 1048573):
@@ -285,7 +288,7 @@ def test_array_ops_match_scalar_arithmetic_above_table_limit():
                       dtype=np.int32)
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
         assert ops.mul[xs, ys].dtype == ops.inv.dtype == np.int32
-        _pairs_agree_with_scalar_ops(ctx, xs, ys)
+        _pairs_agree_with_oracles(ctx, xs, ys)
 
 
 def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):

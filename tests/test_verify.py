@@ -510,7 +510,7 @@ def test_minimum_distance_matches_hand_enumeration():
 
 
 def test_minimum_distance_above_the_exp_log_limit():
-    # GF(3^11) has no exp/log tables and no numpy op provider
+    # GF(3^11): above 2^16, exp/log arrays and no dense tables
     code = GrsCode(field_for_order(3 ** 11), (0, 1, 2), (1, 1, 1), 1)
     assert ver.minimum_distance(code) == 3
 
