@@ -240,8 +240,11 @@ def _cmd_sweep(args) -> int:
         families = FAMILY_TABLE.values()
     else:
         families = [FAMILY_TABLE[args.family]]
-        try:  # a grid flag the family does not read would be ignored
-            families[0].check_given(args, needed=False)
+        # a grid flag the family does not read would be ignored, and the
+        # square-set grid has default cells only when both axes are unset
+        lone_axis = args.family == "square-set" and any((args.q, args.n))
+        try:
+            families[0].check_given(args, needed=lone_axis)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

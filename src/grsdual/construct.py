@@ -337,13 +337,14 @@ def construct_square_set(q: int, n: int,
                          node_budget: Optional[int] = SEARCH_NODE_BUDGET,
                          ) -> ConstructionResult:
     """Self-dual [n, n/2] code from a square-difference point set."""
+    p, e = split_prime_power(q)
     if n % 2:
         raise OddLengthError(f"length must be even, got {n}")
     points = search_square_difference_set(q, n, node_budget=node_budget)
     if points is None:
         raise NotFoundError(
             f"no square-difference set of size {n} exists in GF({q})")
-    ctx = make_field(*split_prime_power(q))
+    ctx = make_field(p, e)
     code, cert = _certified_selfdual(ctx, points)
     if cert.lam != 1:
         raise InternalCheckError("square-set coefficients must all be squares")
@@ -606,6 +607,7 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
             n = 2 * t * r
     if q is None or n is None:
         raise ValueError("auto needs q (or r) and a target length n")
+    split_prime_power(q if r is None else r)  # the field the user named
     attempts = []
     # the table lists the most general family first, so try it backwards
     for family in reversed(FAMILY_TABLE.values()):

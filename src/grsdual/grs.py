@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf import FieldCtx, Felt, field_from_json
-from .linalg import MatrixGF, matrix_from_json
+from .linalg import MatrixGF
 
 
 # Longest block length N accepted, checked before any O(N^2) work; since
@@ -154,8 +154,7 @@ def generator_matrix(code: GrsCode) -> MatrixGF:
         last = np.zeros((code.k, 1), dtype=gen.dtype)
         last[-1] = 1
         gen = np.hstack((gen, last))
-    return MatrixGF(code.ctx, code.k, code.block_length,
-                    tuple(gen.ravel().tolist()))
+    return MatrixGF(code.ctx, code.k, code.block_length, gen)
 
 
 def encode(code: GrsCode, message: Sequence[Felt]) -> list[Felt]:
@@ -266,20 +265,21 @@ def check_code_json(obj) -> None:
                                  f"coordinates, got {_json_type(cs)}")
 
 
-def _read_elements(ctx: FieldCtx, obj: dict, key: str) -> tuple[Felt, ...]:
-    """The elements of the coordinate arrays obj[key]; a bad coordinate's
+def _read_elements(ctx: FieldCtx, items: list, name: str) -> tuple[Felt, ...]:
+    """The elements of the coordinate arrays items; a bad coordinate's
     ValueError names the field."""
     try:
-        return tuple(ctx.element(cs) for cs in obj[key])
+        return tuple(ctx.element(cs) for cs in items)
     except ValueError as exc:
-        raise ValueError(f'"{key}": {exc}') from None
+        raise ValueError(f'"{name}": {exc}') from None
 
 
 def code_from_json(obj: dict) -> GrsCode:
     check_code_json(obj)
     ctx = field_from_json(obj["field"])
-    code = GrsCode(ctx, _read_elements(ctx, obj, "alpha"),
-                   _read_elements(ctx, obj, "v"), obj["k"], obj["extended"])
+    code = GrsCode(ctx, _read_elements(ctx, obj["alpha"], "alpha"),
+                   _read_elements(ctx, obj["v"], "v"), obj["k"],
+                   obj["extended"])
     if code.n != obj["n"]:
         raise ValueError("stored n does not match the alpha list")
     return code
@@ -290,19 +290,19 @@ def stored_generator_from_json(obj: dict) -> MatrixGF | None:
 
     Kept separate from code_from_json so a verifier can check the stored
     matrix against the one implied by (a, v, k) instead of silently
-    regenerating it.  Its shape must be k x block length.
+    regenerating it.  Its shape must be k x block length, and is checked
+    before the entries are shaped into an array.
     """
     check_code_json(obj)
     gen = obj.get("generator")
     if gen is None:
         return None
     ctx = field_from_json(obj["field"])
-    try:
-        m = matrix_from_json(ctx, gen)
-    except ValueError as exc:
-        raise ValueError(f'"generator.entries": {exc}') from None
-    k, cols = obj["k"], obj["n"] + (1 if obj["extended"] else 0)
-    if (m.nrows, m.ncols) != (k, cols):
+    entries = _read_elements(ctx, gen["entries"], "generator.entries")
+    rows, cols = gen["rows"], gen["cols"]
+    k, length = obj["k"], obj["n"] + (1 if obj["extended"] else 0)
+    # a wrong entry count is reported first, by MatrixGF
+    if rows * cols == len(entries) and (rows, cols) != (k, length):
         raise ShapeMismatchError(
-            f"stored generator is {m.nrows}x{m.ncols}, expected {k}x{cols}")
-    return m
+            f"stored generator is {rows}x{cols}, expected {k}x{length}")
+    return MatrixGF(ctx, rows, cols, entries)

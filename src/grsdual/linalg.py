@@ -1,6 +1,7 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are immutable row-major tuples of element indices; their JSON
+A matrix holds its entries, element indices, as one read-only int32
+array of shape (nrows, ncols): the array every kernel reads.  Its JSON
 form lists each entry's coordinates, from one vectorized digit split
 (`FieldCtx.coords`).  All row reduction runs one numpy elimination body,
 `_np_echelon`, with plain leftmost-nonzero pivoting on the field's op
@@ -25,29 +26,33 @@ from .errors import DuplicatePointsError, ShapeMismatchError
 from .gf import FieldCtx, Felt, json_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGF:
-    """Dense matrix over one field context, entries row-major."""
+    """Dense matrix over one field context; entries, any row-major
+    sequence or array, are held as a read-only int32 (nrows, ncols) array.
+    Equality is by value: the same context, shape and entries."""
 
     ctx: FieldCtx
     nrows: int
     ncols: int
-    entries: tuple[Felt, ...]
+    entries: "np.ndarray"
 
     def __post_init__(self):
-        if len(self.entries) != self.nrows * self.ncols:
+        import numpy as np
+
+        a = np.array(self.entries, dtype=np.int32)
+        if a.size != self.nrows * self.ncols:
             raise ShapeMismatchError(
                 f"{self.nrows}x{self.ncols} matrix needs "
-                f"{self.nrows * self.ncols} entries, got {len(self.entries)}")
+                f"{self.nrows * self.ncols} entries, got {a.size}")
+        a = a.reshape(self.nrows, self.ncols)
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
 
-    def at(self, i: int, j: int) -> Felt:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple[Felt, ...]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
-
-    def rows_list(self) -> list[list[Felt]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
+    def __eq__(self, other):
+        return (isinstance(other, MatrixGF) and self.ctx is other.ctx
+                and self.entries.shape == other.entries.shape
+                and bool((self.entries == other.entries).all()))
 
     def to_json(self) -> dict:
         return {
@@ -62,19 +67,13 @@ def matrix(ctx: FieldCtx, rows: Sequence[Sequence[Felt]]) -> MatrixGF:
     ncols = len(rows[0]) if nrows else 0
     if any(len(r) != ncols for r in rows):
         raise ShapeMismatchError("ragged rows")
-    return MatrixGF(ctx, nrows, ncols, tuple(x for r in rows for x in r))
+    return MatrixGF(ctx, nrows, ncols, [x for r in rows for x in r])
 
 
 def matrix_from_json(ctx: FieldCtx, obj: dict) -> MatrixGF:
-    entries = tuple(ctx.element(cs) for cs in obj["entries"])
+    entries = [ctx.element(cs) for cs in obj["entries"]]
     return MatrixGF(ctx, json_int(obj["rows"], '"rows"'),
                     json_int(obj["cols"], '"cols"'), entries)
-
-
-def identity(ctx: FieldCtx, n: int) -> MatrixGF:
-    return MatrixGF(ctx, n, n,
-                    tuple(1 if i == j else 0
-                          for i in range(n) for j in range(n)))
 
 
 def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:
@@ -100,13 +99,13 @@ def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:
 
 def rref(m: MatrixGF) -> MatrixGF:
     """Canonical reduced row echelon form (same shape, zero rows last)."""
-    a = _array(m)
+    a = m.entries.copy()
     _np_echelon(a, m.ctx.np_ops(), reduced=True)
-    return MatrixGF(m.ctx, m.nrows, m.ncols, tuple(a.ravel().tolist()))
+    return MatrixGF(m.ctx, m.nrows, m.ncols, a)
 
 
 def rank(m: MatrixGF) -> int:
-    return rank_rows(m.ctx, m.rows_list())
+    return rank_rows(m.ctx, m.entries)
 
 
 def rank_rows(ctx: FieldCtx, rows) -> int:
@@ -123,7 +122,7 @@ def nullspace(m: MatrixGF) -> list[tuple[Felt, ...]]:
     nonzero coordinate is 1, fixing the scalar left open by elimination.
     """
     ctx = m.ctx
-    a = _array(m)
+    a = m.entries.copy()
     pivots = _np_echelon(a, ctx.np_ops(), reduced=True)
     rows = a.tolist()
     free = [c for c in range(m.ncols) if c not in pivots]
@@ -145,20 +144,15 @@ def row_equivalent(a: MatrixGF, b: MatrixGF) -> bool:
     """True iff a and b have equal reduced row echelon forms."""
     if a.ctx is not b.ctx or a.nrows != b.nrows or a.ncols != b.ncols:
         raise ShapeMismatchError("row equivalence needs equal shapes")
-    return rref(a).entries == rref(b).entries
+    return rref(a) == rref(b)
 
 
 def entrywise_power(m: MatrixGF, r: int) -> MatrixGF:
     return MatrixGF(m.ctx, m.nrows, m.ncols,
-                    tuple(m.ctx.power(x, r) for x in m.entries))
+                    [m.ctx.power(x, r) for x in m.entries.ravel().tolist()])
 
 
 # --- numpy elimination kernel ---------------------------------------------
-
-def _array(m: MatrixGF):
-    import numpy as np
-    return np.array(m.entries, dtype=np.int32).reshape(m.nrows, m.ncols)
-
 
 def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
     """Row-reduce an int32 array of elements in place; return the pivot

@@ -16,8 +16,9 @@ ceil(e/c)^2 matmuls rather than e^2.  A slot sums at most n c (p-1)^2
 coordinate products, B = bit_length(n c (p-1)^2) holds that, and c is
 the largest with (2c - 1) B <= 63: no slot carries into the next and no
 sum overflows, so every coordinate sum read back is exact.
-Rank runs through `linalg`, whose one numpy elimination body works on
-the field's op provider for every q.
+Products and ranks read a matrix's int32 entries array as it is:
+`_products` widens it to int64, and `linalg.rank_rows` eliminates a copy
+with the one numpy elimination body, on the field's op provider.
 
 The exact MDS check is the definition itself -- every k-subset of
 generator columns must be nonsingular -- tested in systematic form.  The
@@ -88,11 +89,6 @@ class VerificationReport:
 
 # --- inner products -----------------------------------------------------------
 
-def _elements(m: MatrixGF):
-    import numpy as np
-    return np.array(m.entries, dtype=np.int64).reshape(m.nrows, m.ncols)
-
-
 def _slots(p: int, e: int, n: int) -> tuple[int, int]:
     """(c, B) for products of rows of n entries over GF(p^e): c
     consecutive GF(p) coordinates share one int64, B bits each.
@@ -111,8 +107,8 @@ def _slots(p: int, e: int, n: int) -> tuple[int, int]:
 
 
 def _products(ctx: FieldCtx, x, y):
-    """x * y^T over GF(q) for int64 arrays of elements: entry (i, j) is
-    the inner product of row i of x with row j of y.
+    """x * y^T over GF(q) for integer arrays of elements: entry (i, j)
+    is the inner product of row i of x with row j of y.
 
     Each entry is split into its e coordinates over GF(p), and each run of
     c consecutive coordinates is packed into one int64 as a polynomial in
@@ -135,6 +131,7 @@ def _products(ctx: FieldCtx, x, y):
     # for every q <= 2^20 and n < 2^23
     if n * (p - 1) ** 2 >= 1 << 63:
         raise TooLargeError(f"{n} columns overflow the int64 inner products")
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
     c, bits = _slots(p, e, n)
     mask = (1 << bits) - 1
 
@@ -170,7 +167,7 @@ def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
     row-major order, or None; upper scans only j >= i (for a = b)."""
     import numpy as np
 
-    value = _products(ctx, _elements(a), _elements(b))
+    value = _products(ctx, a.entries, b.entries)
     nonzero = np.triu(value != 0) if upper else value != 0
     hits = np.argwhere(nonzero)
     if hits.size == 0:
@@ -187,7 +184,7 @@ def check_self_dual_matrix(ctx: FieldCtx, gen: MatrixGF) -> CheckResult:
     if ncols != 2 * k:
         return CheckResult("self-dual", "fail",
                            f"block length {ncols} != 2k = {2 * k}", "exact")
-    if rank_rows(ctx, gen.rows_list()) != k:
+    if rank_rows(ctx, gen.entries) != k:
         return CheckResult("self-dual", "fail",
                            f"generator rank below k = {k}", "exact")
     hit = _first_nonzero_product(ctx, gen, gen, upper=True)
@@ -238,7 +235,7 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
     else:
         raise ValueError(f"unknown mds mode {mode!r}")
     ops = ctx.np_ops()
-    red = _elements(gen).astype("int32")
+    red = gen.entries.copy()
     slot = [-1] * ncols
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
@@ -318,10 +315,10 @@ def check_dual_identity(ctx: FieldCtx, points: Sequence[Felt],
             "dual-identity", "fail",
             f"row {i} of the dual generator is not orthogonal "
             f"to row {j}", "exact")
-    if rank_rows(ctx, gk.rows_list()) != k:
+    if rank_rows(ctx, gk.entries) != k:
         return CheckResult("dual-identity", "fail",
                            "primal generator not full rank", "exact")
-    if rank_rows(ctx, gd.rows_list()) != n - k:
+    if rank_rows(ctx, gd.entries) != n - k:
         return CheckResult("dual-identity", "fail",
                            "dual generator not full rank", "exact")
     return CheckResult(
@@ -384,13 +381,12 @@ def minimum_distance(code: GrsCode, budget: int = EXACT_MDS_BUDGET) -> int:
         raise BudgetExceededError(
             f"{total} codewords exceed budget {budget}")
     gen = generator_matrix(code)
-    g = _elements(gen)
     best = gen.ncols
     chunk = max(1, _DISTANCE_CHUNK // gen.ncols)
     for start in range(1, total, chunk):  # message 0 is the zero word
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         messages = np.stack([idx // q ** i % q for i in range(k)], axis=1)
-        words = _products(ctx, messages, g.T)
+        words = _products(ctx, messages, gen.entries.T)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
@@ -415,7 +411,7 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
     target = canonical
     if stored_generator is not None:
         target = stored_generator
-        if stored_generator.entries == canonical.entries:
+        if stored_generator == canonical:
             checks.append(CheckResult(
                 "generator-consistency", "pass",
                 "stored generator matches the one implied by (a, v, k)",

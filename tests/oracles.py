@@ -71,7 +71,7 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
         return CheckResult("mds", "fail",
                            f"dimension {k} exceeds block length {ncols}",
                            "exact" if mode == "exact" else mode)
-    rows = gen.rows_list()
+    rows = gen.entries.tolist()
 
     def nonsingular(cols) -> bool:
         sub = [[row[c] for c in cols] for row in rows]
@@ -128,8 +128,9 @@ def products(ctx: FieldCtx, x, y):
 
 
 def transpose(m: MatrixGF) -> MatrixGF:
+    rows = m.entries.tolist()
     return MatrixGF(m.ctx, m.ncols, m.nrows,
-                    tuple(m.at(i, j)
+                    tuple(rows[i][j]
                           for j in range(m.ncols) for i in range(m.nrows)))
 
 
@@ -138,14 +139,14 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
         raise ShapeMismatchError(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
     ctx = a.ctx
+    arows, brows = a.entries.tolist(), b.entries.tolist()
     out = []
-    for i in range(a.nrows):
-        arow = a.row(i)
+    for arow in arows:
         for j in range(b.ncols):
             acc = 0
             for t, av in enumerate(arow):
                 if av:
-                    acc = ctx.add(acc, ctx.mul(av, b.at(t, j)))
+                    acc = ctx.add(acc, ctx.mul(av, brows[t][j]))
             out.append(acc)
     return MatrixGF(ctx, a.nrows, b.ncols, tuple(out))
 
@@ -155,9 +156,9 @@ def mat_vec(m: MatrixGF, vec: Sequence[Felt]) -> list[Felt]:
         raise ShapeMismatchError("vector length does not match columns")
     ctx = m.ctx
     out = []
-    for i in range(m.nrows):
+    for row in m.entries.tolist():
         acc = 0
-        for mv, xv in zip(m.row(i), vec):
+        for mv, xv in zip(row, vec):
             if mv and xv:
                 acc = ctx.add(acc, ctx.mul(mv, xv))
         out.append(acc)

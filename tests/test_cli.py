@@ -16,8 +16,9 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 import grsdual
 from grsdual import construct
@@ -97,6 +98,24 @@ def test_construct_rejects_missing_unread_and_conflicting_flags(
     rc, out, err = run_cli(["construct", *argv], capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each exited 2 with "no family yields", leaked an isqrt() message, or
+    # named a value the user never typed, depending on the eligible family
+    (["auto", "--q", "15", "--n", "4"], "15 is not a prime power"),
+    (["auto", "--q", "1048579", "--n", "4"],
+     "1048579 exceeds the limit 1048576"),
+    (["auto", "--q", "6", "--n", "2"], "6 is not a prime power"),
+    (["auto", "--q", "-3", "--n", "4"], "-3 is not a prime power"),
+    (["auto", "--r", "0", "--n", "4"], "0 is not a prime power"),
+    (["auto", "--q", str(1023 ** 2), "--n", "2046"],
+     "1046529 is not a prime power"),
+    (["square-set", "--q", "15", "--n", "3"], "15 is not a prime power"),
+])
+def test_construct_checks_its_field_before_any_family(argv, message, capsys):
+    rc, out, err = run_cli(["construct", "--family", *argv], capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_theorem_3_5_above_2_16_round_trip_is_fast(tmp_path, capsys):
@@ -359,6 +378,18 @@ def test_sweep_empty_range(capsys):
     assert len(out.strip().splitlines()) == 1  # header only
 
 
+@pytest.mark.parametrize("axis, missing", [(["--q", "13"], "n"),
+                                           (["--n", "4"], "q")])
+def test_sweep_square_set_refuses_a_lone_axis(axis, missing, monkeypatch,
+                                              capsys):
+    # the grid crossed the given axis with nothing: a header and exit 0
+    cells = []
+    monkeypatch.setattr(grsdual.cli, "build", cells.append)
+    rc, out, err = run_cli(["sweep", "--family", "square-set", *axis], capsys)
+    assert (rc, out, cells) == (1, "", [])
+    assert err == f"error: family 'square-set' needs {missing}\n"
+
+
 def test_sweep_writes_artifacts(tmp_path, capsys):
     rc, out, _ = run_cli(["sweep", "--family", "subfield-points",
                           "--r", "3", "--out-dir", str(tmp_path)], capsys)
@@ -444,6 +475,55 @@ def test_bad_field_size_exits_1_quickly(argv, capsys):
     assert rc == 1 and out == "" and err.startswith("error: ")
 
 
+# --- argv fuzzing ------------------------------------------------------------
+
+# negatives, 0 and 1, primes, prime powers, non-prime powers, the square of
+# a non-prime power (1023^2), a prime above the field size limit, and 10^30
+_ARGV_VALUES = [-3, -1, 0, 1, 2, 3, 5, 13, 4, 8, 9, 25, 27, 49, 81, 6, 15,
+                1023 ** 2, 1048579, 10 ** 30]
+
+
+def _is_field_order(value):
+    return 2 <= value <= 1 << 20 and len(factorint(value)) == 1
+
+
+# an r names GF(r^2); keeping the valid ones to r <= 9 keeps every code
+# that can be built at q <= 81, so each case ends in about a second
+_R_VALUES = [v for v in _ARGV_VALUES if v <= 9 or not _is_field_order(v)]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, field value) for construct under every family and auto, or
+    (argv, None) for search.  A family's first parameter is its field."""
+    command = draw(st.sampled_from([*construct.FAMILY_TABLE, "auto",
+                                    "search"]))
+    if command == "search":
+        params = ("q", "n")
+    elif command == "auto":
+        params = draw(st.sampled_from([("q", "n"), ("r", "n")]))
+    else:
+        params = construct.FAMILY_TABLE[command].params
+    values = [draw(st.sampled_from(_R_VALUES if name == "r"
+                                   else _ARGV_VALUES)) for name in params]
+    argv = (["search"] if command == "search"
+            else ["construct", "--family", command])
+    for name, value in zip(params, values):
+        argv += [f"--{name}", str(value)]
+    return argv, None if command == "search" else values[0]
+
+
+@given(case=_argvs())
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_exits_cleanly(case, capsys):
+    argv, field = case
+    rc, _, err = run_cli(argv, capsys)
+    assert rc in (0, 1, 2) and "Traceback" not in err, (argv, err)
+    if field is not None and not _is_field_order(field):
+        assert rc == 1, (argv, err)
+
+
 @pytest.mark.parametrize("key, value", [
     ("extended", "false"), ("extended", 1), ("k", "3"), ("k", True),
     ("n", 5.0), ("n", None),
@@ -472,6 +552,13 @@ def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
      '"generator.entries" must be an array, got an object'),
     (lambda obj: {**obj, "alpha": [[0], [1], 3, [3], [4]]},
      '"alpha[2]" must be an array of coordinates, got an integer'),
+    # shapes numpy could not reshape the entries to
+    (lambda obj: {**obj, "generator": {"rows": 10 ** 30, "cols": 0,
+                                       "entries": []}},
+     f"stored generator is {10 ** 30}x0, expected 3x6"),
+    (lambda obj: {**obj, "generator": {**obj["generator"],
+                                       "rows": -3, "cols": -6}},
+     "stored generator is -3x-6, expected 3x6"),
 ])
 def test_verify_schema_names_the_bad_field(tamper, message, monkeypatch,
                                            capsys):

@@ -129,7 +129,7 @@ def test_scaling_agrees_with_row_equivalence_random_gf25():
 def test_selfdualize_two_points_gf5():
     code = con.selfdualize(make_field(5), (0, 1))
     assert code.v == (2, 1)
-    assert generator_matrix(code).rows_list() == [[2, 1]]  # 4 + 1 = 0
+    assert generator_matrix(code).entries.tolist() == [[2, 1]]  # 4 + 1 = 0
     assert ver.check_self_dual(code).status == "pass"
 
 

@@ -17,15 +17,15 @@ from conftest import FIELDS, field_and_matrix
 from grsdual import linalg as la
 from grsdual.errors import DuplicatePointsError, ShapeMismatchError
 from grsdual.gf import FieldCtx, field_for_order, make_field
-from grsdual.grs import dual_coefficients
+from grsdual.grs import GrsCode, dual_coefficients, generator_matrix
 from oracles import echelon, mat_vec, matmul, transpose
 
 
 def test_vandermonde_shape_and_values():
     ctx = make_field(5)
     m = la.vandermonde_system(ctx, (0, 1, 2))
-    assert m.rows_list() == [[1, 1, 1], [0, 1, 2]]
-    assert la.vandermonde_system(ctx, (0, 1)).rows_list() == [[1, 1]]
+    assert m.entries.tolist() == [[1, 1, 1], [0, 1, 2]]
+    assert la.vandermonde_system(ctx, (0, 1)).entries.tolist() == [[1, 1]]
     with pytest.raises(DuplicatePointsError):
         la.vandermonde_system(ctx, (0, 0, 1))
     with pytest.raises(ValueError):
@@ -38,7 +38,7 @@ def test_nullspace_of_power_rows_system():
     basis = la.nullspace(m)
     assert basis == [(1, 3, 1)]  # frozen: solved by hand-checkable elimination
     assert mat_vec(m, basis[0]) == [0, 0]
-    assert la.nullspace(la.identity(ctx, 2)) == []
+    assert la.nullspace(la.matrix(ctx, [[1, 0], [0, 1]])) == []
 
 
 def test_power_rows_rank_is_n_minus_1():
@@ -72,8 +72,8 @@ def test_rref_is_idempotent_and_rank_counts_pivots(data):
     ctx, rows = data
     m = la.matrix(ctx, rows)
     r = la.rref(m)
-    assert la.rref(r).entries == r.entries
-    nonzero_rows = sum(1 for i in range(r.nrows) if any(r.row(i)))
+    assert la.rref(r) == r
+    nonzero_rows = sum(1 for row in r.entries.tolist() if any(row))
     assert la.rank(m) == nonzero_rows
 
 
@@ -116,11 +116,12 @@ def test_row_equivalence_of_power_rows_under_entrywise_frobenius():
 
 def test_entrywise_power():
     ctx9 = make_field(3, 2)
-    assert la.entrywise_power(la.matrix(ctx9, [[3]]), 3).entries == (6,)
+    assert la.entrywise_power(la.matrix(ctx9, [[3]]), 3).entries.tolist() \
+        == [[6]]
     m = la.matrix(ctx9, [[1, 4], [7, 0]])
-    assert la.entrywise_power(m, 1).entries == m.entries
+    assert la.entrywise_power(m, 1) == m
     zero = la.matrix(ctx9, [[0, 0]])
-    assert la.entrywise_power(zero, 5).entries == (0, 0)
+    assert la.entrywise_power(zero, 5).entries.tolist() == [[0, 0]]
 
 
 def _with_dependent_rows(ctx, rows, rnd):
@@ -191,8 +192,8 @@ def test_rank_rref_nullspace_match_sympy():
                                   shape, field)
             m = la.matrix(ctx, rows)
             assert la.rank_rows(ctx, rows) == theirs.rank()
-            assert la.rref(m).entries == tuple(
-                int(x) % p for r in theirs.rref()[0].to_list() for x in r)
+            assert la.rref(m).entries.ravel().tolist() == [
+                int(x) % p for r in theirs.rref()[0].to_list() for x in r]
             basis = []
             for r in theirs.nullspace().to_list():
                 r = [int(x) % p for x in r]
@@ -211,8 +212,9 @@ def test_reduced_forms_match_scalar_echelon():
             m = la.matrix(ctx, rows)
             ref, pivots = echelon(ctx, [list(r) for r in rows], reduced=True)
             reduced = la.rref(m)
-            assert reduced.rows_list() == ref
-            assert all(type(x) is int for x in reduced.entries)
+            assert reduced.entries.dtype == np.int32
+            assert not reduced.entries.flags.writeable
+            assert reduced.entries.tolist() == ref
             # the nullspace basis vector of a free column is 1 there, 0 on
             # the other free columns, and scaled so it leads with 1
             free = [c for c in range(m.ncols) if c not in pivots]
@@ -332,8 +334,8 @@ def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
 def test_matmul_identity_and_shapes():
     ctx = make_field(7)
     m = la.matrix(ctx, [[1, 2, 3], [4, 5, 6]])
-    assert matmul(la.identity(ctx, 2), m).entries == m.entries
-    assert transpose(transpose(m)).entries == m.entries
+    assert matmul(la.matrix(ctx, [[1, 0], [0, 1]]), m) == m
+    assert transpose(transpose(m)) == m
     with pytest.raises(ShapeMismatchError):
         matmul(m, m)
 
@@ -343,7 +345,38 @@ def test_matrix_json_roundtrip():
     m = la.matrix(ctx, [[0, 1, 3], [8, 2, 6]])
     blob = m.to_json()
     assert blob["rows"] == 2 and blob["cols"] == 3
-    assert la.matrix_from_json(ctx, blob).entries == m.entries
+    assert la.matrix_from_json(ctx, blob) == m
+
+
+def test_matrix_holds_a_read_only_int32_array():
+    ctx, ctx9 = make_field(7), make_field(3, 2)
+    code = GrsCode(ctx, (0, 1, 2), (1, 1, 1), 2, extended=True)
+    m = la.matrix(ctx, [[1, 2, 3], [4, 5, 6]])
+    for made in (m, la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5, 6)),
+                 la.MatrixGF(ctx, 2, 3, np.arange(1, 7)),
+                 generator_matrix(code), la.rref(m),
+                 la.matrix_from_json(ctx, m.to_json()),
+                 la.entrywise_power(m, 2), la.vandermonde_system(ctx, (0, 1))):
+        a = made.entries
+        assert type(a) is np.ndarray and a.dtype == np.int32
+        assert a.shape == (made.nrows, made.ncols)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+    # the constructor copies: the caller's array stays its own
+    given_rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int32)
+    held = la.MatrixGF(ctx, 2, 3, given_rows)
+    given_rows[0, 0] = 0
+    assert held.entries[0, 0] == 1 and given_rows.flags.writeable
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^2x3 matrix needs 6 entries, got 5$"):
+        la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5))
+    # equality is by value: the same context, shape and entries
+    assert m == la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5, 6))
+    assert m != la.matrix(ctx, [[1, 2, 3], [4, 5, 0]])
+    assert m != la.MatrixGF(ctx, 3, 2, (1, 2, 3, 4, 5, 6))
+    assert m != la.matrix(ctx9, [[1, 2, 3], [4, 5, 6]])
+    assert la.matrix(ctx, []) == la.MatrixGF(ctx, 0, 0, ())
 
 
 def test_nullspace_vectors_rank_nullity():

@@ -79,7 +79,7 @@ def _self_dual_generator(ctx, k, rnd, mix=True):
 def _tampered(gen, rnd, count):
     """gen with count distinct entries shifted by nonzero field elements."""
     ctx = gen.ctx
-    entries = list(gen.entries)
+    entries = gen.entries.ravel().tolist()
     for pos in rnd.sample(range(len(entries)), count):
         entries[pos] = ctx.add(entries[pos], rnd.randrange(1, ctx.q))
     return la.MatrixGF(ctx, gen.nrows, gen.ncols, tuple(entries))
@@ -88,10 +88,11 @@ def _tampered(gen, rnd, count):
 def _oracle_first_product(a, b, upper=False):
     """First nonzero entry of a * b^T in row-major order, by scalar loops."""
     prod = matmul(a, transpose(b))
+    rows = prod.entries.tolist()
     for i in range(prod.nrows):
         for j in range(i if upper else 0, prod.ncols):
-            if prod.at(i, j):
-                return i, j, prod.at(i, j)
+            if rows[i][j]:
+                return i, j, rows[i][j]
     return None
 
 
@@ -160,7 +161,7 @@ def test_inner_products_match_matmul_oracle(q):
         for a, b in ((bad, bad), (bad, gen), (gen, bad)):
             assert (ver._first_nonzero_product(ctx, a, b)
                     == _oracle_first_product(a, b))
-        top = la.MatrixGF(ctx, 2, bad.ncols, bad.entries[:2 * bad.ncols])
+        top = la.MatrixGF(ctx, 2, bad.ncols, bad.entries[:2])
         assert ver._first_nonzero_product(ctx, gen, top) == \
             _oracle_first_product(gen, top)
     details = tuple(ver.check_self_dual_matrix(ctx, bad).detail
@@ -219,7 +220,7 @@ def test_packed_products_match_coordinate_pair_oracle(q):
     # and the oracle itself against scalar field arithmetic
     x, y = rng.integers(0, q, (3, 7)), rng.integers(0, q, (4, 7))
     want = matmul(matrix(ctx, x.tolist()), transpose(matrix(ctx, y.tolist())))
-    assert oracles.products(ctx, x, y).ravel().tolist() == list(want.entries)
+    assert oracles.products(ctx, x, y).tolist() == want.entries.tolist()
 
 
 @pytest.mark.parametrize("p, e", ((1048573, 1), (31, 4)))
@@ -315,7 +316,7 @@ def _mds_cases(ctx, rnd):
     def grs_rows(k, n):
         points = tuple(rnd.sample(range(q), n))
         v = tuple(rnd.randrange(1, q) for _ in range(n))
-        return generator_matrix(GrsCode(ctx, points, v, k)).rows_list()
+        return generator_matrix(GrsCode(ctx, points, v, k)).entries.tolist()
 
     cases = []
     for k, n in ((1, 1), (1, 5), (2, 5), (3, 6), (4, 7), (5, 5)):
@@ -392,7 +393,7 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
     assert Counter(blocks) == {(3, 3): 1, (2, 2): 9, (1, 1): 9, (0, 0): 1}
     # with column 4 a copy of column 2 the walk stops at the first subset
     # that holds both
-    rows = generator_matrix(code).rows_list()
+    rows = generator_matrix(code).entries.tolist()
     for row in rows:
         row[4] = row[2]
     calls.update(subsets=0, eliminations=0)
@@ -535,7 +536,7 @@ def test_verify_code_flags_corrupted_stored_generator():
     result = con_families.construct_theorem_3_5(3, 1)
     code = result.code
     gen = generator_matrix(code)
-    entries = list(gen.entries)
+    entries = gen.entries.ravel().tolist()
     entries[0] = code.ctx.add(entries[0], 1)
     corrupted = matrix(code.ctx, [entries[i * gen.ncols:(i + 1) * gen.ncols]
                                   for i in range(gen.nrows)])
