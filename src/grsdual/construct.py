@@ -44,7 +44,7 @@ from .errors import (
     ParameterRangeError,
     SearchGaveUpError,
 )
-from .gf import FieldCtx, Felt, make_field, split_prime_power
+from .gf import FieldCtx, Felt, bounded_power, make_field, split_prime_power
 from .grs import (
     GrsCode,
     check_block_length,
@@ -607,7 +607,12 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
             n = 2 * t * r
     if q is None or n is None:
         raise ValueError("auto needs q (or r) and a target length n")
-    split_prime_power(q if r is None else r)  # the field the user named
+    # the field the user named: q, or r, whose square must fit the limit
+    if r is None:
+        split_prime_power(q)
+    else:
+        split_prime_power(r)
+        bounded_power(r, 2)
     attempts = []
     # the table lists the most general family first, so try it backwards
     for family in reversed(FAMILY_TABLE.values()):

@@ -9,8 +9,10 @@ provider (`FieldCtx.np_ops`), the same provider the GRS layer builds its
 matrices with; there are no numerical concerns in exact arithmetic.
 Its forward pass gives rank and nonsingularity; a back-substitution pass
 gives the reduced row echelon form.  The verifier's MDS check reduces a
-generator once with both passes, then runs the forward pass on one small
-block of that form per column subset.
+generator once with both passes, then tests one small square block of
+that form per column subset: with the forward pass, one block at a time,
+in exact mode, and in randomized mode with `_np_batch_nonsingular`, the
+same forward pass run on a stack of equally sized blocks at once.
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -195,6 +197,39 @@ def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
 def _np_nonsingular(a, ops) -> bool:
     """Nonsingularity of a square array; mutates a."""
     return len(_np_echelon(a, ops)) == a.shape[0]
+
+
+def _np_batch_nonsingular(a, ops):
+    """Nonsingularity of each block of a (B, j, j) int32 array, as a bool
+    array of length B; mutates a.
+
+    All B blocks are eliminated at once with diagonal pivots: at column c
+    a block's pivot is its first nonzero row at or below row c, swapped
+    into row c.  A block with no such row is singular; its zero pivot has
+    inverse inv[0] = 0, so its elimination step subtracts zero and it
+    carries on harmlessly to the next column.
+    """
+    import numpy as np
+
+    nblocks, j = a.shape[:2]
+    ok = np.ones(nblocks, dtype=bool)
+    for c in range(j):
+        # only blocks whose diagonal entry is zero look below it
+        zero = np.flatnonzero(a[:, c, c] == 0)
+        if zero.size:
+            nz = a[zero, c:, c] != 0
+            ok[zero] &= nz.any(1)
+            piv = c + nz.argmax(1)
+            top = a[zero, c]
+            a[zero, c] = a[zero, piv]
+            a[zero, piv] = top
+        if c + 1 < j:
+            # rows below c, from column c + 1 on: column c is not read again
+            factors = ops.mul[a[:, c + 1:, c], ops.inv[a[:, c, c]][:, None]]
+            a[:, c + 1:, c + 1:] = ops.sub[
+                a[:, c + 1:, c + 1:],
+                ops.mul[factors[:, :, None], a[:, None, c, c + 1:]]]
+    return ok
 
 
 def nonsingular_rows(ctx: FieldCtx, rows) -> bool:

@@ -12,7 +12,8 @@ into GF(q) with the field's own reduction rows, so they trust nothing
 about how the matrix was built and share no tables with the rank checks.
 Runs of c consecutive coordinates are packed into one int64, B bits a
 slot (Kronecker substitution), so an inner product of n-entry rows takes
-ceil(e/c)^2 matmuls rather than e^2.  A slot sums at most n c (p-1)^2
+ceil(e/c)^2 matmuls rather than e^2, and G*G^T, which is symmetric, only
+the run pairs on and above the diagonal.  A slot sums at most n c (p-1)^2
 coordinate products, B = bit_length(n c (p-1)^2) holds that, and c is
 the largest with (2c - 1) B <= 63: no slot carries into the next and no
 sum overflows, so every coordinate sum read back is exact.
@@ -28,10 +29,13 @@ permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
 elimination of j ~ k/2 rows instead of k.  The randomized mode samples
-subsets from a seeded generator and reports confidence only; the
-structural mode certifies via the evaluation-code shape (distinct points,
-nonzero multipliers).  Minimum distance by full codeword enumeration is
-provided as a second, independent oracle for tiny codes.
+subsets from a seeded generator and reports confidence only.  It draws
+its samples a chunk at a time, groups the chunk's blocks by size j, and
+eliminates each group as one (B, j, j) array; the exact mode still
+eliminates one block per subset.  The structural mode certifies via
+the evaluation-code shape (distinct points, nonzero multipliers).
+Minimum distance by full codeword enumeration is provided as a second,
+independent oracle for tiny codes.
 """
 
 from __future__ import annotations
@@ -118,9 +122,12 @@ def _products(ctx: FieldCtx, x, y):
     2^B and the top slot ends below bit (2c - 1) B <= 63, so no slot
     carries into the next and nothing overflows: the result is exact.
     That is ceil(e/c)^2 matmuls where a coordinate at a time needs e^2;
-    c = 1 is exactly that.  Each slot is reduced mod p, and degrees >= e
-    are folded back with the reduction rows `FieldCtx._red`, the rows
-    `FieldCtx._mul_slow` packs into its reduction product.
+    c = 1 is exactly that.  When x is y, as in G*G^T, the product of run
+    pair (t, s) is the transpose of pair (s, t), so only the pairs s <= t
+    are multiplied: m (m + 1) / 2 matmuls for m = ceil(e/c).  Each slot
+    is reduced mod p, and degrees >= e are folded back with the reduction
+    rows `FieldCtx._red`, the rows `FieldCtx._mul_slow` packs into its
+    reduction product.
     The matmuls are `einsum` calls: numpy has no BLAS for integers, and
     its einsum loop beats its integer `@` on these shapes.
     """
@@ -131,7 +138,9 @@ def _products(ctx: FieldCtx, x, y):
     # for every q <= 2^20 and n < 2^23
     if n * (p - 1) ** 2 >= 1 << 63:
         raise TooLargeError(f"{n} columns overflow the int64 inner products")
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    same = x is y
+    x = np.asarray(x, dtype=np.int64)
+    y = x if same else np.asarray(y, dtype=np.int64)
     c, bits = _slots(p, e, n)
     mask = (1 << bits) - 1
 
@@ -146,13 +155,19 @@ def _products(ctx: FieldCtx, x, y):
             yield s, len(run), packed
 
     deg = [0] * (2 * e - 1)
-    ys = list(runs(y))
-    for s, ls, xs in runs(x):
-        for t, lt, yt in ys:
+    xr = list(runs(x))
+    yr = xr if same else list(runs(y))
+    for s, ls, xs in xr:
+        for t, lt, yt in yr:
+            # for x is y, the run pair (t, s) gives the transposed product
+            if same and t < s:
+                continue
             prod = np.einsum("ik,jk->ij", xs, yt)
             for i in range(ls + lt - 1):
-                slot = (prod >> (bits * i)) & mask
-                deg[s + t + i] = deg[s + t + i] + slot % p
+                slot = ((prod >> (bits * i)) & mask) % p
+                if same and t > s:
+                    slot = slot + slot.T
+                deg[s + t + i] = deg[s + t + i] + slot
     for d in range(e, 2 * e - 1):
         top = deg[d] % p
         for i, rv in enumerate(ctx._red[d - e]):
@@ -212,9 +227,16 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
     draws (randomized); the first singular subset is reported.
 
     The generator is brought to reduced row echelon form once, and each
-    subset is tested on its block of that form (`_np_subset_nonsingular`).
+    subset is tested on its block of that form.  Exact mode eliminates
+    one block per subset (`_np_subset_nonsingular`).  Randomized mode
+    draws a chunk of samples at a time, at most `_MDS_CHUNK` block
+    entries, and eliminates the chunk's blocks together
+    (`_blocks_nonsingular`); the first singular sample in draw order is
+    reported, so a failure stops the draws within one chunk of it.
     Below rank k every block keeps a zero row, so the first subset fails.
     """
+    import numpy as np
+
     k, ncols = gen.nrows, gen.ncols
     if k > ncols:
         return CheckResult("mds", "fail",
@@ -225,13 +247,9 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
         if total > budget:
             raise BudgetExceededError(
                 f"C({ncols},{k}) = {total} subsets exceed budget {budget}")
-        subsets = combinations(range(ncols), k)
     elif mode == "randomized":
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(ncols), k)))
-                   for _ in range(samples))
     else:
         raise ValueError(f"unknown mds mode {mode!r}")
     ops = ctx.np_ops()
@@ -239,15 +257,28 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
     slot = [-1] * ncols
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
-    for cols in subsets:
-        if not _np_subset_nonsingular(red, slot, cols, ops):
-            return CheckResult("mds", "fail",
-                               f"columns {list(cols)} are singular", mode,
-                               seed=None if mode == "exact" else seed)
     if mode == "exact":
+        for cols in combinations(range(ncols), k):
+            if not _np_subset_nonsingular(red, slot, cols, ops):
+                return CheckResult("mds", "fail",
+                                   f"columns {list(cols)} are singular",
+                                   "exact")
         return CheckResult("mds", "pass",
                            f"all {total} column {k}-subsets nonsingular",
                            "exact")
+    rng = random.Random(seed)
+    pivot_row = np.array(slot)
+    chunk = max(1, _MDS_CHUNK // max(1, k * k))
+    for start in range(0, samples, chunk):
+        drawn = [sorted(rng.sample(range(ncols), k))
+                 for _ in range(min(chunk, samples - start))]
+        cols = np.array(drawn, dtype=np.intp).reshape(len(drawn), k)
+        ok = _blocks_nonsingular(red, pivot_row, cols, ops)
+        if not ok.all():
+            return CheckResult(
+                "mds", "fail",
+                f"columns {drawn[int(ok.argmin())]} are singular",
+                "randomized", seed=seed)
     return CheckResult(
         "mds", "pass",
         f"{samples} sampled column {k}-subsets nonsingular "
@@ -268,6 +299,38 @@ def _np_subset_nonsingular(red, slot, cols, ops) -> bool:
     used = {slot[c] for c in cols}
     rows = [r for r in range(len(red)) if r not in used]
     return linalg._np_nonsingular(red.take(rows, 0).take(free, 1), ops)
+
+
+# block entries B k^2 per chunk of subsets eliminated together
+_MDS_CHUNK = 1 << 16
+
+
+def _blocks_nonsingular(red, pivot_row, cols, ops):
+    """`_np_subset_nonsingular` for every row of the (B, k) array cols,
+    as a bool array of length B; pivot_row is slot as an array.
+
+    A subset with j non-pivot columns has a j x j block.  The blocks of
+    each size j are gathered with one fancy index into a (B_j, j, j)
+    array, rows and columns in the same order as the one-subset path,
+    and eliminated together (`linalg._np_batch_nonsingular`).
+    """
+    import numpy as np
+
+    nblocks = len(cols)
+    rows = pivot_row[cols]
+    free = rows < 0
+    used = np.zeros((nblocks, len(red)), dtype=bool)
+    at = np.nonzero(~free)
+    used[at[0], rows[at]] = True
+    sizes = free.sum(1)
+    ok = np.ones(nblocks, dtype=bool)
+    for j in np.flatnonzero(np.bincount(sizes)).tolist():
+        picked = np.flatnonzero(sizes == j)
+        block_cols = cols[picked][free[picked]].reshape(len(picked), j)
+        block_rows = np.nonzero(~used[picked])[1].reshape(len(picked), j)
+        blocks = red[block_rows[:, :, None], block_cols[:, None, :]]
+        ok[picked] = linalg._np_batch_nonsingular(blocks, ops)
+    return ok
 
 
 def check_mds(code: GrsCode, mode: str = "exact",
@@ -400,6 +463,10 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
                 stored_generator: Optional[MatrixGF] = None,
                 ) -> VerificationReport:
     """Self-dual and MDS checks, with optional extras, as one report.
+
+    mds_mode "auto" checks every column subset when their count fits the
+    budget and `samples` seeded draws of them otherwise, eliminated a
+    chunk at a time (`check_mds_matrix`).
 
     When a stored generator matrix is supplied, the self-dual and MDS
     checks run against it (so hand-edited matrices fail honestly) and an

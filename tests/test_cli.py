@@ -118,6 +118,20 @@ def test_construct_checks_its_field_before_any_family(argv, message, capsys):
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # r is a valid prime power, but GF(r^2) is past the limit: the message
+    # names r^2 as the user typed r, and not the product (1031^2 =
+    # 1062961) the user never typed; subfield-points already did
+    (["auto", "--r", "1031", "--n", "4"], "1031^2 exceeds the limit 1048576"),
+    (["subfield-points", "--r", "1031", "--n", "4"],
+     "1031^2 exceeds the limit 1048576"),
+    (["auto", "--r", "2048", "--n", "4"], "2048^2 exceeds the limit 1048576"),
+])
+def test_auto_names_r_squared_past_the_field_limit(argv, message, capsys):
+    rc, out, err = run_cli(["construct", "--family", *argv], capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_theorem_3_5_above_2_16_round_trip_is_fast(tmp_path, capsys):
     # [526, 263] over GF(263^2) = GF(69169), above 2^16: scalar and bulk
     # arithmetic run on the exp/log arrays
@@ -756,6 +770,44 @@ def test_readme_cli_examples_are_byte_identical(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
     written = (tmp_path / "code.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == README_CODE_JSON
+
+
+# `verify --mds-mode randomized --seed 1` of the even-char [28, 14] code
+# over GF(256), as built and with one entry raised by 1, pinned by exit
+# code and the SHA-256 of what it prints.  The hashes were recorded while
+# the check still eliminated one sampled subset at a time.
+RANDOMIZED_VERIFY_GOLDENS = (
+    (False, 0,
+     "7f5d43d81846a8609bf048ddf4e326da6e6a87adabac0f92de31708fd8dbb0d6"),
+    (True, 3,
+     "ee9870656fcb0f9c27105741f89f5966e9be5950922c182980aa0c56debd7c26"),
+)
+
+
+def test_seeded_randomized_verify_is_byte_identical(tmp_path, capsys):
+    import random
+
+    from grsdual import verify
+
+    code_file = tmp_path / "code.json"
+    rc, _, _ = run_cli(["construct", "--family", "even-char", "--q", "256",
+                        "--n", "28", "-o", str(code_file)], capsys)
+    assert rc == 0
+    obj = json.loads(code_file.read_text())
+    for tampered, expected_rc, stdout_sha in RANDOMIZED_VERIFY_GOLDENS:
+        if tampered:
+            obj["generator"]["entries"][27][0] ^= 1  # row 0, column 27
+            code_file.write_text(json.dumps(obj))
+        rc, out, _ = run_cli(["verify", str(code_file), "--mds-mode",
+                              "randomized", "--seed", "1"], capsys)
+        assert rc == expected_rc
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    # the tampered code's first singular sample lies past the first chunk
+    detail = json.loads(out)["checks"][-1]["detail"]
+    rng = random.Random(1)
+    first = next(i for i in range(10 ** 4) if detail ==
+                 f"columns {sorted(rng.sample(range(28), 14))} are singular")
+    assert first >= verify._MDS_CHUNK // 14 ** 2
 
 
 def test_verify_over_budget_exact_mds_gives_up(tmp_path, capsys):

@@ -172,6 +172,38 @@ def test_rank_table_kernel_agrees_with_pure_elimination():
         assert la.nonsingular_rows(ctx, []) is True
 
 
+def test_batched_kernel_agrees_with_pure_elimination():
+    rnd = random.Random(4)
+    for q in (4, 5, 9, 25, 1031, 2048, 2 ** 17, 3 ** 11):
+        ctx = field_for_order(q)
+        for j in range(6):
+            blocks = []
+            for _ in range(30):
+                rows = [[rnd.randrange(q) for _ in range(j)]
+                        for _ in range(j)]
+                kind = rnd.randrange(4) if j else 3
+                if kind == 0:    # a combination of other rows, or zero
+                    i = rnd.randrange(j)
+                    others = rows[:i] + rows[i + 1:] or [[0] * j]
+                    x, y = rnd.choice(others), rnd.choice(others)
+                    c = rnd.randrange(q)
+                    rows[i] = [ctx.add(xv, ctx.mul(c, yv))
+                               for xv, yv in zip(x, y)]
+                elif kind == 1:  # a zero column
+                    col = rnd.randrange(j)
+                    for row in rows:
+                        row[col] = 0
+                elif kind == 2:  # a zero top-left pivot, to swap
+                    rows[0][0] = 0
+                blocks.append(rows)
+            a = np.array(blocks, dtype=np.int32).reshape(30, j, j)
+            got = la._np_batch_nonsingular(a, ctx.np_ops())
+            want = [len(echelon(ctx, [list(r) for r in rows],
+                                reduced=False)[1]) == j for rows in blocks]
+            assert got.tolist() == want, (q, j)
+            assert 0 < sum(want) and (j == 0 or not all(want))
+
+
 def _random_rows(ctx, rnd, max_dim=6):
     """A random matrix over ctx, half the time with dependent rows."""
     nrows, ncols = rnd.randint(1, max_dim), rnd.randint(1, max_dim)

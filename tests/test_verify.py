@@ -212,15 +212,40 @@ def test_packed_products_match_coordinate_pair_oracle(q):
         y = rng.integers(0, q, (5, n))
         cols = rng.integers(0, q, (n, 4)).T  # a transposed view, as g.T
         full = np.full((4, n), q - 1, dtype=np.int64)  # every slot at its bound
+        # (full, full), (x, x) and (cols, cols) pass one object twice, as
+        # G*G^T does, and multiply only the run pairs s <= t
         for a, b in ((x, y), (y, x), (x, cols), (full, full), (full, y),
-                     (x[:1], full)):
+                     (x[:1], full), (x, x), (cols, cols)):
             got = ver._products(ctx, a, b)
             assert got.shape == (len(a), len(b))
             assert np.array_equal(got, oracles.products(ctx, a, b)), n
+            if a is b:
+                assert np.array_equal(got, ver._products(ctx, a, b.copy()))
     # and the oracle itself against scalar field arithmetic
     x, y = rng.integers(0, q, (3, 7)), rng.integers(0, q, (4, 7))
     want = matmul(matrix(ctx, x.tolist()), transpose(matrix(ctx, y.tolist())))
     assert oracles.products(ctx, x, y).tolist() == want.entries.tolist()
+
+
+def test_self_products_multiply_each_run_pair_once(monkeypatch):
+    import numpy as np
+
+    ctx = field_for_order(2048)
+    x = np.random.default_rng(0).integers(0, 2048, (5, 128))
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args):
+        calls.append(args[0])
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    # GF(2048) rows of 128 entries pack c = 3 coordinates: m = 4 runs
+    ver._products(ctx, x, x.copy())
+    assert len(calls) == 16
+    calls.clear()
+    ver._products(ctx, x, x)
+    assert len(calls) == 4 * 5 // 2
 
 
 @pytest.mark.parametrize("p, e", ((1048573, 1), (31, 4)))
@@ -307,23 +332,25 @@ def test_check_mds_randomized_finds_planted_defect():
 MDS_ORACLE_FIELDS = (9, 16, 25, 1031, 2048, 1 << 17)
 
 
+def _grs_rows(ctx, rnd, k, n):
+    """Generator rows of a random GRS [n, k] code: an MDS code."""
+    points = tuple(rnd.sample(range(ctx.q), n))
+    v = tuple(rnd.randrange(1, ctx.q) for _ in range(n))
+    return generator_matrix(GrsCode(ctx, points, v, k)).entries.tolist()
+
+
 def _mds_cases(ctx, rnd):
     """Generators, as rows, on which the systematic-form check must agree
     with the oracle: GRS (MDS) and random ones for k = 1 to k = N, then
     defects that move the pivots or lower the rank."""
     q = ctx.q
-
-    def grs_rows(k, n):
-        points = tuple(rnd.sample(range(q), n))
-        v = tuple(rnd.randrange(1, q) for _ in range(n))
-        return generator_matrix(GrsCode(ctx, points, v, k)).entries.tolist()
-
     cases = []
     for k, n in ((1, 1), (1, 5), (2, 5), (3, 6), (4, 7), (5, 5)):
-        cases.append(grs_rows(k, n))
+        cases.append(_grs_rows(ctx, rnd, k, n))
         cases.append([[rnd.randrange(q) for _ in range(n)] for _ in range(k)])
     c = rnd.randrange(2, q)
-    dependent, repeated, zero, low_rank = (grs_rows(3, 7) for _ in range(4))
+    dependent, repeated, zero, low_rank = (_grs_rows(ctx, rnd, 3, 7)
+                                           for _ in range(4))
     for row in dependent:   # still rank 3, with pivots in columns 0, 2, 3
         row[1] = ctx.mul(c, row[0])
     for row in repeated:
@@ -335,8 +362,56 @@ def _mds_cases(ctx, rnd):
     return cases + [dependent, repeated, zero, low_rank]
 
 
+def _oracle_samples(ctx, gen, samples, seed):
+    """(j, singular) for each seeded draw of the randomized check, by full
+    elimination; j counts the draw's columns without a pivot in the
+    generator's reduced form, the size of the block the check eliminates."""
+    rows = gen.entries.tolist()
+    pivots = echelon(ctx, [list(r) for r in rows], reduced=True)[1]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        cols = sorted(rng.sample(range(gen.ncols), gen.nrows))
+        sub = [[row[c] for c in cols] for row in rows]
+        rank = len(echelon(ctx, sub, reduced=False)[1])
+        out.append((sum(c not in pivots for c in cols), rank < gen.nrows))
+    return out
+
+
+def _chunk_cases(ctx, rnd, chunk):
+    """(generator rows, seed) for the randomized check in chunks of chunk
+    draws: more than two chunks that all pass, a first singular draw past
+    the first chunk, one whose chunk holds a later singular draw with a
+    smaller block, and a rank-deficient generator."""
+    def first_seed(rows, wanted):
+        gen = matrix(ctx, rows)
+        return next(seed for seed in range(10 ** 4)
+                    if wanted(_oracle_samples(ctx, gen, 40, seed)))
+
+    def first_fail(draws):
+        return next((i for i, (_, bad) in enumerate(draws) if bad), None)
+
+    def past_first_chunk(draws):
+        first = first_fail(draws)
+        return first is not None and first >= chunk
+
+    def smaller_block_later(draws):
+        first = first_fail(draws)
+        if first is None:
+            return False
+        end = (first // chunk + 1) * chunk
+        return any(bad and j < draws[first][0] for j, bad in draws[first:end])
+
+    grs = _grs_rows(ctx, rnd, 3, 7)
+    _, repeated, _, low_rank = _mds_cases(ctx, rnd)[-4:]
+    return [(grs, rnd.randrange(10 ** 6)),
+            (repeated, first_seed(repeated, past_first_chunk)),
+            (repeated, first_seed(repeated, smaller_block_later)),
+            (low_rank, rnd.randrange(10 ** 6))]
+
+
 @pytest.mark.parametrize("q", MDS_ORACLE_FIELDS)
-def test_mds_check_matches_full_subset_oracle(q):
+def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
     ctx = field_for_order(q)
     rnd = random.Random(q)
     statuses = set()
@@ -351,6 +426,18 @@ def test_mds_check_matches_full_subset_oracle(q):
             assert got == want, (mode, seed, rows)
             statuses.add(got.status)
     assert statuses == {"pass", "fail"}
+    # chunks of 4 draws of 3 x 7 generators, so that 40 draws span ten
+    monkeypatch.setattr(ver, "_MDS_CHUNK", 4 * 3 * 3)
+    statuses = []
+    for rows, seed in _chunk_cases(ctx, rnd, 4):
+        gen = matrix(ctx, rows)
+        got = ver.check_mds_matrix(ctx, gen, mode="randomized", samples=40,
+                                   seed=seed)
+        want = oracles.check_mds_matrix(ctx, gen, mode="randomized",
+                                        samples=40, seed=seed)
+        assert got == want, (seed, rows)
+        statuses.append(got.status)
+    assert statuses == ["pass", "fail", "fail", "fail"]
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
@@ -403,6 +490,51 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
                          if {2, 4} <= set(cols))
     assert res.detail == f"columns {list(first)} are singular"
     assert calls == {"subsets": walked, "eliminations": walked}
+
+
+def test_randomized_mds_check_streams_its_draws(monkeypatch):
+    draws = []
+
+    class Counted(random.Random):
+        def sample(self, *args, **kwargs):
+            draws.append(1)
+            return super().sample(*args, **kwargs)
+
+    # rank 1: the first draw fails, and only its chunk is drawn
+    ctx = make_field(5)
+    gen = matrix(ctx, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
+    first = sorted(random.Random(5).sample(range(5), 2))
+    monkeypatch.setattr(ver.random, "Random", Counted)
+    res = ver.check_mds_matrix(ctx, gen, mode="randomized",
+                               samples=10 ** 9, seed=5)
+    assert res.detail == f"columns {first} are singular"
+    assert len(draws) == ver._MDS_CHUNK // 2 ** 2
+    # a [28, 14] check: no subset is eliminated on its own, and each chunk
+    # of B draws makes at most one batched call per block size 0..k
+    calls = {"subsets": 0}
+    blocks = []
+    subset = ver._np_subset_nonsingular
+    batch = la._np_batch_nonsingular
+
+    def one(*args):
+        calls["subsets"] += 1
+        return subset(*args)
+
+    def batched(a, ops):
+        blocks.append(a.shape)
+        return batch(a, ops)
+
+    monkeypatch.setattr(ver, "_np_subset_nonsingular", one)
+    monkeypatch.setattr(la, "_np_batch_nonsingular", batched)
+    code = con_families.construct_extended(27).code
+    samples, k = 10 ** 4, 14
+    assert ver.check_mds(code, mode="randomized",
+                         samples=samples).status == "pass"
+    chunk = ver._MDS_CHUNK // k ** 2
+    assert calls["subsets"] == 0
+    assert len(blocks) <= -(-samples // chunk) * (k + 1)
+    assert sum(b for b, _, _ in blocks) == samples
+    assert all(b <= chunk and j <= k for b, j, _ in blocks)
 
 
 def test_check_mds_structural():
