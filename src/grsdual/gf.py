@@ -480,8 +480,9 @@ class FieldCtx:
     def quadratic_character(self, x: Felt) -> int:
         """0 for x = 0, +1 for nonzero squares, -1 for nonsquares (q odd).
 
-        Euler's criterion, x^((q-1)/2); it never reads character_table,
-        so each can be checked against the other.
+        Euler's criterion, x^((q-1)/2), read from the exp/log arrays.
+        character_table reads neither: it walks the orbits of alpha with
+        digit shifts and squares with `_mul_slow`, so each checks the other.
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -493,12 +494,33 @@ class FieldCtx:
     def character_table(self) -> list[int]:
         """Quadratic character of every element, indexed by element.
 
-        Built from squares: x and -x have the same square, so it squares
-        one of each pair, the x whose leading base-p digit is at most
-        (p-1)/2, and marks the (q-1)/2 results.  In a prime field each
-        square is x * x mod p, inline; an extension field squares with
-        `_mul_slow`, since the tables would import numpy, which a search
-        never does.
+        A prime field squares x = 1 .. (q-1)/2, x * x mod p inline, and
+        marks the (q-1)/2 results.  An extension field needs one product
+        per orbit of multiplication by alpha, the element x (index p):
+        alpha * x is a base-p digit shift, (x mod p^(e-1)) p, plus the top
+        digit times x^e mod the modulus (`_red[0]`) added digit-wise, so
+        walking an orbit takes no product.  One pass of that step numbers
+        every nonzero element in walk order, which gives its orbit and the
+        parity of its place there.  Each orbit has ord(alpha) elements and
+        there are m = (q-1)/ord(alpha) of them; alpha = g^k with gcd(k,
+        q-1) = m, so chi(alpha) = -1 exactly when m is odd.  One
+        `_mul_slow` squaring of each orbit's first element c then fixes
+        every sign:
+
+        - chi(alpha) = 1: chi is constant on each orbit.  Every square
+          (c alpha^j)^2 lies in the orbit of c^2, so the orbits the c^2
+          reach are the square ones and the rest are not.  When ord(alpha)
+          is odd, -1 is not a power of alpha, and the orbit of -c needs no
+          squaring of its own: (-c)^2 = c^2.
+        - chi(alpha) = -1: chi alternates along each orbit.  m is odd, so
+          squaring permutes the orbits, and the place of the square c^2
+          in its orbit gives the sign of that orbit's first element.
+
+        alpha, outside GF(p), has order at least 3, so that is at most
+        (q-1)/4 squarings, where squaring half the field took (q-1)/2.
+        Euler's criterion per orbit would cost more than it saves: for
+        e = 2, alpha often has order 3 or 4.  No numpy either: the exp/log
+        tables would import it, and a search never does.
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -507,18 +529,70 @@ class FieldCtx:
             with self._lock:
                 if self._chi is None:
                     q = self.q
-                    chi = [-1] * q
-                    chi[0] = 0
                     if self.e == 1:
+                        chi = [-1] * q
+                        chi[0] = 0
                         for x in range(1, (q + 1) // 2):
                             chi[x * x % q] = 1
                     else:
-                        for i in range(self.e):
-                            w = self.p ** i
-                            for x in range(w, w * (self.p + 1) // 2):
-                                chi[self._mul_slow(x, x)] = 1
+                        chi = self._orbit_character_table()
                     self._chi = chi
         return self._chi
+
+    def _orbit_character_table(self) -> list[int]:
+        """`character_table` for e > 1, from the orbits of alpha."""
+        p, e, q = self.p, self.e, self.q
+        top = q // p  # weight of the top digit
+        red = self._red[0]  # x^e
+        # alpha * x, for x with top digit t, is x * p + shift[t] (the top
+        # digit dropped and t x^e's digit at weight 1 added), then for each
+        # other weight w where t x^e has a nonzero digit d, +d w where the
+        # digit there is below p - d, else (d - p) w
+        shift, adds = [], []
+        for t in range(p):
+            shift.append(t * red[0] % p - t * q)
+            digits = []
+            for i in range(1, e):
+                d = t * red[i] % p
+                if d:
+                    w = p ** i
+                    digits.append((w, p - d, d * w, (d - p) * w))
+            adds.append(tuple(digits))
+        # x's number in walk order, from 1
+        place = memoryview(bytearray(4 * q)).cast("i")
+        # (-c)^2 = c^2, so when ord(alpha) divides the odd part of q - 1,
+        # -1 is not a power of alpha, and the orbit of -c, walked right
+        # after c's, needs no squaring of its own
+        paired = self._pow_slow(p, (q - 1) // ((q - 1) & (1 - q))) == 1
+        firsts = []  # the elements that get squared
+        m = n = 0
+        for c in range(1, q):
+            if place[c]:
+                continue
+            firsts.append(c)
+            for x in (c, self._sub(0, c)) if paired else (c,):
+                if place[x]:
+                    continue
+                m += 1
+                while not place[x]:
+                    n += 1
+                    place[x] = n
+                    t = x // top
+                    x = x * p + shift[t]
+                    for w, below, up, down in adds[t]:
+                        x += up if x // w % p < below else down
+            if n == q - 1:
+                break
+        size = (q - 1) // m
+        alternate = m % 2  # chi(alpha) = -1
+        sign = [-1] * m
+        for c in firsts:
+            k = place[self._mul_slow(c, c)] - 1
+            sign[k // size] = -1 if alternate and k % 2 else 1
+        by_place = [0]  # chi of the element numbered n, at n
+        for s in sign:
+            by_place += [s, -s] * (size // 2) if alternate else [s] * size
+        return [by_place[n] for n in place]
 
     def smallest_nonresidue(self) -> Felt:
         """Smallest-index element of character -1 (q odd)."""

@@ -111,10 +111,22 @@ def rank(m: MatrixGF) -> int:
 
 
 def rank_rows(ctx: FieldCtx, rows) -> int:
-    """Rank of a list-of-rows or ndarray."""
+    """Rank of a list-of-rows or ndarray.
+
+    A matrix of full rank m = min(shape) often has a nonsingular leading
+    m x m block (every MDS generator does), and then its rank is m without
+    eliminating the other columns or rows.  Otherwise, and for square
+    matrices, the whole matrix is eliminated.
+    """
     import numpy as np
-    return len(_np_echelon(np.array(rows, dtype=np.int32, ndmin=2),
-                           ctx.np_ops()))
+
+    a = np.array(rows, dtype=np.int32, ndmin=2)
+    ops = ctx.np_ops()
+    m = min(a.shape)
+    if (a.shape[0] != a.shape[1]
+            and len(_np_echelon(a[:m, :m].copy(), ops)) == m):
+        return m
+    return len(_np_echelon(a, ops))
 
 
 def nullspace(m: MatrixGF) -> list[tuple[Felt, ...]]:

@@ -504,37 +504,53 @@ def _is_field_order(value):
 # an r names GF(r^2); keeping the valid ones to r <= 9 keeps every code
 # that can be built at q <= 81, so each case ends in about a second
 _R_VALUES = [v for v in _ARGV_VALUES if v <= 9 or not _is_field_order(v)]
+# searches also draw extension fields, whose character table walks the
+# orbits of multiplication by x
+_SEARCH_Q_VALUES = _ARGV_VALUES + [625, 2401, 6561, 15625]
 
 
 @st.composite
 def _argvs(draw):
-    """(argv, field value) for construct under every family and auto, or
-    (argv, None) for search.  A family's first parameter is its field."""
+    """(argv, field values) for construct under every family and auto, for
+    search, and for a square-set sweep over a small grid.  A construct's
+    field is its first parameter; a search or sweep's fields are its q."""
     command = draw(st.sampled_from([*construct.FAMILY_TABLE, "auto",
-                                    "search"]))
+                                    "search", "sweep"]))
+    if command == "sweep":
+        qs = draw(st.lists(st.sampled_from(_SEARCH_Q_VALUES), min_size=1,
+                           max_size=2))
+        ns = draw(st.lists(st.sampled_from(_ARGV_VALUES), min_size=1,
+                           max_size=2))
+        argv = ["sweep", "--family", "square-set",
+                "--q", *map(str, qs), "--n", *map(str, ns)]
+        return argv, qs
     if command == "search":
         params = ("q", "n")
     elif command == "auto":
         params = draw(st.sampled_from([("q", "n"), ("r", "n")]))
     else:
         params = construct.FAMILY_TABLE[command].params
-    values = [draw(st.sampled_from(_R_VALUES if name == "r"
-                                   else _ARGV_VALUES)) for name in params]
+    pools = {"r": _R_VALUES,
+             "q": _SEARCH_Q_VALUES if command == "search" else _ARGV_VALUES}
+    values = [draw(st.sampled_from(pools.get(name, _ARGV_VALUES)))
+              for name in params]
     argv = (["search"] if command == "search"
             else ["construct", "--family", command])
     for name, value in zip(params, values):
         argv += [f"--{name}", str(value)]
-    return argv, None if command == "search" else values[0]
+    return argv, [] if command == "search" else values[:1]
 
 
 @given(case=_argvs())
 @settings(deadline=None, max_examples=100,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_argv_exits_cleanly(case, capsys):
-    argv, field = case
+    # a sweep exits 3, not 2, when a cell does not pass
+    argv, fields = case
     rc, _, err = run_cli(argv, capsys)
-    assert rc in (0, 1, 2) and "Traceback" not in err, (argv, err)
-    if field is not None and not _is_field_order(field):
+    clean = {0, 1, 3} if argv[0] == "sweep" else {0, 1, 2}
+    assert rc in clean and "Traceback" not in err, (argv, err)
+    if not all(map(_is_field_order, fields)):
         assert rc == 1, (argv, err)
 
 

@@ -8,6 +8,7 @@ long division, exhaustive squaring tables) and then pinned as literals.
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -395,7 +396,33 @@ def test_character_table_matches_euler_criterion(q):
     assert chi == [ctx.quadratic_character(x) for x in range(q)]
 
 
-@pytest.mark.parametrize("q", [5 ** 6, 65537, 114689, 3 ** 11])
+@pytest.mark.parametrize("q, orbits", [
+    (27, 1), (243, 1), (343, 3),      # chi(alpha) = -1: m odd
+    (289, 96), (361, 90), (529, 132),  # alpha of order 3 or 4
+    (625, 8), (3 ** 8, 8)])
+def test_orbit_character_table_matches_exhaustive_squares(q, orbits):
+    # the table walks the orbits of alpha = x (index p); the parity of
+    # their count m = (q-1)/ord(alpha) picks how the signs are found
+    ctx = field_for_order(q)
+    order = next(k for k in range(1, q) if ctx.power(ctx.p, k) == 1)
+    assert (q - 1) // order == orbits
+    squares = oracle_square_set(ctx)
+    chi = FieldCtx(ctx.p, ctx.e, ctx.modulus).character_table()
+    assert chi == [0] + [1 if x in squares else -1 for x in range(1, q)]
+
+
+def test_gf_3_12_character_table_builds_in_bounded_time():
+    # 265,720 squarings took 4 s or more; the orbit walk makes two
+    base = make_field(3, 12)
+    ctx = FieldCtx(base.p, base.e, base.modulus)  # not the cached context
+    start = time.perf_counter()
+    chi = ctx.character_table()
+    assert time.perf_counter() - start < 2.0
+    assert chi == base.character_table()
+
+
+@pytest.mark.parametrize("q", [5 ** 6, 65537, 114689, 3 ** 11, 3 ** 12,
+                               97 ** 3, 1021 ** 2])
 def test_character_table_matches_euler_criterion_on_samples(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()

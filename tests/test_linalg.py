@@ -211,6 +211,26 @@ def _random_rows(ctx, rnd, max_dim=6):
     return _with_dependent_rows(ctx, rows, rnd) if rnd.random() < 0.5 else rows
 
 
+def _leading_block_cases(ctx, rnd):
+    """Wide and tall matrices around the leading-block rank shortcut: full
+    rank with a singular leading block (its first column repeated), rank
+    deficient, and 1 x n rows with a zero or nonzero first entry."""
+    q = ctx.q
+    cases = []
+    for _ in range(12):
+        k = rnd.randint(2, 5)
+        n = k + rnd.randint(1, 4)
+        rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+        repeated = [[r[0], r[0]] + r[2:] for r in rows]
+        deficient = [list(r) for r in rows[:-1]] + [list(rows[0])]
+        cases += [rows, repeated, deficient]
+    cases += [[[0] + [rnd.randrange(q) for _ in range(n - 1)]]
+              for n in (1, 2, 5)]
+    cases += [[[rnd.randrange(1, q)] + [rnd.randrange(q) for _ in range(4)]]]
+    cases += [[list(col) for col in zip(*rows)] for rows in cases]  # tall
+    return cases
+
+
 def test_rank_rref_nullspace_match_sympy():
     # sympy's DomainMatrix over GF(p) shares no code with the kernel;
     # 65537 is the first prime field above 2^16
@@ -218,6 +238,7 @@ def test_rank_rref_nullspace_match_sympy():
     for p in (2, 3, 13, 1031, 65537):
         ctx, field = make_field(p), GF(p)
         cases = [[], [[]]] + [_random_rows(ctx, rnd) for _ in range(40)]
+        cases += _leading_block_cases(ctx, rnd)
         for rows in cases:
             shape = (len(rows), len(rows[0]) if rows else 0)
             theirs = DomainMatrix([[field(x) for x in r] for r in rows],
