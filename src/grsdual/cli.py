@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         code = code_from_json(obj)
-        stored = stored_generator_from_json(obj)
+        stored = stored_generator_from_json(obj, code)
     except (GrsDualError, ValueError) as exc:
         print(f"error: not a valid code object: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -225,14 +225,58 @@ def construct_extended(q: int) -> ConstructionResult:
 # largest fields below 2^20 (3^12, 97^3, 101^3).  Proving that GF(401)
 # has no 10-point set takes 19,355 nodes.
 SEARCH_NODE_BUDGET = 3 * 10 ** 4
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bools as binary digits
+# chi's bytes as binary digits: 1 (a square) to "1", 0 and -1 to "0"
+_BINARY_DIGITS = bytes.maketrans(b"\0\1\xff", b"010")
 
 
-def _square_bitset(chi: Sequence[int]) -> int:
-    """N(0), bit y set iff chi[y] = 1, parsed from its binary digits (bit
-    q - 1 first) with no Python-level loop over the elements."""
-    digits = bytes(map((1).__eq__, reversed(chi)))
-    return int(digits.translate(_BINARY_DIGITS), 2)
+def _square_bitset(chi: memoryview) -> int:
+    """N(0), bit y set iff chi[y] = 1, from a `FieldCtx.character_table`:
+    its bytes reversed (bit q - 1 first), translated to binary digits and
+    parsed by one int(..., 2), with no Python-level loop over the
+    elements."""
+    return int(chi.tobytes()[::-1].translate(_BINARY_DIGITS), 2)
+
+
+class Neighbourhoods:
+    """N(x) = {y : chi(y - x) = 1} for the elements x of GF(q), odd q, as
+    q-bit ints, bit y for element y.
+
+    N(0) is the set of nonzero squares (`_square_bitset`), and N(x) is
+    N(0) translated by x.  Adding d digit-wise at the base-p weight w
+    moves the elements whose digit there is below p - d up by d w and the
+    rest down by (p - d) w: one masked pair of shifts of the bitset per
+    nonzero digit of d, a rotation for prime q.  Each call translates the
+    last N returned, so the digits x shares with the last x cost nothing.
+    Memory holds a q-bit int per base-p digit.
+    """
+
+    __slots__ = ("_p", "_combs", "_last", "_bits")
+
+    def __init__(self, ctx: FieldCtx):
+        p, q, full = ctx.p, ctx.q, (1 << ctx.q) - 1
+        self._p = p
+        combs = []  # (w, one bit at the start of each block of p w elements)
+        for w in (p ** i for i in range(ctx.e)):
+            # by doubling: dividing 2^q - 1 by 2^(p w) - 1 takes time
+            # quadratic in q for the middle weights
+            comb, span = 1, p * w
+            while span < q:
+                comb |= comb << span
+                span *= 2
+            combs.append((w, comb & full))
+        self._combs = tuple(combs)
+        self._last = 0
+        self._bits = _square_bitset(ctx.character_table())
+
+    def __call__(self, x: Felt) -> int:
+        p, y, bits = self._p, self._last, self._bits
+        for w, comb in self._combs:
+            d = (x // w - y // w) % p
+            if d:
+                low = bits & ((comb << (p - d) * w) - comb)
+                bits = (low << d * w) | ((bits ^ low) >> (p - d) * w)
+        self._last, self._bits = x, bits
+        return bits
 
 
 def search_square_difference_set(q: int, n: int,
@@ -249,14 +293,12 @@ def search_square_difference_set(q: int, n: int,
     and every n-set containing 0 and 1 is lex-smaller than every n-set
     that does not.
 
-    Sets of elements are Python ints used as bitsets, bit y for element y.
-    N(0) has bit y set iff y is a nonzero square, and N(x) is N(0)
-    translated by x: adding x digit-wise in base p is one masked shift of
-    the bitset per nonzero base-p digit of x, a rotation for prime q.  The
-    candidates for the next point are the intersection of the chain's
-    neighbourhoods above its last point.  The search always extends the
-    chain by the lowest candidate, so it visits chains in index order and
-    the first complete one is the lex-first set.  It cuts a branch when
+    Sets of elements are Python ints used as bitsets, bit y for element y,
+    and `Neighbourhoods` gives N(x), the elements whose difference with x
+    is a nonzero square.  The candidates for the next point are the
+    intersection of the chain's neighbourhoods above its last point.  The
+    search always extends the chain by the lowest candidate, so it visits
+    chains in index order and the first complete one is the lex-first set.  It cuts a branch when
     the chain plus all its candidates is shorter than n, so it cuts only
     subtrees without a solution.
 
@@ -264,7 +306,7 @@ def search_square_difference_set(q: int, n: int,
     node_budget nodes (None for no limit) the search gives up with
     SearchGaveUpError, which proves nothing either way.
 
-    Each node recomputes the neighbourhood of its point from the last one
+    Each node translates the neighbourhood of its point from the last one
     computed.  Memory holds a q-bit int per chain point and per base-p
     digit, and does not grow with the node count.
     """
@@ -280,36 +322,12 @@ def search_square_difference_set(q: int, n: int,
         return None
     if n == 2:
         return (0, 1)
-    ctx = make_field(p, e)
-    chi = ctx.character_table()
+    nbhd = Neighbourhoods(make_field(p, e))
     budget = math.inf if node_budget is None else node_budget
-
-    # translating by d at digit weight w moves the elements whose digit
-    # there is below p - d up by d*w and the rest down by (p - d)*w; combs[i]
-    # has one bit at the start of each block of p*w elements
-    full = (1 << q) - 1
-    weights = [p ** i for i in range(e)]
-    combs = [full // ((1 << (p * w)) - 1) for w in weights]
-    base = _square_bitset(chi)
-
-    last = [0, base]  # the last element translated to, and N of it
-
-    def translate(x: Felt) -> int:
-        # N(x) is N(y) translated by x - y; from the last y, digits that x
-        # and y share cost nothing
-        y, bits = last
-        for w, comb in zip(weights, combs):
-            d = (x // w - y // w) % p
-            if d:
-                low = bits & ((comb << (p - d) * w) - comb)
-                bits = (low << d * w) | ((bits ^ low) >> (p - d) * w)
-        last[0], last[1] = x, bits
-        return bits
-
     chain = [0, 1]
     # levels[i]: the candidates after the first i + 2 chain points, and
     # their count, kept because bit_count is O(q)
-    cand = base & translate(1)
+    cand = nbhd(0) & nbhd(1)
     levels = [[cand, cand.bit_count()]]
     nodes = 0
     while levels:
@@ -328,7 +346,7 @@ def search_square_difference_set(q: int, n: int,
         chain.append(x)
         if len(chain) == n:
             return tuple(chain)
-        child = rest & translate(x)
+        child = rest & nbhd(x)
         levels.append([child, child.bit_count()])
     return None
 

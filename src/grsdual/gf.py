@@ -273,7 +273,7 @@ class FieldCtx:
         self._lock = threading.RLock()
         self._tables = None  # int32 numpy (exp, log, inv)
         self._prim: Optional[int] = None
-        self._chi: Optional[list[int]] = None
+        self._chi: Optional[memoryview] = None
         self._np_ops: Optional[_NpOps] = None
 
     def __repr__(self) -> str:
@@ -491,21 +491,26 @@ class FieldCtx:
             return 0
         return 1 if self.power(x, (self.q - 1) // 2) == 1 else -1
 
-    def character_table(self) -> list[int]:
+    def character_table(self) -> memoryview:
         """Quadratic character of every element, indexed by element.
 
-        A prime field squares x = 1 .. (q-1)/2, x * x mod p inline, and
-        marks the (q-1)/2 results.  An extension field needs one product
-        per orbit of multiplication by alpha, the element x (index p):
-        alpha * x is a base-p digit shift, (x mod p^(e-1)) p, plus the top
-        digit times x^e mod the modulus (`_red[0]`) added digit-wise, so
-        walking an orbit takes no product.  One pass of that step numbers
-        every nonzero element in walk order, which gives its orbit and the
-        parity of its place there.  Each orbit has ord(alpha) elements and
-        there are m = (q-1)/ord(alpha) of them; alpha = g^k with gcd(k,
-        q-1) = m, so chi(alpha) = -1 exactly when m is odd.  One
-        `_mul_slow` squaring of each orbit's first element c then fixes
-        every sign:
+        A read-only memoryview of q signed bytes (format "b"), built once
+        and shared by every caller, so none may release it: chi[x] is 0,
+        1 or -1, `.tolist()` gives them as a list, and assigning into it
+        raises TypeError.  `construct._square_bitset` parses its bytes.
+
+        A prime field marks the squares x^2 mod q, x = 1 .. (q-1)/2, each
+        the last one plus the odd number 2x - 1.  An extension field needs
+        one product per orbit of multiplication by alpha, the element x
+        (index p): alpha * x is a base-p digit shift, (x mod p^(e-1)) p,
+        plus the top digit times x^e mod the modulus (`_red[0]`) added
+        digit-wise, so walking an orbit takes no product.  One pass of
+        that step numbers every nonzero element in walk order, which gives
+        its orbit and the parity of its place there.  Each orbit has
+        ord(alpha) elements and there are m = (q-1)/ord(alpha) of them;
+        alpha = g^k with gcd(k, q-1) = m, so chi(alpha) = -1 exactly when
+        m is odd.  One `_mul_slow` squaring of each orbit's first element
+        c then fixes every sign:
 
         - chi(alpha) = 1: chi is constant on each orbit.  Every square
           (c alpha^j)^2 lies in the orbit of c^2, so the orbits the c^2
@@ -519,8 +524,8 @@ class FieldCtx:
         alpha, outside GF(p), has order at least 3, so that is at most
         (q-1)/4 squarings, where squaring half the field took (q-1)/2.
         Euler's criterion per orbit would cost more than it saves: for
-        e = 2, alpha often has order 3 or 4.  No numpy either: the exp/log
-        tables would import it, and a search never does.
+        e = 2, alpha often has order 3 or 4.  Only built-in types: the
+        exp/log tables would import numpy, and a search never does.
         """
         if self.p == 2:
             raise EvenCharacteristicError(
@@ -530,17 +535,21 @@ class FieldCtx:
                 if self._chi is None:
                     q = self.q
                     if self.e == 1:
-                        chi = [-1] * q
-                        chi[0] = 0
-                        for x in range(1, (q + 1) // 2):
-                            chi[x * x % q] = 1
+                        marks = bytearray(b"\xff") * q  # -1 as a byte
+                        marks[0] = square = 0
+                        for odd in range(1, q - 1, 2):
+                            square += odd  # (x + 1)^2 = x^2 + 2x + 1
+                            if square >= q:
+                                square -= q
+                            marks[square] = 1
+                        marks = bytes(marks)
                     else:
-                        chi = self._orbit_character_table()
-                    self._chi = chi
+                        marks = self._orbit_character_table()
+                    self._chi = memoryview(marks).cast("b")
         return self._chi
 
-    def _orbit_character_table(self) -> list[int]:
-        """`character_table` for e > 1, from the orbits of alpha."""
+    def _orbit_character_table(self) -> bytes:
+        """`character_table`'s bytes for e > 1, from the orbits of alpha."""
         p, e, q = self.p, self.e, self.q
         top = q // p  # weight of the top digit
         red = self._red[0]  # x^e
@@ -585,14 +594,15 @@ class FieldCtx:
                 break
         size = (q - 1) // m
         alternate = m % 2  # chi(alpha) = -1
-        sign = [-1] * m
+        sign = [0xff] * m  # chi's byte at each orbit's first element
         for c in firsts:
             k = place[self._mul_slow(c, c)] - 1
-            sign[k // size] = -1 if alternate and k % 2 else 1
-        by_place = [0]  # chi of the element numbered n, at n
-        for s in sign:
-            by_place += [s, -s] * (size // 2) if alternate else [s] * size
-        return [by_place[n] for n in place]
+            sign[k // size] = 0xff if alternate and k % 2 else 1
+        by_place = [0]  # chi's byte at the element numbered n, at n
+        for s in sign:  # s ^ 0xfe is -s as a byte
+            by_place += ([s, s ^ 0xfe] * (size // 2) if alternate
+                         else [s] * size)
+        return bytes([by_place[n] for n in place])
 
     def smallest_nonresidue(self) -> Felt:
         """Smallest-index element of character -1 (q odd)."""
@@ -693,19 +703,37 @@ class FieldCtx:
         return self._np_ops
 
     def _build_np_ops(self) -> _NpOps:
+        """`sub` and `mul` as dense q x q int32 tables up to 2^10.
+
+        `mul` is exp at log x + log y.  `sub` is x ^ y for p = 2; for odd
+        p it grows from the p x p table of GF(p) one base-p digit at a
+        time: x - y below p^(i+1) is the GF(p) difference of the digits
+        at weight p^i, times p^i, plus x - y of the lower digits, one
+        broadcast add.  Above the limit `sub` is `_digit_sub` and `mul`
+        the exp/log lookup, evaluated on the arrays they are given.
+        """
         import numpy as np
 
         exp, log, inv = self._arrays()
-        sub, q = self._sub, self.q
+        p, e, q = self.p, self.e, self.q
 
         def mul(x, y):
             return exp[log[x] + log[y]]
 
-        if q <= _NP_TABLE_LIMIT:
-            x, y = np.meshgrid(np.arange(q, dtype=np.int32),
-                               np.arange(q, dtype=np.int32), indexing="ij")
-            return _NpOps(sub(x, y), mul(x, y), inv)
-        return _NpOps(_Indexed(sub), _Indexed(mul), inv)
+        if q > _NP_TABLE_LIMIT:
+            return _NpOps(_Indexed(self._sub), _Indexed(mul), inv)
+        # mul first: its q x q index array is freed before sub is built
+        products = exp[log[:, None] + log[None, :]]
+        if p == 2:
+            xs = np.arange(q, dtype=np.int32)
+            return _NpOps(xs[:, None] ^ xs[None, :], products, inv)
+        digits = np.arange(p, dtype=np.int32)
+        top = (digits[:, None] - digits[None, :]) % p
+        sub = top
+        for w in (p ** i for i in range(1, e)):
+            sub = (top[:, None, :, None] * w + sub[None, :, None, :]
+                   ).reshape(w * p, w * p)
+        return _NpOps(sub, products, inv)
 
     # --- serialization ----------------------------------------------------
 

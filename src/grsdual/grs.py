@@ -285,22 +285,23 @@ def code_from_json(obj: dict) -> GrsCode:
     return code
 
 
-def stored_generator_from_json(obj: dict) -> MatrixGF | None:
+def stored_generator_from_json(obj: dict, code: GrsCode) -> MatrixGF | None:
     """The generator matrix embedded in a code JSON object, if present.
 
-    Kept separate from code_from_json so a verifier can check the stored
+    code is `code_from_json(obj)`, which has checked every field of obj,
+    the generator's included, so obj is not walked a second time.  Kept
+    separate from code_from_json so a verifier can check the stored
     matrix against the one implied by (a, v, k) instead of silently
     regenerating it.  Its shape must be k x block length, and is checked
     before the entries are shaped into an array.
     """
-    check_code_json(obj)
     gen = obj.get("generator")
     if gen is None:
         return None
-    ctx = field_from_json(obj["field"])
+    ctx = code.ctx
     entries = _read_elements(ctx, gen["entries"], "generator.entries")
     rows, cols = gen["rows"], gen["cols"]
-    k, length = obj["k"], obj["n"] + (1 if obj["extended"] else 0)
+    k, length = code.k, code.block_length
     # a wrong entry count is reported first, by MatrixGF
     if rows * cols == len(entries) and (rows, cols) != (k, length):
         raise ShapeMismatchError(

@@ -36,6 +36,12 @@ eliminates one block per subset.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
 Minimum distance by full codeword enumeration is provided as a second,
 independent oracle for tiny codes.
+
+The character-sum check counts the b with chi(b - a) = 1 for every given
+point a as the popcount of the intersection of the points'
+neighbourhoods: the nonzero squares translated by a, as q-bit ints, the
+bitsets of the square-difference search (`construct.Neighbourhoods`).
+It tests that count against the paper's window exactly, in Fractions.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .errors import (
     EvenCharacteristicError,
     TooLargeError,
 )
+from .construct import Neighbourhoods
 from .gf import FieldCtx, Felt
 from .grs import GrsCode, dual_coefficients, generator_matrix
 from .linalg import MatrixGF, rank_rows
@@ -407,12 +414,11 @@ def check_character_sum_bound(ctx: FieldCtx,
         raise DuplicatePointsError("points must be distinct")
     if not points:
         raise ValueError("need at least one point")
-    chi = ctx.character_table()
-    sub = ctx.sub
-    count = 0
-    for b in range(ctx.q):
-        if all(chi[sub(b, a)] == 1 for a in points):
-            count += 1
+    nbhd = Neighbourhoods(ctx)
+    common = -1  # every element
+    for a in points:
+        common &= nbhd(a)
+    count = common.bit_count()
     n = len(points) + 1
     q = ctx.q
     center = Fraction(q, 2 ** (n - 1))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import grsdual
-from grsdual import construct
+from grsdual import construct, grs
 from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
 from grsdual.grs import MAX_BLOCK_LENGTH
@@ -203,6 +203,25 @@ def test_verify_without_stored_generator(tmp_path, capsys):
     assert rc == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert names == ["self-dual", "mds"]  # no consistency check possible
+
+
+def test_verify_reads_the_code_json_once(tmp_path, monkeypatch, capsys):
+    # code_from_json checks every field, the generator's included, and
+    # the stored generator is read from the code it returns
+    out_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "9",
+             "-o", str(out_file)], capsys)
+    calls = []
+    for name in ("check_code_json", "field_from_json"):
+        def counted(obj, name=name, original=getattr(grs, name)):
+            calls.append(name)
+            return original(obj)
+        monkeypatch.setattr(grs, name, counted)
+    rc, out, _ = run_cli(["verify", str(out_file)], capsys)
+    assert rc == 0
+    assert calls == ["check_code_json", "field_from_json"]
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "generator-consistency" in names
 
 
 def test_construct_odd_length_exits_2(capsys):

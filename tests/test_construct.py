@@ -240,7 +240,7 @@ def test_long_coset_families_are_refused_before_listing_points(monkeypatch):
         con.construct_theorem_3_5(1019, 509)
 
 
-@pytest.mark.parametrize("q", [13, 125, 15625])
+@pytest.mark.parametrize("q", [13, 125, 5 ** 6, 65537])
 def test_search_bitset_is_the_set_of_nonzero_squares(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()
@@ -543,7 +543,7 @@ def test_every_family_roundtrips_through_json_and_verifies():
         blob = json.loads(json.dumps(con.result_to_json(result)))
         code = code_from_json(blob)
         assert code == result.code
-        stored = stored_generator_from_json(blob)
+        stored = stored_generator_from_json(blob, code)
         report = ver.verify_code(code, stored_generator=stored,
                                  dual_identity=not code.extended)
         assert report.overall, (result.family, report.to_json())

@@ -393,7 +393,18 @@ def test_character_table_matches_euler_criterion(q):
     # the table is built from squares, quadratic_character is x^((q-1)/2)
     ctx = field_for_order(q)
     chi = ctx.character_table()
-    assert chi == [ctx.quadratic_character(x) for x in range(q)]
+    assert chi.tolist() == [ctx.quadratic_character(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [13, 125])
+def test_character_table_is_one_read_only_byte_table(q):
+    ctx = field_for_order(q)
+    chi = ctx.character_table()
+    assert ctx.character_table() is chi
+    assert chi.readonly and chi.format == "b" and len(chi) == q
+    with pytest.raises(TypeError):
+        chi[1] = -chi[1]
+    assert chi.tolist() == [ctx.quadratic_character(x) for x in range(q)]
 
 
 @pytest.mark.parametrize("q, orbits", [
@@ -408,7 +419,8 @@ def test_orbit_character_table_matches_exhaustive_squares(q, orbits):
     assert (q - 1) // order == orbits
     squares = oracle_square_set(ctx)
     chi = FieldCtx(ctx.p, ctx.e, ctx.modulus).character_table()
-    assert chi == [0] + [1 if x in squares else -1 for x in range(1, q)]
+    assert chi.tolist() == [0] + [1 if x in squares else -1
+                                 for x in range(1, q)]
 
 
 def test_gf_3_12_character_table_builds_in_bounded_time():
@@ -426,7 +438,9 @@ def test_gf_3_12_character_table_builds_in_bounded_time():
 def test_character_table_matches_euler_criterion_on_samples(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()
-    assert len(chi) == q and chi.count(1) == chi.count(-1) == (q - 1) // 2
+    values = chi.tolist()
+    assert len(values) == q
+    assert values.count(1) == values.count(-1) == (q - 1) // 2
     rng = random.Random(q)
     samples = [0, 1, 2, q - 1] + [rng.randrange(q) for _ in range(300)]
     for x in samples:

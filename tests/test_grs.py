@@ -307,7 +307,7 @@ def test_code_json_roundtrip_and_determinism():
     assert blob == json.dumps(code_to_json(code), indent=2)
     parsed = json.loads(blob)
     assert code_from_json(parsed) == code
-    stored = stored_generator_from_json(parsed)
+    stored = stored_generator_from_json(parsed, code)
     assert stored is not None
     assert stored == generator_matrix(code)
 

@@ -311,16 +311,20 @@ def test_array_ops_agree_with_dense_tables():
     # up to 2^10 np_ops() keeps q x q tables (prime, characteristic 2 and
     # digit-wise subtraction); all q^2 pairs against the oracles, and
     # sampled pairs plus the 0 and 1 rows and columns at the limit
-    for q in (4, 5, 9, 16, 25, 27):
+    for q in (4, 5, 9, 16, 25, 27, 81, 125):
         ctx = field_for_order(q)
         ops = ctx.np_ops()
-        assert ops.mul.shape == ops.sub.shape == (q, q)
+        for table in (ops.mul, ops.sub):
+            assert table.shape == (q, q) and table.dtype == np.int32
+            assert table.flags.c_contiguous
         x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                            np.arange(q, dtype=np.int32))
         _pairs_agree_with_oracles(ctx, x.ravel(), y.ravel())
     ctx = field_for_order(1024)
     ops = ctx.np_ops()
-    assert ops.mul.shape == ops.sub.shape == (1024, 1024)
+    for table in (ops.mul, ops.sub):
+        assert table.shape == (1024, 1024) and table.dtype == np.int32
+        assert table.flags.c_contiguous
     rnd = random.Random(4)
     xs = np.array([0] * 1024 + [1] * 1024 + list(range(1024)) * 2
                   + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)

@@ -3,6 +3,7 @@ dual identity, character-sum counts, distance enumeration."""
 
 import json
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 
@@ -17,7 +18,7 @@ from grsdual.errors import (
     EvenCharacteristicError,
     TooLargeError,
 )
-from grsdual.gf import field_for_order, make_field
+from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
 from grsdual.linalg import matrix
 import oracles
@@ -596,6 +597,35 @@ def test_character_sum_bound_preconditions():
         ver.check_character_sum_bound(ctx, ())
     with pytest.raises(EvenCharacteristicError):
         ver.check_character_sum_bound(make_field(2, 2), (1,))
+
+
+@pytest.mark.parametrize("q", [29, 125, 3 ** 5])
+def test_character_sum_count_matches_scalar_oracle(q):
+    # the count intersects translated bitsets; count_oracle subtracts
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            points = [0] + rnd.sample(range(1, q), size - 1)
+            rnd.shuffle(points)
+            res = ver.check_character_sum_bound(ctx, tuple(points))
+            n = count_oracle(ctx, points)
+            assert res.detail.startswith(f"N = {n}, "), (points, res.detail)
+
+
+def test_character_sum_bound_in_gf_1048573_is_fast():
+    # the first five points of the lexicographically first 6-point
+    # square-difference set in GF(1048573), (0, 1, 4, 11, 27, 30); q n
+    # scalar subtractions took 1.55 s.  A fresh context, so the bound
+    # covers the character table too
+    base = make_field(1048573)
+    ctx = FieldCtx(base.p, base.e, base.modulus)
+    start = time.perf_counter()
+    res = ver.check_character_sum_bound(ctx, (0, 1, 4, 11, 27))
+    assert time.perf_counter() - start < 1.0
+    assert res.status == "pass"
+    assert res.detail == ("N = 32714, center q/2^5 = 32767.9062, allowed "
+                          "radius 1.5312*sqrt(1048573) + 2.5000")
 
 
 @pytest.mark.parametrize("q", [29, 37])
