@@ -35,12 +35,7 @@ from .errors import (
 )
 from .gf import bounded_power, is_prime, make_field, split_prime_power
 from .grs import code_from_json, stored_generator_from_json
-from .verify import (
-    EXACT_MDS_BUDGET,
-    RANDOM_MDS_SAMPLES,
-    resolve_mds_mode,
-    verify_code,
-)
+from .verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, verify_code
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,21 +141,9 @@ def _resolve_q(args) -> Optional[int]:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        q = _resolve_q(args)
-        request = ConstructionRequest(family=args.family, q=q,
-                                      r=args.r, t=args.t, n=args.n)
-        result = build(request)
-    except SearchGaveUpError as exc:
-        print(_gave_up(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConstructionInfeasible as exc:
-        print(f"construction infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (GrsDualError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(result_to_json(result), args.output)
+    request = ConstructionRequest(family=args.family, q=_resolve_q(args),
+                                  r=args.r, t=args.t, n=args.n)
+    _emit(result_to_json(build(request)), args.output)
     return EXIT_OK
 
 
@@ -169,50 +152,28 @@ def _cmd_verify(args) -> int:
         raw = (sys.stdin.read() if args.input == "-"
                else Path(args.input).read_text())
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise GrsDualError(f"cannot read {args.input}: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
+        raise GrsDualError(f"invalid JSON at line {exc.lineno}, column "
+                           f"{exc.colno}: {exc.msg}") from exc
     try:
         code = code_from_json(obj)
         stored = stored_generator_from_json(obj, code)
     except (GrsDualError, ValueError) as exc:
-        print(f"error: not a valid code object: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = verify_code(code, mds_mode=args.mds_mode,
-                             budget=args.budget, samples=args.samples,
-                             seed=args.seed,
-                             dual_identity=args.dual_identity,
-                             stored_generator=stored)
-    except BudgetExceededError as exc:
-        print(f"exact MDS check gave up: {exc}; it proved nothing either way",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except GrsDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise GrsDualError(f"not a valid code object: {exc}") from exc
+    report = verify_code(code, mds_mode=args.mds_mode, budget=args.budget,
+                         samples=args.samples, seed=args.seed,
+                         dual_identity=args.dual_identity,
+                         stored_generator=stored)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.overall else EXIT_VERIFY_FAIL
 
 
 def _cmd_search(args) -> int:
-    try:
-        found = search_square_difference_set(args.q, args.n,
-                                             node_budget=args.node_budget)
-    except SearchGaveUpError as exc:
-        print(_gave_up(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConstructionInfeasible as exc:
-        print(f"search infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except GrsDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    found = search_square_difference_set(args.q, args.n,
+                                         node_budget=args.node_budget)
     ctx = make_field(*split_prime_power(args.q))
     payload = {
         "q": args.q,
@@ -243,11 +204,7 @@ def _cmd_sweep(args) -> int:
         # a grid flag the family does not read would be ignored, and the
         # square-set grid has default cells only when both axes are unset
         lone_axis = args.family == "square-set" and any((args.q, args.n))
-        try:
-            families[0].check_given(args, needed=lone_axis)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        families[0].check_given(args, needed=lone_axis)
     rows = []
     all_ok = True
     for family in families:
@@ -256,10 +213,9 @@ def _cmd_sweep(args) -> int:
             try:
                 result = build(request)
                 code = result.code
-                mode = resolve_mds_mode(code, args.budget)
-                report = verify_code(code, mds_mode=mode,
-                                     budget=args.budget,
+                report = verify_code(code, budget=args.budget,
                                      samples=args.samples, seed=args.seed)
+                mode = next(c.mode for c in report.checks if c.name == "mds")
                 ok = report.overall
                 status = "pass" if ok else "FAIL"
                 params = (f"[{code.block_length},{code.k}] over "
@@ -270,9 +226,6 @@ def _cmd_sweep(args) -> int:
             except ConstructionInfeasible as exc:
                 ok, status, mode, params, report, result = (
                     False, "infeasible", "-", str(exc), None, None)
-            except (GrsDualError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
             elapsed = time.perf_counter() - t0
             all_ok = all_ok and ok
             rows.append((family.name, _cell_label(request), params, mode,
@@ -353,9 +306,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; every failure it raises ends here as an exit code
+    and one line on stderr."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SearchGaveUpError as exc:
+        message, code = _gave_up(exc), EXIT_INFEASIBLE
+    except BudgetExceededError as exc:
+        message, code = (f"exact MDS check gave up: {exc}; it proved nothing "
+                         "either way"), EXIT_INFEASIBLE
+    except ConstructionInfeasible as exc:
+        stage = "search" if args.command == "search" else "construction"
+        message, code = f"{stage} infeasible: {exc}", EXIT_INFEASIBLE
+    except (GrsDualError, ValueError) as exc:
+        message, code = f"error: {exc}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -124,47 +124,51 @@ def has_subfield_solution(ctx: FieldCtx, points: Sequence[Felt]) -> bool:
 
 # --- the generic self-dualizing step --------------------------------------
 
-def _certified_selfdual(ctx: FieldCtx, points: Sequence[Felt],
-                        ) -> tuple[GrsCode, Certificate]:
-    n = len(points)
-    if n % 2:
-        raise OddLengthError(f"self-dual codes need even length, got {n}")
-    a = tuple(points)
-    u = dual_coefficients(ctx, a)
-    lam: Optional[Felt] = None
-    w: Optional[tuple[Felt, ...]] = None
+def _selfdual_scaling(ctx: FieldCtx, u: Sequence[Felt],
+                      ) -> tuple[Felt, Optional[tuple[Felt, ...]]]:
+    """(lam, w) for `_certify`: lam with every lam * u_i a square, or, for
+    mixed characters over a square field, the subfield scaling w of u."""
     if ctx.p == 2:
-        lam = 1
-        v = tuple(ctx.sqrt(ui) for ui in u)
-    else:
-        chars = [ctx.quadratic_character(ui) for ui in u]
-        if all(c == 1 for c in chars):
-            lam = 1
-            v = tuple(ctx.sqrt(ui) for ui in u)
-        elif all(c == -1 for c in chars):
-            lam = ctx.smallest_nonresidue()
-            v = tuple(ctx.sqrt(ctx.mul(lam, ui)) for ui in u)
-        elif ctx.e % 2 == 0:
-            # mixed characters: fall back to a subfield-rational scaling
-            # (elements of GF(r)* are squares in GF(r^2))
-            try:
-                w = find_subfield_scaling(ctx, u)
-            except NoSubfieldSolutionError as exc:
-                raise NotSelfDualizableError(str(exc)) from exc
-            lam = ctx.inverse(u[0])
-            v = tuple(ctx.sqrt(wi) for wi in w)
-        else:
-            raise NotSelfDualizableError(
-                "dual coefficients have mixed quadratic characters")
-    code = GrsCode(ctx, a, v, n // 2)
-    cert = Certificate(alpha_set=a, u=u, lam=lam, w=w)
+        return 1, None
+    chars = [ctx.quadratic_character(ui) for ui in u]
+    if all(c == 1 for c in chars):
+        return 1, None
+    if all(c == -1 for c in chars):
+        return ctx.smallest_nonresidue(), None
+    if ctx.e % 2:
+        raise NotSelfDualizableError(
+            "dual coefficients have mixed quadratic characters")
+    # mixed characters: fall back to a subfield-rational scaling
+    # (elements of GF(r)* are squares in GF(r^2))
+    try:
+        w = find_subfield_scaling(ctx, u)
+    except NoSubfieldSolutionError as exc:
+        raise NotSelfDualizableError(str(exc)) from exc
+    return ctx.inverse(u[0]), w
+
+
+def _certify(ctx: FieldCtx, family: str, points: Sequence[Felt],
+             u: Sequence[Felt], lam: Felt,
+             w: Optional[tuple[Felt, ...]] = None,
+             **witnesses: Felt) -> ConstructionResult:
+    """GRS_{n/2}(points, v) with v_i the square root of w_i, or of
+    lam * u_i when w is None, re-checked against its certificate and then
+    for self-duality."""
+    squares = w if w is not None else [ctx.mul(lam, ui) for ui in u]
+    code = GrsCode(ctx, points, [ctx.sqrt(x) for x in squares],
+                   len(points) // 2)
+    cert = Certificate(alpha_set=code.a, u=u, lam=lam, w=w, **witnesses)
     _check_certificate(ctx, code, cert)
-    return code, cert
+    return _check_selfdual_result(ConstructionResult(code, family, cert))
 
 
 def selfdualize(ctx: FieldCtx, points: Sequence[Felt]) -> GrsCode:
     """Column multipliers making GRS_{n/2}(points, v) self-dual, if any."""
-    return _certified_selfdual(ctx, points)[0]
+    if len(points) % 2:
+        raise OddLengthError(
+            f"self-dual codes need even length, got {len(points)}")
+    u = dual_coefficients(ctx, points)
+    return _certify(ctx, "", points, u, *_selfdual_scaling(ctx, u)).code
 
 
 def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
@@ -180,7 +184,8 @@ def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
 
 
 def _check_selfdual_result(result: ConstructionResult) -> ConstructionResult:
-    # late import: verify depends on grs but not on this module
+    # late import: verify imports Neighbourhoods from this module, so a
+    # module-level import would be circular
     from .verify import check_self_dual
 
     res = check_self_dual(result.code)
@@ -203,8 +208,9 @@ def construct_even_char(q: int, n: int) -> ConstructionResult:
     if n < 2:
         raise ParameterRangeError("length must be at least 2")
     ctx = make_field(p, e)
-    code, cert = _certified_selfdual(ctx, tuple(range(n)))
-    return _check_selfdual_result(ConstructionResult(code, "even-char", cert))
+    points = tuple(range(n))
+    u = dual_coefficients(ctx, points)
+    return _certify(ctx, "even-char", points, u, *_selfdual_scaling(ctx, u))
 
 
 def construct_extended(q: int) -> ConstructionResult:
@@ -363,10 +369,10 @@ def construct_square_set(q: int, n: int,
         raise NotFoundError(
             f"no square-difference set of size {n} exists in GF({q})")
     ctx = make_field(p, e)
-    code, cert = _certified_selfdual(ctx, points)
-    if cert.lam != 1:
+    u = dual_coefficients(ctx, points)
+    if _selfdual_scaling(ctx, u) != (1, None):
         raise InternalCheckError("square-set coefficients must all be squares")
-    return _check_selfdual_result(ConstructionResult(code, "square-set", cert))
+    return _certify(ctx, "square-set", points, u, 1)
 
 
 def construct_subfield_points(r: int, n: int) -> ConstructionResult:
@@ -388,12 +394,7 @@ def construct_subfield_points(r: int, n: int) -> ConstructionResult:
     for ui in u:
         if not ctx.in_subfield(ui, r):
             raise InternalCheckError("dual coefficients left the subfield")
-    v = tuple(ctx.sqrt(ui) for ui in u)
-    code = GrsCode(ctx, points, v, n // 2)
-    cert = Certificate(alpha_set=points, u=u, lam=1, w=u)
-    _check_certificate(ctx, code, cert)
-    return _check_selfdual_result(
-        ConstructionResult(code, "subfield-points", cert))
+    return _certify(ctx, "subfield-points", points, u, 1, w=u)
 
 
 def construct_roots_of_unity(q: int, n: int) -> ConstructionResult:
@@ -419,13 +420,8 @@ def construct_roots_of_unity(q: int, n: int) -> ConstructionResult:
     ctx = make_field(p, e)
     points = tuple([0] + ctx.roots_of_unity(m))
     u = dual_coefficients(ctx, points)
-    w = find_subfield_scaling(ctx, u)
-    v = tuple(ctx.sqrt(wi) for wi in w)
-    code = GrsCode(ctx, points, v, n // 2)
-    cert = Certificate(alpha_set=points, u=u, lam=ctx.inverse(u[0]), w=w)
-    _check_certificate(ctx, code, cert)
-    return _check_selfdual_result(
-        ConstructionResult(code, "roots-of-unity", cert))
+    return _certify(ctx, "roots-of-unity", points, u, ctx.inverse(u[0]),
+                    w=find_subfield_scaling(ctx, u))
 
 
 def construct_theorem_3_5(r: int, t: int) -> ConstructionResult:
@@ -453,13 +449,8 @@ def construct_theorem_3_5(r: int, t: int) -> ConstructionResult:
     if len(set(points)) != 2 * t * r:
         raise InternalCheckError("coset points collided")
     _check_block_products(ctx, r, t, beta, labels, points)
-    u = dual_coefficients(ctx, points)
-    v = tuple(ctx.sqrt(ui) for ui in u)
-    code = GrsCode(ctx, points, v, t * r)
-    cert = Certificate(alpha_set=points, u=u, lam=1, beta=beta, gamma=gamma)
-    _check_certificate(ctx, code, cert)
-    return _check_selfdual_result(
-        ConstructionResult(code, "theorem-3-5", cert))
+    return _certify(ctx, "theorem-3-5", points, dual_coefficients(ctx, points),
+                    1, beta=beta, gamma=gamma)
 
 
 def _check_block_products(ctx: FieldCtx, r: int, t: int, beta: Felt,

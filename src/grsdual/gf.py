@@ -398,9 +398,6 @@ class FieldCtx:
             raise DivisionByZeroError("zero has no multiplicative inverse")
         return self._arrays()[2].item(x)
 
-    def div(self, x: Felt, y: Felt) -> Felt:
-        return self.mul(x, self.inverse(y))
-
     def power(self, x: Felt, n: int) -> Felt:
         """x^n from the exp/log tables; n < 0 allowed for nonzero x."""
         if n < 0:

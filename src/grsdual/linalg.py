@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DuplicatePointsError, ShapeMismatchError
-from .gf import FieldCtx, Felt, json_int
+from .gf import FieldCtx, Felt
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +70,6 @@ def matrix(ctx: FieldCtx, rows: Sequence[Sequence[Felt]]) -> MatrixGF:
     if any(len(r) != ncols for r in rows):
         raise ShapeMismatchError("ragged rows")
     return MatrixGF(ctx, nrows, ncols, [x for r in rows for x in r])
-
-
-def matrix_from_json(ctx: FieldCtx, obj: dict) -> MatrixGF:
-    entries = [ctx.element(cs) for cs in obj["entries"]]
-    return MatrixGF(ctx, json_int(obj["rows"], '"rows"'),
-                    json_int(obj["cols"], '"cols"'), entries)
 
 
 def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -390,6 +391,27 @@ def test_sweep_reports_a_search_that_gave_up(search_gives_up, capsys):
     assert "gave-up" in row and "ruling" in row
 
 
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["construct", "--family", "extended", "--q", "5"], "build"),
+    (["verify", "CODE"], "verify_code"),
+    (["search", "--q", "29", "--n", "4"], "search_square_difference_set"),
+    (["sweep", "--family", "extended", "--q", "5"], "build"),
+])
+def test_every_command_exits_1_on_a_value_error(argv, target, tmp_path,
+                                                monkeypatch, capsys):
+    # cli.main is the one place that turns a failure into an exit code
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(code_file)], capsys)
+    monkeypatch.setattr(grsdual.cli, target, _boom)
+    argv = [str(code_file) if arg == "CODE" else arg for arg in argv]
+    assert run_cli(argv, capsys) == (1, "", "error: boom\n")
+
+
 def test_search_wrong_residue_exits_2(capsys):
     rc, _, err = run_cli(["search", "--q", "11", "--n", "3"], capsys)
     assert rc == 2 and "1 mod 4" in err
@@ -470,6 +492,16 @@ def test_family_choices_order(command, extra):
     family = next(a for a in commands[command]._actions
                   if a.dest == "family")
     assert list(family.choices) == FAMILY_ORDER + [extra]
+
+
+def test_readme_lists_every_family_in_table_order():
+    from grsdual.construct import FAMILY_TABLE
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Construction families (`--family`):\n\n")[1]
+    listed = re.findall(r"^- `([a-z0-9-]+)`", section.split("\n\n")[0],
+                        flags=re.M)
+    assert listed == [*FAMILY_TABLE, "auto"]
 
 
 DEFAULT_SWEEP_CELLS = (
