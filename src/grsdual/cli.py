@@ -1,11 +1,12 @@
 """Command-line front end: construct, verify, search, sweep.
 
 Exit codes are scriptable: 0 success / all checks pass, 1 usage or parse
-error, 2 honest construction failure (infeasible parameters, exhausted
-search, or a search that gave up at its node budget) or an exact MDS check
-that gave up at its --budget (both say so on stderr and prove nothing
-either way), 3 verification failure.  All JSON output is deterministic for
-identical flags, including the --seed driving randomized MDS sampling.
+error or an output that cannot be written, 2 honest construction failure
+(infeasible parameters, exhausted search, or a search that gave up at its
+node budget) or an exact MDS check that gave up at its --budget (both say
+so on stderr and prove nothing either way), 3 verification failure.  All
+JSON output is deterministic for identical flags, including the --seed
+driving randomized MDS sampling.
 """
 
 from __future__ import annotations
@@ -124,7 +125,10 @@ def _emit(payload: dict, output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise GrsDualError(f"cannot write {output}: {exc}") from exc
 
 
 def _resolve_q(args) -> Optional[int]:
@@ -232,7 +236,10 @@ def _cmd_sweep(args) -> int:
                          status, f"{elapsed:.3f}s"))
             if args.out_dir and result is not None:
                 out = Path(args.out_dir)
-                out.mkdir(parents=True, exist_ok=True)
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise GrsDualError(f"cannot write {out}: {exc}") from exc
                 payload = result_to_json(result)
                 if report is not None:
                     payload["report"] = report.to_json()

@@ -27,8 +27,8 @@ Family entry there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import (
     BadOrderError,
@@ -54,8 +54,7 @@ from .grs import (
 )
 from .linalg import entrywise_power, row_equivalent, vandermonde_system
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Witnesses for self-duality: lam * u_i = v_i^2 entrywise.
 
     Fields not used by a family stay None; the extended family needs no
@@ -70,15 +69,13 @@ class Certificate:
     gamma: Optional[Felt] = None
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     code: GrsCode
     family: str
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class ConstructionRequest:
+class ConstructionRequest(NamedTuple):
     """Parameters for one construction; q may be given instead of (r, t)."""
 
     family: str
@@ -542,8 +539,7 @@ def _pick(override, default):
     return default if override is None else override
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything build, auto and sweep know about one family.
 
     params names the request fields construct_<name> takes, in order;

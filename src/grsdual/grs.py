@@ -25,8 +25,7 @@ built here is checked by arithmetic it does not share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicatePointsError,
@@ -54,31 +53,35 @@ def check_block_length(length: int) -> None:
             f"block length {length} exceeds the limit {MAX_BLOCK_LENGTH}")
 
 
-@dataclass(frozen=True)
-class GrsCode:
-    """Evaluation code GRS_k(a, v), optionally extended by one coordinate."""
-
+class _CodeFields(NamedTuple):
     ctx: FieldCtx
     a: tuple[Felt, ...]
     v: tuple[Felt, ...]
     k: int
     extended: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "v", tuple(self.v))
+
+class GrsCode(_CodeFields):
+    """Evaluation code GRS_k(a, v), optionally extended by one coordinate."""
+
+    __slots__ = ()
+
+    def __new__(cls, ctx: FieldCtx, a: Sequence[Felt], v: Sequence[Felt],
+                k: int, extended: bool = False):
+        self = super().__new__(cls, ctx, tuple(a), tuple(v), k, extended)
         check_block_length(self.block_length)
         if len(set(self.a)) != len(self.a):
             raise DuplicatePointsError("evaluation points must be distinct")
         if len(self.v) != len(self.a):
             raise LengthMismatchError("need one multiplier per point")
-        if any(not 0 < x < self.ctx.q for x in self.v):
+        if any(not 0 < x < ctx.q for x in self.v):
             raise ValueError("multipliers must be nonzero field elements")
-        if any(not 0 <= x < self.ctx.q for x in self.a):
+        if any(not 0 <= x < ctx.q for x in self.a):
             raise ValueError("evaluation points must be field elements")
-        if not 1 <= self.k <= self.block_length:
+        if not 1 <= k <= self.block_length:
             raise ValueError(
-                f"dimension {self.k} outside [1, {self.block_length}]")
+                f"dimension {k} outside [1, {self.block_length}]")
+        return self
 
     @property
     def n(self) -> int:

@@ -21,40 +21,49 @@ basis vector scaled so its first nonzero coordinate is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DuplicatePointsError, ShapeMismatchError
 from .gf import FieldCtx, Felt
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixGF:
-    """Dense matrix over one field context; entries, any row-major
-    sequence or array, are held as a read-only int32 (nrows, ncols) array.
-    Equality is by value: the same context, shape and entries."""
-
+class _MatrixFields(NamedTuple):
     ctx: FieldCtx
     nrows: int
     ncols: int
     entries: "np.ndarray"
 
-    def __post_init__(self):
+
+class MatrixGF(_MatrixFields):
+    """Dense matrix over one field context; entries, any row-major
+    sequence or array, are held as a read-only int32 (nrows, ncols) array.
+    Equality is by value: the same context, shape and entries.  Not
+    hashable, as its array is not."""
+
+    __slots__ = ()
+
+    def __new__(cls, ctx: FieldCtx, nrows: int, ncols: int, entries):
         import numpy as np
 
-        a = np.array(self.entries, dtype=np.int32)
-        if a.size != self.nrows * self.ncols:
+        a = np.array(entries, dtype=np.int32)
+        if a.size != nrows * ncols:
             raise ShapeMismatchError(
-                f"{self.nrows}x{self.ncols} matrix needs "
-                f"{self.nrows * self.ncols} entries, got {a.size}")
-        a = a.reshape(self.nrows, self.ncols)
+                f"{nrows}x{ncols} matrix needs "
+                f"{nrows * ncols} entries, got {a.size}")
+        a = a.reshape(nrows, ncols)
         a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        return super().__new__(cls, ctx, nrows, ncols, a)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixGF) and self.ctx is other.ctx
                 and self.entries.shape == other.entries.shape
                 and bool((self.entries == other.entries).all()))
+
+    # tuple's own != would compare the arrays elementwise
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
 
     def to_json(self) -> dict:
         return {

@@ -41,17 +41,16 @@ The character-sum check counts the b with chi(b - a) = 1 for every given
 point a as the popcount of the intersection of the points'
 neighbourhoods: the nonzero squares translated by a, as q-bit ints, the
 bitsets of the square-difference search (`construct.Neighbourhoods`).
-It tests that count against the paper's window exactly, in Fractions.
+It tests that count against the paper's window exactly, in integers
+scaled by 2^n.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -69,8 +68,7 @@ EXACT_MDS_BUDGET = 10 ** 6
 RANDOM_MDS_SAMPLES = 10 ** 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str          # "pass" | "fail" | "skipped"
     detail: str
@@ -85,8 +83,7 @@ class CheckResult:
         return obj
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: list[CheckResult]
 
     @property
@@ -404,9 +401,11 @@ def check_character_sum_bound(ctx: FieldCtx,
     window |N - q/2^(n-1)| <= ((n-3)/2 + 2^(1-n)) sqrt(q) + (n-1)/2 where
     n = len(points) + 1.
 
-    The comparison is exact: both sides are rational except for sqrt(q),
-    so a positive deviation D is tested via D^2 <= c1^2 * q in Fractions.
-    No floating point is involved, which can only make the test stricter.
+    The comparison is exact, in integers scaled by 2^n: every term but
+    sqrt(q) is then an integer, so a positive scaled deviation D is tested
+    via D^2 <= c1^2 * q, c1 the scaled coefficient of sqrt(q).  No floating
+    point is involved, which can only make the test stricter; the detail's
+    floats are quotients of those integers.
     """
     if ctx.p == 2:
         raise EvenCharacteristicError("the character needs odd q")
@@ -420,14 +419,15 @@ def check_character_sum_bound(ctx: FieldCtx,
         common &= nbhd(a)
     count = common.bit_count()
     n = len(points) + 1
-    q = ctx.q
-    center = Fraction(q, 2 ** (n - 1))
-    c1 = Fraction(n - 3, 2) + Fraction(1, 2 ** (n - 1))
-    c2 = Fraction(n - 1, 2)
-    dev = abs(Fraction(count) - center) - c2
+    q, half = ctx.q, 2 ** (n - 1)
+    # times 2^n: center 2q, radius c1 sqrt(q) + (n-1) 2^(n-1)
+    c1 = (n - 3) * half + 2
+    dev = abs(2 * half * count - 2 * q) - (n - 1) * half
     ok = dev <= 0 or dev * dev <= c1 * c1 * q
-    detail = (f"N = {count}, center q/2^{n - 1} = {float(center):.4f}, "
-              f"allowed radius {float(c1):.4f}*sqrt({q}) + {float(c2):.4f}")
+    # each int / int is its exact quotient, correctly rounded
+    detail = (f"N = {count}, center q/2^{n - 1} = {q / half:.4f}, "
+              f"allowed radius {c1 / (2 * half):.4f}*sqrt({q}) + "
+              f"{(n - 1) / 2:.4f}")
     return CheckResult("character-sum-bound", "pass" if ok else "fail",
                        detail, "exact")
 

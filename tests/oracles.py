@@ -13,10 +13,13 @@ tests small blocks of that form.
 The square-difference backtracking below shares nothing with the bitset
 search in `construct` either: it tests one candidate at a time against
 the Euler criterion, not against the character table.
+`character_sum_window` is the paper's window for the character-sum count
+in Fractions, against which `verify` tests it in scaled integers.
 """
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -212,3 +215,17 @@ def backtrack_square_set(q: int, n: int) -> Optional[tuple[Felt, ...]]:
 
     found = extend([0], 1)
     return tuple(found) if found is not None else None
+
+
+def character_sum_window(q: int, n: int, count: int) -> tuple[bool, str]:
+    """(pass, detail) for a count N of the b with chi(b - a) = 1 over n - 1
+    points of GF(q): is |N - q/2^(n-1)| <= ((n-3)/2 + 2^(1-n)) sqrt(q) +
+    (n-1)/2, decided in Fractions by squaring a positive deviation."""
+    center = Fraction(q, 2 ** (n - 1))
+    c1 = Fraction(n - 3, 2) + Fraction(1, 2 ** (n - 1))
+    c2 = Fraction(n - 1, 2)
+    dev = abs(Fraction(count) - center) - c2
+    ok = dev <= 0 or dev * dev <= c1 * c1 * q
+    detail = (f"N = {count}, center q/2^{n - 1} = {float(center):.4f}, "
+              f"allowed radius {float(c1):.4f}*sqrt({q}) + {float(c2):.4f}")
+    return ok, detail

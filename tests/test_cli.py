@@ -412,6 +412,29 @@ def test_every_command_exits_1_on_a_value_error(argv, target, tmp_path,
     assert run_cli(argv, capsys) == (1, "", "error: boom\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "extended", "--q", "5", "-o", "MISSING"],
+    ["verify", "CODE", "-o", "MISSING"],
+    ["search", "--q", "29", "--n", "4", "-o", "MISSING"],
+    ["sweep", "--family", "extended", "--q", "5", "--out-dir", "CODE"],
+], ids=["construct", "verify", "search", "sweep"])
+def test_every_command_exits_1_on_an_unwritable_output(argv, tmp_path,
+                                                       capsys):
+    # a file in a missing directory, or an output directory that is a file
+    code_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "extended", "--q", "5",
+             "-o", str(code_file)], capsys)
+    target = {"CODE": str(code_file),
+              "MISSING": str(tmp_path / "missing" / "out.json")}
+    argv = [target.get(arg, arg) for arg in argv]
+    rc, out, err = run_cli(argv, capsys)
+    path = argv[-1]
+    assert rc == 1 and out == ""
+    assert re.fullmatch(f"error: cannot write {re.escape(path)}: [^\n]+\n",
+                        err), err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_search_wrong_residue_exits_2(capsys):
     rc, _, err = run_cli(["search", "--q", "11", "--n", "3"], capsys)
     assert rc == 2 and "1 mod 4" in err
@@ -695,18 +718,23 @@ def test_construct_rejects_non_prime_p(flags, capsys):
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is imported lazily by the kernels that need it, so a command
-    # that never reaches them, such as a search, does not pay for the import
+    # that never reaches them, such as a search, does not pay for the
+    # import; the records are named tuples and the character-sum window is
+    # tested in integers, so no dataclass or Fraction machinery loads either
     src = Path(grsdual.__file__).resolve().parents[1]
-    probe = ("import sys, grsdual.cli; print('numpy' in sys.modules); "
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "numpy")
+    probe = ("import sys, grsdual.cli; "
+             f"loaded = lambda: [m for m in {heavy!r} if m in sys.modules]; "
+             "print(loaded()); "
              "rc = grsdual.cli.main(['search', '--q', '197', '--n', '10', "
-             "'-o', sys.argv[1]]); print(rc, 'numpy' in sys.modules)")
+             "'-o', sys.argv[1]]); print(rc, loaded())")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "search.json"
         proc = subprocess.run([sys.executable, "-c", probe, str(out)],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n2 False\n"
+        assert proc.stdout == "[]\n2 []\n"
         assert json.loads(out.read_text())["found"] is False
 
 

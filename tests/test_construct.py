@@ -54,6 +54,22 @@ def assert_certified(result):
             assert wi == ctx.mul(vi, vi)
 
 
+def test_construction_records_are_immutable():
+    result = con.construct_theorem_3_5(3, 1)
+    request = con.ConstructionRequest("extended", q=5)
+    assert request == con.ConstructionRequest("extended", 5, None, None, None)
+    family = con.FAMILY_TABLE["extended"]
+    for record, name in ((result, "code"), (result, "family"),
+                         (result.certificate, "lam"),
+                         (result.certificate, "alpha_set"),
+                         (request, "q"), (family, "params"),
+                         (family, "construct")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert con.build(request).family == "extended"
+    assert_certified(result)
+
+
 # --- subfield scaling --------------------------------------------------------
 
 def test_find_subfield_scaling_constant_points():

@@ -153,6 +153,41 @@ def test_code_invariants_enforced():
         GrsCode(ctx, (0, 1), (1, 1), 3)  # k > N
     with pytest.raises(LengthMismatchError):
         GrsCode(ctx, (0, 1), (1,), 1)
+    # each case breaks two rules; the earlier rule's error is the one raised
+    cases = [
+        ((ctx, [0] * (MAX_BLOCK_LENGTH + 1), [1], 1), TooLargeError,
+         f"block length {MAX_BLOCK_LENGTH + 1} exceeds the limit "
+         f"{MAX_BLOCK_LENGTH}"),
+        ((ctx, [0, 0], [1], 1), DuplicatePointsError,
+         "evaluation points must be distinct"),
+        ((ctx, [0, 1], [0], 1), LengthMismatchError,
+         "need one multiplier per point"),
+        ((ctx, [0, 5], [0, 1], 1), ValueError,
+         "multipliers must be nonzero field elements"),
+        ((ctx, [0, 5], [1, 1], 3), ValueError,
+         "evaluation points must be field elements"),
+        ((ctx, [0, 1], [1, 1], 0), ValueError, r"dimension 0 outside \[1, 2\]"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            GrsCode(*args)
+
+
+def test_code_is_an_immutable_hashable_value():
+    ctx = make_field(5)
+    code = GrsCode(ctx, [0, 1, 2], [1, 2, 3], 2)
+    assert code.a == (0, 1, 2) and code.v == (1, 2, 3)
+    assert type(code.a) is tuple and type(code.v) is tuple
+    same = GrsCode(ctx, (0, 1, 2), (1, 2, 3), 2, extended=False)
+    assert code == same and hash(code) == hash(same)
+    assert {code: 1}[same] == 1
+    assert code != GrsCode(ctx, (0, 1, 2), (1, 2, 3), 2, extended=True)
+    assert code != GrsCode(ctx, (0, 1, 2), (1, 2, 4), 2)
+    for name in ("ctx", "a", "v", "k", "extended", "n", "block_length",
+                 "other"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, 1)
+    assert code.a == (0, 1, 2) and code.k == 2
 
 
 # --- encoding ---------------------------------------------------------------------

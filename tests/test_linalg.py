@@ -437,6 +437,17 @@ def test_matrix_holds_a_read_only_int32_array():
     assert m != la.MatrixGF(ctx, 3, 2, (1, 2, 3, 4, 5, 6))
     assert m != la.matrix(ctx9, [[1, 2, 3], [4, 5, 6]])
     assert la.matrix(ctx, []) == la.MatrixGF(ctx, 0, 0, ())
+    # == and != answer a bool, never an array; the matrix is immutable and,
+    # as its array is, unhashable
+    for b, equal in ((la.MatrixGF(ctx, 2, 3, [1, 2, 3, 4, 5, 6]), True),
+                     ((ctx, 2, 3, m.entries), False), (m.entries, False),
+                     (None, False)):
+        assert (m == b) is equal and (m != b) is (not equal)
+    with pytest.raises(TypeError):
+        hash(m)
+    for name in ("ctx", "nrows", "ncols", "entries", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1)
 
 
 def test_nullspace_vectors_rank_nullity():

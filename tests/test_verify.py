@@ -45,6 +45,28 @@ def test_check_self_dual_on_constructed_code():
     assert ver.check_self_dual(result.code).status == "pass"
 
 
+def test_check_records_are_immutable_and_keep_their_json():
+    plain = ver.CheckResult("self-dual", "pass", "ok", "exact")
+    seeded = ver.CheckResult("mds", "fail", "columns [0, 1] are singular",
+                             "randomized", seed=7)
+    assert json.dumps(plain.to_json()) == (
+        '{"name": "self-dual", "status": "pass", "mode": "exact", '
+        '"detail": "ok"}')
+    assert json.dumps(seeded.to_json()) == (
+        '{"name": "mds", "status": "fail", "mode": "randomized", '
+        '"detail": "columns [0, 1] are singular", "seed": 7}')
+    report = ver.VerificationReport([plain, seeded])
+    assert report.overall is False
+    assert report.to_json() == {"overall": False,
+                                "checks": [plain.to_json(), seeded.to_json()]}
+    assert ver.VerificationReport([plain]).overall is True
+    for record, name in ((plain, "status"), (seeded, "seed"),
+                         (report, "checks"), (report, "overall")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert plain == ver.CheckResult("self-dual", "pass", "ok", "exact", None)
+
+
 # --- exact inner products against the scalar matmul oracle ---------------------
 
 INNER_PRODUCT_FIELDS = (7, 9, 16, 1031, 1849, 2048, 2187)
@@ -626,6 +648,26 @@ def test_character_sum_bound_in_gf_1048573_is_fast():
     assert res.status == "pass"
     assert res.detail == ("N = 32714, center q/2^5 = 32767.9062, allowed "
                           "radius 1.5312*sqrt(1048573) + 2.5000")
+
+
+def test_character_sum_window_matches_fraction_oracle(monkeypatch):
+    # every count 0..q against the window in Fractions; the neighbourhoods
+    # are replaced by the first count elements, so their intersection over
+    # the n - 1 points holds exactly count elements
+    decisions = set()
+    for q in (11, 27, 49, 125, 211, 243):
+        ctx = field_for_order(q)
+        for n in range(2, 11):
+            points = tuple(range(n - 1))
+            for count in range(q + 1):
+                monkeypatch.setattr(ver, "Neighbourhoods",
+                                    lambda ctx: lambda a: (1 << count) - 1)
+                res = ver.check_character_sum_bound(ctx, points)
+                ok, detail = oracles.character_sum_window(q, n, count)
+                assert (res.status, res.detail) == (
+                    "pass" if ok else "fail", detail), (q, n, count)
+                decisions.add(ok)
+    assert decisions == {True, False}
 
 
 @pytest.mark.parametrize("q", [29, 37])
