@@ -44,7 +44,8 @@ from .errors import (
     ParameterRangeError,
     SearchGaveUpError,
 )
-from .gf import FieldCtx, Felt, bounded_power, make_field, split_prime_power
+from .gf import (FieldCtx, Felt, Neighbourhoods, bounded_power, make_field,
+                 split_prime_power)
 from .grs import (
     GrsCode,
     check_block_length,
@@ -53,6 +54,7 @@ from .grs import (
     dual_coefficients,
 )
 from .linalg import entrywise_power, row_equivalent, vandermonde_system
+from .verify import check_self_dual
 
 class Certificate(NamedTuple):
     """Witnesses for self-duality: lam * u_i = v_i^2 entrywise.
@@ -181,10 +183,6 @@ def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
 
 
 def _check_selfdual_result(result: ConstructionResult) -> ConstructionResult:
-    # late import: verify imports Neighbourhoods from this module, so a
-    # module-level import would be circular
-    from .verify import check_self_dual
-
     res = check_self_dual(result.code)
     if res.status != "pass":
         raise InternalCheckError(f"constructed code is not self-dual: {res.detail}")
@@ -228,62 +226,10 @@ def construct_extended(q: int) -> ConstructionResult:
 # largest fields below 2^20 (3^12, 97^3, 101^3).  Proving that GF(401)
 # has no 10-point set takes 19,355 nodes.
 SEARCH_NODE_BUDGET = 3 * 10 ** 4
-# chi's bytes as binary digits: 1 (a square) to "1", 0 and -1 to "0"
-_BINARY_DIGITS = bytes.maketrans(b"\0\1\xff", b"010")
-
-
-def _square_bitset(chi: memoryview) -> int:
-    """N(0), bit y set iff chi[y] = 1, from a `FieldCtx.character_table`:
-    its bytes reversed (bit q - 1 first), translated to binary digits and
-    parsed by one int(..., 2), with no Python-level loop over the
-    elements."""
-    return int(chi.tobytes()[::-1].translate(_BINARY_DIGITS), 2)
-
-
-class Neighbourhoods:
-    """N(x) = {y : chi(y - x) = 1} for the elements x of GF(q), odd q, as
-    q-bit ints, bit y for element y.
-
-    N(0) is the set of nonzero squares (`_square_bitset`), and N(x) is
-    N(0) translated by x.  Adding d digit-wise at the base-p weight w
-    moves the elements whose digit there is below p - d up by d w and the
-    rest down by (p - d) w: one masked pair of shifts of the bitset per
-    nonzero digit of d, a rotation for prime q.  Each call translates the
-    last N returned, so the digits x shares with the last x cost nothing.
-    Memory holds a q-bit int per base-p digit.
-    """
-
-    __slots__ = ("_p", "_combs", "_last", "_bits")
-
-    def __init__(self, ctx: FieldCtx):
-        p, q, full = ctx.p, ctx.q, (1 << ctx.q) - 1
-        self._p = p
-        combs = []  # (w, one bit at the start of each block of p w elements)
-        for w in (p ** i for i in range(ctx.e)):
-            # by doubling: dividing 2^q - 1 by 2^(p w) - 1 takes time
-            # quadratic in q for the middle weights
-            comb, span = 1, p * w
-            while span < q:
-                comb |= comb << span
-                span *= 2
-            combs.append((w, comb & full))
-        self._combs = tuple(combs)
-        self._last = 0
-        self._bits = _square_bitset(ctx.character_table())
-
-    def __call__(self, x: Felt) -> int:
-        p, y, bits = self._p, self._last, self._bits
-        for w, comb in self._combs:
-            d = (x // w - y // w) % p
-            if d:
-                low = bits & ((comb << (p - d) * w) - comb)
-                bits = (low << d * w) | ((bits ^ low) >> (p - d) * w)
-        self._last, self._bits = x, bits
-        return bits
 
 
 def search_square_difference_set(q: int, n: int,
-                                 node_budget: Optional[int] = SEARCH_NODE_BUDGET,
+                                 node_budget: int = SEARCH_NODE_BUDGET,
                                  ) -> Optional[tuple[Felt, ...]]:
     """Lexicographically first n-subset with all pairwise differences
     nonzero squares, or None when the exhaustive search finds none.
@@ -306,7 +252,7 @@ def search_square_difference_set(q: int, n: int,
     subtrees without a solution.
 
     A node is one point added to the chain after 0 and 1.  Past
-    node_budget nodes (None for no limit) the search gives up with
+    node_budget nodes the search gives up with
     SearchGaveUpError, which proves nothing either way.
 
     Each node translates the neighbourhood of its point from the last one
@@ -326,7 +272,6 @@ def search_square_difference_set(q: int, n: int,
     if n == 2:
         return (0, 1)
     nbhd = Neighbourhoods(make_field(p, e))
-    budget = math.inf if node_budget is None else node_budget
     chain = [0, 1]
     # levels[i]: the candidates after the first i + 2 chain points, and
     # their count, kept because bit_count is O(q)
@@ -344,7 +289,7 @@ def search_square_difference_set(q: int, n: int,
         x = (cand ^ rest).bit_length() - 1
         level[0], level[1] = rest, count - 1
         nodes += 1
-        if nodes > budget:
+        if nodes > node_budget:
             raise SearchGaveUpError(node_budget)
         chain.append(x)
         if len(chain) == n:
@@ -354,14 +299,12 @@ def search_square_difference_set(q: int, n: int,
     return None
 
 
-def construct_square_set(q: int, n: int,
-                         node_budget: Optional[int] = SEARCH_NODE_BUDGET,
-                         ) -> ConstructionResult:
+def construct_square_set(q: int, n: int) -> ConstructionResult:
     """Self-dual [n, n/2] code from a square-difference point set."""
     p, e = split_prime_power(q)
     if n % 2:
         raise OddLengthError(f"length must be even, got {n}")
-    points = search_square_difference_set(q, n, node_budget=node_budget)
+    points = search_square_difference_set(q, n)
     if points is None:
         raise NotFoundError(
             f"no square-difference set of size {n} exists in GF({q})")

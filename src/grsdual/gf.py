@@ -19,11 +19,12 @@ them with `.item()`, so their results stay Python ints.  Subtraction needs
 no tables: `_digit_sub` subtracts base-p digits, on ints and int arrays
 alike.  Before the tables exist, and wherever they must not be built (the
 extension-field character table of a search, which never imports numpy),
-`_mul_slow` multiplies from coordinates in plain Python ints: a carry-less
-shift-and-xor product for p = 2, and for odd p one int product of the
-coordinates packed into fixed-width slots (Kronecker substitution),
-reduced by a second product with the reduction rows packed the same way.
-The table build takes its doubling matrices from it.
+`_mul_slow` multiplies from coordinates in plain Python ints, one
+schoolbook product for every p, folded back with the reduction rows
+`_red` (x^d mod the modulus for d >= e).  The table build takes its
+doubling matrices from it.  `Neighbourhoods` parses the character table
+into the q-bit square sets that the square-difference search and the
+character-sum check intersect.
 
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
@@ -35,7 +36,6 @@ op is a single lookup.
 
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Optional, Sequence
 
@@ -54,7 +54,6 @@ Felt = int  # a field element: its index in [0, q)
 
 FIELD_SIZE_LIMIT = 1 << 20
 _NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
-_SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by width
 
 
 def is_prime(n: int) -> bool:
@@ -247,7 +246,7 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field GF(p^e)."""
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_red", "_packed", "_sub", "_lock",
+        "p", "e", "q", "modulus", "_red", "_sub", "_lock",
         "_tables", "_prim", "_chi", "_np_ops",
     )
 
@@ -268,7 +267,6 @@ class FieldCtx:
                     cur = [(cv + top * bv) % p for cv, bv in zip(cur, red[0])]
                 red.append(tuple(cur))
         self._red = tuple(red)
-        self._packed = self._pack_reduction()
         self._sub = _digit_sub(p, e)
         self._lock = threading.RLock()
         self._tables = None  # int32 numpy (exp, log, inv)
@@ -323,73 +321,31 @@ class FieldCtx:
         exp, log, _ = self._arrays()
         return exp.item(log.item(x) + log.item(y))
 
-    def _pack_reduction(self):
-        """What `_mul_slow` reads, built from the modulus and `_red` alone.
-
-        For p = 2 it is the modulus as a bit mask.  For odd p it is
-        (B, bytes of t * M, memoryview format of a slot, M): slots of B
-        bits, B a whole number of bytes, and M the map from the 2e - 1
-        coordinates t of an unreduced product to the e reduced ones,
-        packed into one int.  Row d of that map is x^d mod the modulus
-        (unit vectors for d < e, `_red[d - e]` above); its entry for
-        coordinate i sits in slot (2e - 2 - d) + S i, S = 4e - 3.
-        """
-        p, e = self.p, self.e
-        if p == 2:
-            return sum(c << i for i, c in enumerate(self.modulus))
-        if e == 1:
-            return None
-        top = 2 * e - 2
-        stride = 2 * top + 1
-        # a slot of t * M sums at most 2e - 1 products of a product
-        # coordinate (at most e (p-1)^2) with a row entry (at most p - 1)
-        need = ((2 * e - 1) * e * (p - 1) ** 3).bit_length()
-        nbytes = next(n for n in (1, 2, 4, 8) if 8 * n >= need)
-        bits = 8 * nbytes
-        rows = [[int(i == d) for i in range(e)] for d in range(e)]
-        rows += self._red
-        packed = 0
-        for d, row in enumerate(rows):
-            for i, r in enumerate(row):
-                packed |= r << bits * (top - d + stride * i)
-        size = nbytes * (2 * top + 1 + stride * (e - 1))
-        return bits, size, _SLOT_FORMAT[nbytes], packed
-
     def _mul_slow(self, x: Felt, y: Felt) -> Felt:
         """The product from coordinates, without tables.
 
-        p = 2: a carry-less shift-and-xor product, reduced by the modulus
-        bit mask whenever a shift reaches degree e.  Odd p (Kronecker
-        substitution, as in `verify._products`): the coordinates of x and
-        y go into B-bit slots of one int each, so one int product t
-        carries the 2e - 1 coordinates of the unreduced product, and t * M
-        carries each reduced coordinate i, not yet taken mod p, in slot
-        (2e - 2) + S i.  No slot reaches 2^B, so none carries into the
-        next, and the e slots are read back from the bytes of t * M.
+        Schoolbook: the coordinates of x and y multiply into the 2e - 1
+        coordinates of the unreduced product, each degree d >= e is folded
+        back with its reduction row `_red[d - e]` (x^d mod the modulus),
+        as `verify._products` folds, and each of the e coordinates left is
+        taken mod p.  The same code for every p, p = 2 included.
         """
         p, e = self.p, self.e
         if e == 1:
             return (x * y) % p
-        if p == 2:
-            top, mod, z = self.q, self._packed, 0
-            while y:
-                if y & 1:
-                    z ^= x
-                y >>= 1
-                x <<= 1
-                if x & top:
-                    x ^= mod
-            return z
-        bits, size, fmt, packed = self._packed
-        a = b = 0
-        for shift in range(0, bits * e, bits):
-            x, c = divmod(x, p)
-            y, d = divmod(y, p)
-            a |= c << shift
-            b |= d << shift
-        slots = memoryview((a * b * packed).to_bytes(size, sys.byteorder))
+        b = self.coeffs(y)
+        t = [0] * (2 * e - 1)
+        for i, c in enumerate(self.coeffs(x)):
+            if c:
+                for j, d in enumerate(b, i):
+                    t[j] += c * d
+        for row, c in zip(self._red, t[e:]):
+            c %= p
+            if c:
+                for i, r in enumerate(row):
+                    t[i] += c * r
         z = 0
-        for c in reversed(slots.cast(fmt)[2 * e - 2::4 * e - 3]):
+        for c in reversed(t[:e]):
             z = z * p + c % p
         return z
 
@@ -494,7 +450,7 @@ class FieldCtx:
         A read-only memoryview of q signed bytes (format "b"), built once
         and shared by every caller, so none may release it: chi[x] is 0,
         1 or -1, `.tolist()` gives them as a list, and assigning into it
-        raises TypeError.  `construct._square_bitset` parses its bytes.
+        raises TypeError.  `_square_bitset` parses its bytes.
 
         A prime field marks the squares x^2 mod q, x = 1 .. (q-1)/2, each
         the last one plus the odd number 2x - 1.  An extension field needs
@@ -736,6 +692,60 @@ class FieldCtx:
 
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
+
+
+# chi's bytes as binary digits: 1 (a square) to "1", 0 and -1 to "0"
+_BINARY_DIGITS = bytes.maketrans(b"\0\1\xff", b"010")
+
+
+def _square_bitset(chi: memoryview) -> int:
+    """N(0), bit y set iff chi[y] = 1, from a `FieldCtx.character_table`:
+    its bytes reversed (bit q - 1 first), translated to binary digits and
+    parsed by one int(..., 2), with no Python-level loop over the
+    elements."""
+    return int(chi.tobytes()[::-1].translate(_BINARY_DIGITS), 2)
+
+
+class Neighbourhoods:
+    """N(x) = {y : chi(y - x) = 1} for the elements x of GF(q), odd q, as
+    q-bit ints, bit y for element y.
+
+    N(0) is the set of nonzero squares (`_square_bitset`), and N(x) is
+    N(0) translated by x.  Adding d digit-wise at the base-p weight w
+    moves the elements whose digit there is below p - d up by d w and the
+    rest down by (p - d) w: one masked pair of shifts of the bitset per
+    nonzero digit of d, a rotation for prime q.  Each call translates the
+    last N returned, so the digits x shares with the last x cost nothing.
+    Memory holds a q-bit int per base-p digit.
+    """
+
+    __slots__ = ("_p", "_combs", "_last", "_bits")
+
+    def __init__(self, ctx: FieldCtx):
+        p, q, full = ctx.p, ctx.q, (1 << ctx.q) - 1
+        self._p = p
+        combs = []  # (w, one bit at the start of each block of p w elements)
+        for w in (p ** i for i in range(ctx.e)):
+            # by doubling: dividing 2^q - 1 by 2^(p w) - 1 takes time
+            # quadratic in q for the middle weights
+            comb, span = 1, p * w
+            while span < q:
+                comb |= comb << span
+                span *= 2
+            combs.append((w, comb & full))
+        self._combs = tuple(combs)
+        self._last = 0
+        self._bits = _square_bitset(ctx.character_table())
+
+    def __call__(self, x: Felt) -> int:
+        p, y, bits = self._p, self._last, self._bits
+        for w, comb in self._combs:
+            d = (x // w - y // w) % p
+            if d:
+                low = bits & ((comb << (p - d) * w) - comb)
+                bits = (low << d * w) | ((bits ^ low) >> (p - d) * w)
+        self._last, self._bits = x, bits
+        return bits
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}

@@ -40,7 +40,7 @@ independent oracle for tiny codes.
 The character-sum check counts the b with chi(b - a) = 1 for every given
 point a as the popcount of the intersection of the points'
 neighbourhoods: the nonzero squares translated by a, as q-bit ints, the
-bitsets of the square-difference search (`construct.Neighbourhoods`).
+bitsets of the square-difference search (`gf.Neighbourhoods`).
 It tests that count against the paper's window exactly, in integers
 scaled by 2^n.
 """
@@ -59,8 +59,7 @@ from .errors import (
     EvenCharacteristicError,
     TooLargeError,
 )
-from .construct import Neighbourhoods
-from .gf import FieldCtx, Felt
+from .gf import FieldCtx, Felt, Neighbourhoods
 from .grs import GrsCode, dual_coefficients, generator_matrix
 from .linalg import MatrixGF, rank_rows
 
@@ -130,8 +129,8 @@ def _products(ctx: FieldCtx, x, y):
     pair (t, s) is the transpose of pair (s, t), so only the pairs s <= t
     are multiplied: m (m + 1) / 2 matmuls for m = ceil(e/c).  Each slot
     is reduced mod p, and degrees >= e are folded back with the reduction
-    rows `FieldCtx._red`, the rows `FieldCtx._mul_slow` packs into its
-    reduction product.
+    rows `FieldCtx._red`, the rows the scalar `FieldCtx._mul_slow` folds
+    with.
     The matmuls are `einsum` calls: numpy has no BLAS for integers, and
     its einsum loop beats its integer `@` on these shapes.
     """
@@ -409,6 +408,8 @@ def check_character_sum_bound(ctx: FieldCtx,
     """
     if ctx.p == 2:
         raise EvenCharacteristicError("the character needs odd q")
+    if any(not 0 <= a < ctx.q for a in points):
+        raise ValueError("points must be field elements")
     if len(set(points)) != len(points):
         raise DuplicatePointsError("points must be distinct")
     if not points:

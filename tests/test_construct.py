@@ -25,7 +25,8 @@ from grsdual.errors import (
     SearchGaveUpError,
     TooLargeError,
 )
-from grsdual.gf import FieldCtx, field_for_order, make_field, split_prime_power
+from grsdual.gf import (FieldCtx, _square_bitset, field_for_order, make_field,
+                        split_prime_power)
 from grsdual.grs import dual_coefficients, generator_matrix
 from oracles import backtrack_square_set
 
@@ -261,7 +262,7 @@ def test_search_bitset_is_the_set_of_nonzero_squares(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()
     squares = {ctx.mul(y, y) for y in range(1, q)}
-    assert con._square_bitset(chi) == sum(1 << s for s in squares)
+    assert _square_bitset(chi) == sum(1 << s for s in squares)
 
 
 def test_search_rejects_wrong_residue_class():

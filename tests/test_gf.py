@@ -191,12 +191,13 @@ def test_slow_mul_matches_poly_oracle_on_samples(p, e):
     _check_slow_mul_on_samples(make_field(p, e), p * 100 + e)
 
 
-@pytest.mark.parametrize("p,e", [(3, 11), (3, 12), (5, 6), (7, 5), (13, 4),
-                                 (1021, 2)])
+@pytest.mark.parametrize("p,e", [(2, 11), (2, 20), (3, 11), (3, 12), (5, 6),
+                                 (7, 5), (13, 4), (1021, 2)])
 def test_packed_mul_matches_poly_oracle_with_dense_moduli(p, e):
     # canonical moduli are sparse; a product is ring arithmetic mod f, so
     # any monic f will do, and dense ones fill the reduction rows.  All
-    # low coefficients 1 make x^e = -(1 + ... + x^(e-1)), every entry p-1
+    # low coefficients 1 make x^e = -(1 + ... + x^(e-1)), every entry p-1,
+    # the only dense modulus for p = 2
     rnd = random.Random(p + e)
     moduli = [(1,) * e + (1,)]
     moduli += [tuple(rnd.randrange(1, p) for _ in range(e)) + (1,)
@@ -431,7 +432,7 @@ def test_gf_3_12_character_table_builds_in_bounded_time():
 
 
 @pytest.mark.parametrize("q", [5 ** 6, 65537, 114689, 3 ** 11, 3 ** 12,
-                               97 ** 3, 1021 ** 2])
+                               97 ** 3, 499 ** 2, 1021 ** 2])
 def test_character_table_matches_euler_criterion_on_samples(q):
     ctx = field_for_order(q)
     chi = ctx.character_table()

@@ -621,6 +621,13 @@ def test_character_sum_bound_preconditions():
         ver.check_character_sum_bound(make_field(2, 2), (1,))
 
 
+@pytest.mark.parametrize("points", [(13, 1), (-13, 1), (0, 14), (0, 13)])
+def test_character_sum_bound_rejects_points_outside_the_field(points):
+    # each would name an element once reduced mod 13, and (0, 13) twice
+    with pytest.raises(ValueError, match="points must be field elements"):
+        ver.check_character_sum_bound(make_field(13), points)
+
+
 @pytest.mark.parametrize("q", [29, 125, 3 ** 5])
 def test_character_sum_count_matches_scalar_oracle(q):
     # the count intersects translated bitsets; count_oracle subtracts
