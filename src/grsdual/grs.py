@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .gf import FieldCtx, Felt, field_from_json
+from .gf import FieldCtx, Felt, field_from_json, json_int
 from .linalg import MatrixGF
 
 
@@ -74,11 +74,11 @@ class GrsCode(_CodeFields):
             raise DuplicatePointsError("evaluation points must be distinct")
         if len(self.v) != len(self.a):
             raise LengthMismatchError("need one multiplier per point")
-        if any(not 0 < x < ctx.q for x in self.v):
+        if any(type(x) is not int or not 0 < x < ctx.q for x in self.v):
             raise ValueError("multipliers must be nonzero field elements")
-        if any(not 0 <= x < ctx.q for x in self.a):
+        if any(type(x) is not int or not 0 <= x < ctx.q for x in self.a):
             raise ValueError("evaluation points must be field elements")
-        if not 1 <= k <= self.block_length:
+        if not 1 <= json_int(k, "dimension") <= self.block_length:
             raise ValueError(
                 f"dimension {k} outside [1, {self.block_length}]")
         return self

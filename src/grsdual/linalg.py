@@ -3,16 +3,16 @@
 A matrix holds its entries, element indices, as one read-only int32
 array of shape (nrows, ncols): the array every kernel reads.  Its JSON
 form lists each entry's coordinates, from one vectorized digit split
-(`FieldCtx.coords`).  All row reduction runs one numpy elimination body,
+(`FieldCtx.coords`).  Row reduction runs one numpy elimination body,
 `_np_echelon`, with plain leftmost-nonzero pivoting on the field's op
 provider (`FieldCtx.np_ops`), the same provider the GRS layer builds its
 matrices with; there are no numerical concerns in exact arithmetic.
-Its forward pass gives rank and nonsingularity; a back-substitution pass
-gives the reduced row echelon form.  The verifier's MDS check reduces a
-generator once with both passes, then tests one small square block of
-that form per column subset: with the forward pass, one block at a time,
-in exact mode, and in randomized mode with `_np_batch_nonsingular`, the
-same forward pass run on a stack of equally sized blocks at once.
+Its forward pass gives rank; a back-substitution pass gives the reduced
+row echelon form.  The verifier's MDS check reduces a generator once
+with both passes, then tests one small square block per column subset:
+in exact mode one at a time, by a forward pass on Python ints
+(`_np_nonsingular`), and in randomized mode a stack of equally sized
+blocks at once in numpy (`_np_batch_nonsingular`).
 
 Row equivalence is decided by comparing reduced row echelon forms, which
 are canonical, and the nullspace is read off the same form with each
@@ -210,8 +210,32 @@ def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
 
 
 def _np_nonsingular(a, ops) -> bool:
-    """Nonsingularity of a square array; mutates a."""
-    return len(_np_echelon(a, ops)) == a.shape[0]
+    """Nonsingularity of a square int32 array, by a forward pass on Python
+    ints from a.tolist(); a is not changed.
+
+    Each step pivots on the first row with a nonzero leading entry, as
+    `_np_echelon` does, and keeps the rows below it, cleared, without the
+    pivot column; two rows left are a 2 x 2 determinant.  On the small
+    blocks of exact mode, ops' scalar indexing (tables or exp/log ops)
+    costs less than a dozen numpy calls a column.  The `_np_` name stays:
+    the benchmark's spans and tests wrap this function by name.
+    """
+    mul, sub, inv = ops.mul, ops.sub, ops.inv
+    rows = a.tolist()
+    while len(rows) > 2:
+        for i, top in enumerate(rows):
+            if top[0]:
+                break
+        else:
+            return False
+        rows[i] = rows[0]
+        s, tail = inv[top[0]], top[1:]
+        rows = [[sub[x, mul[f, y]] for x, y in zip(row[1:], tail)]
+                for row in rows[1:] for f in (mul[row[0], s],)]
+    if len(rows) == 2:
+        (w, x), (y, z) = rows
+        return bool(mul[w, z] != mul[x, y])
+    return not rows or bool(rows[0][0])
 
 
 def _np_batch_nonsingular(a, ops):

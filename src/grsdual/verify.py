@@ -19,7 +19,7 @@ the largest with (2c - 1) B <= 63: no slot carries into the next and no
 sum overflows, so every coordinate sum read back is exact.
 Products and ranks read a matrix's int32 entries array as it is:
 `_products` widens it to int64, and `linalg.rank_rows` eliminates a copy
-with the one numpy elimination body, on the field's op provider.
+with the numpy elimination body, on the field's op provider.
 
 The exact MDS check is the definition itself -- every k-subset of
 generator columns must be nonsingular -- tested in systematic form.  The
@@ -28,11 +28,11 @@ column subset, and in the reduced form G' = [I | A] (up to a column
 permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
-elimination of j ~ k/2 rows instead of k.  The randomized mode samples
-subsets from a seeded generator and reports confidence only.  It draws
-its samples a chunk at a time, groups the chunk's blocks by size j, and
-eliminates each group as one (B, j, j) array; the exact mode still
-eliminates one block per subset.  The structural mode certifies via
+elimination of j ~ k/2 rows instead of k: a forward pass on Python ints
+per subset in exact mode.  Randomized mode samples subsets from a seeded
+generator and reports confidence only.  It draws its samples a chunk at
+a time, groups the chunk's blocks by size j, and eliminates each group
+as one (B, j, j) numpy array.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
 Minimum distance by full codeword enumeration is provided as a second,
 independent oracle for tiny codes.
@@ -231,10 +231,10 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
 
     The generator is brought to reduced row echelon form once, and each
     subset is tested on its block of that form.  Exact mode eliminates
-    one block per subset (`_np_subset_nonsingular`).  Randomized mode
-    draws a chunk of samples at a time, at most `_MDS_CHUNK` block
-    entries, and eliminates the chunk's blocks together
-    (`_blocks_nonsingular`); the first singular sample in draw order is
+    one block per subset on Python ints (`_np_subset_nonsingular`).
+    Randomized mode draws a chunk of samples at a time, at most
+    `_MDS_CHUNK` block entries, and eliminates the chunk's blocks in
+    numpy together (`_blocks_nonsingular`); the first singular draw is
     reported, so a failure stops the draws within one chunk of it.
     Below rank k every block keeps a zero row, so the first subset fails.
     """
@@ -408,7 +408,7 @@ def check_character_sum_bound(ctx: FieldCtx,
     """
     if ctx.p == 2:
         raise EvenCharacteristicError("the character needs odd q")
-    if any(not 0 <= a < ctx.q for a in points):
+    if any(type(a) is not int or not 0 <= a < ctx.q for a in points):
         raise ValueError("points must be field elements")
     if len(set(points)) != len(points):
         raise DuplicatePointsError("points must be distinct")

@@ -167,6 +167,21 @@ def test_code_invariants_enforced():
         ((ctx, [0, 5], [1, 1], 3), ValueError,
          "evaluation points must be field elements"),
         ((ctx, [0, 1], [1, 1], 0), ValueError, r"dimension 0 outside \[1, 2\]"),
+        # a value of the right size but not an int is no field element
+        ((make_field(13), (0.5, 1, 2, 3), (1, 1, 1, 1), 2), ValueError,
+         "evaluation points must be field elements"),
+        ((ctx, [0, 1.0], [1, 1], 1), ValueError,
+         "evaluation points must be field elements"),
+        ((ctx, [0, True], [1, 1], 1), ValueError,
+         "evaluation points must be field elements"),
+        ((ctx, [0, 1], [1, 2.0], 1), ValueError,
+         "multipliers must be nonzero field elements"),
+        ((ctx, [0, 1], [True, 1], 1), ValueError,
+         "multipliers must be nonzero field elements"),
+        ((ctx, [0, 1], [1, 1], 1.0), ValueError,
+         "dimension must be an integer, got 1.0"),
+        ((ctx, [0, 1], [1, 1], "1"), ValueError,
+         "dimension must be an integer, got '1'"),
     ]
     for args, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):

@@ -205,6 +205,60 @@ def test_batched_kernel_agrees_with_pure_elimination():
             assert 0 < sum(want) and (j == 0 or not all(want))
 
 
+def _square_cases(ctx, rnd, j):
+    """j x j matrices over ctx, as rows: random ones, and ones that are
+    singular (a repeated row, a zero column) or need a row swap (a zero
+    leading entry, or a zero pivot after the first step)."""
+    q = ctx.q
+    cases = []
+    for _ in range(6):
+        rows = [[rnd.randrange(q) for _ in range(j)] for _ in range(j)]
+        cases.append(rows)
+        if j == 0:
+            continue
+        repeated = [list(r) for r in rows]
+        repeated[rnd.randrange(j)] = list(rnd.choice(rows))
+        zero_col = [list(r) for r in rows]
+        col = rnd.randrange(j)
+        for row in zero_col:
+            row[col] = 0
+        swap = [list(r) for r in rows]
+        swap[0][0] = 0
+        cases += [repeated, zero_col, swap]
+        if j >= 3:
+            # row 1 is row 0 but for its third entry: after the first
+            # step its leading entry is zero, and row 2 or later pivots
+            later = [list(r) for r in rows]
+            later[0][0] = rnd.randrange(1, q)
+            later[1] = list(later[0])
+            later[1][2] = ctx.add(later[1][2], rnd.randrange(1, q))
+            cases.append(later)
+    return cases
+
+
+@pytest.mark.parametrize("q", [7, 9, 16, 1031, 43 ** 2, 2048])
+def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
+    # dense tables up to 2^10, exp/log ops above (prime, digit-wise and
+    # characteristic-2 subtraction)
+    ctx = field_for_order(q)
+    ops = ctx.np_ops()
+    rnd = random.Random(q)
+    outcomes = set()
+    for j in range(9):
+        for rows in _square_cases(ctx, rnd, j):
+            a = np.array(rows, dtype=np.int32).reshape(j, j)
+            want = len(la._np_echelon(a.copy(), ops)) == j
+            before = a.copy()
+            a.flags.writeable = False
+            got = la._np_nonsingular(a, ops)
+            assert type(got) is bool and got == want, (q, rows)
+            # the argument is only read
+            assert np.array_equal(a, before)
+            outcomes.add((j > 2, got))
+    assert outcomes == {(False, True), (False, False), (True, True),
+                        (True, False)}
+
+
 def _random_rows(ctx, rnd, max_dim=6):
     """A random matrix over ctx, half the time with dependent rows."""
     nrows, ncols = rnd.randint(1, max_dim), rnd.randint(1, max_dim)

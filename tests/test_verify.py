@@ -463,6 +463,32 @@ def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
     assert statuses == ["pass", "fail", "fail", "fail"]
 
 
+@pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
+def test_tampered_code_above_the_table_limit_names_the_oracles_subset(q):
+    # exp/log ops, no dense tables: a GRS [12, 6] code with column 11 made
+    # a combination of columns 7 and 9 fails first at a subset far into
+    # the walk; a code with one entry changed may pass or fail
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    points = tuple(rnd.sample(range(q), 12))
+    v = tuple(rnd.randrange(1, q) for _ in range(12))
+    code = GrsCode(ctx, points, v, 6)
+    rows = generator_matrix(code).entries.tolist()
+    c, d = rnd.randrange(1, q), rnd.randrange(1, q)
+    for row in rows:
+        row[11] = ctx.add(ctx.mul(c, row[7]), ctx.mul(d, row[9]))
+    one_entry = generator_matrix(code).entries.tolist()
+    one_entry[rnd.randrange(6)][rnd.randrange(12)] = rnd.randrange(q)
+    for tampered in (rows, one_entry):
+        gen = matrix(ctx, tampered)
+        got = ver.check_mds_matrix(ctx, gen, mode="exact")
+        assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
+    first = next(list(cols) for cols in combinations(range(12), 6)
+                 if {7, 9, 11} <= set(cols))
+    assert ver.check_mds_matrix(ctx, matrix(ctx, rows)).detail == (
+        f"columns {first} are singular")
+
+
 def test_mds_check_reports_the_first_subset_below_full_rank():
     ctx = make_field(5)
     gen = matrix(ctx, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])  # rank 1
@@ -621,9 +647,11 @@ def test_character_sum_bound_preconditions():
         ver.check_character_sum_bound(make_field(2, 2), (1,))
 
 
-@pytest.mark.parametrize("points", [(13, 1), (-13, 1), (0, 14), (0, 13)])
+@pytest.mark.parametrize("points", [(13, 1), (-13, 1), (0, 14), (0, 13),
+                                    (0.5,), (1.0, 2), (True, 2), (0, 2.0)])
 def test_character_sum_bound_rejects_points_outside_the_field(points):
-    # each would name an element once reduced mod 13, and (0, 13) twice
+    # each would name an element once reduced mod 13, and (0, 13) twice;
+    # a float or bool is not an element even where its value is one
     with pytest.raises(ValueError, match="points must be field elements"):
         ver.check_character_sum_bound(make_field(13), points)
 
