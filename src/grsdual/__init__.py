@@ -18,31 +18,18 @@ from .construct import (
     construct_subfield_points,
     construct_theorem_3_5,
     find_subfield_scaling,
-    has_subfield_solution,
     result_to_json,
     search_square_difference_set,
-    selfdualize,
 )
 from .gf import FieldCtx, Felt, field_for_order, make_field
 from .grs import (
     GrsCode,
     code_from_json,
     code_to_json,
-    dual_code,
     dual_coefficients,
-    encode,
     generator_matrix,
 )
-from .linalg import (
-    MatrixGF,
-    entrywise_power,
-    matrix,
-    nullspace,
-    rank,
-    row_equivalent,
-    rref,
-    vandermonde_system,
-)
+from .linalg import MatrixGF
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -50,7 +37,6 @@ from .verify import (
     check_dual_identity,
     check_mds,
     check_self_dual,
-    minimum_distance,
     verify_code,
 )
 

@@ -162,6 +162,8 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise GrsDualError(f"invalid JSON at line {exc.lineno}, column "
                            f"{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise GrsDualError("invalid JSON: nested too deeply") from exc
     try:
         code = code_from_json(obj)
         stored = stored_generator_from_json(obj, code)

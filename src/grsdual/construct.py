@@ -53,7 +53,6 @@ from .grs import (
     difference_products,
     dual_coefficients,
 )
-from .linalg import entrywise_power, row_equivalent, vandermonde_system
 from .verify import check_self_dual
 
 class Certificate(NamedTuple):
@@ -110,41 +109,7 @@ def find_subfield_scaling(ctx: FieldCtx, u: Sequence[Felt]) -> tuple[Felt, ...]:
     return w
 
 
-def has_subfield_solution(ctx: FieldCtx, points: Sequence[Felt]) -> bool:
-    """Row-equivalence test: the system for these points has a GF(r)
-    solution iff raising every matrix entry to the r-th power preserves
-    the row space."""
-    if ctx.e % 2:
-        raise BadSubfieldError("q must be a square to have GF(sqrt(q))")
-    r = ctx.p ** (ctx.e // 2)
-    system = vandermonde_system(ctx, points)
-    return row_equivalent(system, entrywise_power(system, r))
-
-
 # --- the generic self-dualizing step --------------------------------------
-
-def _selfdual_scaling(ctx: FieldCtx, u: Sequence[Felt],
-                      ) -> tuple[Felt, Optional[tuple[Felt, ...]]]:
-    """(lam, w) for `_certify`: lam with every lam * u_i a square, or, for
-    mixed characters over a square field, the subfield scaling w of u."""
-    if ctx.p == 2:
-        return 1, None
-    chars = [ctx.quadratic_character(ui) for ui in u]
-    if all(c == 1 for c in chars):
-        return 1, None
-    if all(c == -1 for c in chars):
-        return ctx.smallest_nonresidue(), None
-    if ctx.e % 2:
-        raise NotSelfDualizableError(
-            "dual coefficients have mixed quadratic characters")
-    # mixed characters: fall back to a subfield-rational scaling
-    # (elements of GF(r)* are squares in GF(r^2))
-    try:
-        w = find_subfield_scaling(ctx, u)
-    except NoSubfieldSolutionError as exc:
-        raise NotSelfDualizableError(str(exc)) from exc
-    return ctx.inverse(u[0]), w
-
 
 def _certify(ctx: FieldCtx, family: str, points: Sequence[Felt],
              u: Sequence[Felt], lam: Felt,
@@ -159,15 +124,6 @@ def _certify(ctx: FieldCtx, family: str, points: Sequence[Felt],
     cert = Certificate(alpha_set=code.a, u=u, lam=lam, w=w, **witnesses)
     _check_certificate(ctx, code, cert)
     return _check_selfdual_result(ConstructionResult(code, family, cert))
-
-
-def selfdualize(ctx: FieldCtx, points: Sequence[Felt]) -> GrsCode:
-    """Column multipliers making GRS_{n/2}(points, v) self-dual, if any."""
-    if len(points) % 2:
-        raise OddLengthError(
-            f"self-dual codes need even length, got {len(points)}")
-    u = dual_coefficients(ctx, points)
-    return _certify(ctx, "", points, u, *_selfdual_scaling(ctx, u)).code
 
 
 def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
@@ -205,7 +161,7 @@ def construct_even_char(q: int, n: int) -> ConstructionResult:
     ctx = make_field(p, e)
     points = tuple(range(n))
     u = dual_coefficients(ctx, points)
-    return _certify(ctx, "even-char", points, u, *_selfdual_scaling(ctx, u))
+    return _certify(ctx, "even-char", points, u, 1)
 
 
 def construct_extended(q: int) -> ConstructionResult:
@@ -310,7 +266,7 @@ def construct_square_set(q: int, n: int) -> ConstructionResult:
             f"no square-difference set of size {n} exists in GF({q})")
     ctx = make_field(p, e)
     u = dual_coefficients(ctx, points)
-    if _selfdual_scaling(ctx, u) != (1, None):
+    if any(ctx.quadratic_character(ui) != 1 for ui in u):
         raise InternalCheckError("square-set coefficients must all be squares")
     return _certify(ctx, "square-set", points, u, 1)
 
@@ -566,7 +522,7 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
     for family in reversed(FAMILY_TABLE.values()):
         try:
             return family.construct(*family.from_q_n(q, n))
-        except (NotEligible, NotFoundError, NotSelfDualizableError) as exc:
+        except (NotEligible, NotFoundError) as exc:
             attempts.append(f"{family.name}: {exc}")
     raise NotSelfDualizableError(
         f"no family yields a self-dual code for q={q}, n={n} "

@@ -61,11 +61,7 @@ class ShapeMismatchError(GrsDualError):
 
 
 class LengthMismatchError(GrsDualError):
-    """Message length does not equal the code dimension."""
-
-
-class ExtendedDualUnsupportedError(GrsDualError):
-    """Extended dual needs v = 1, alpha = all of GF(q) and 1 <= k <= q-1."""
+    """A code needs one column multiplier per evaluation point."""
 
 
 # --- constructions ------------------------------------------------------

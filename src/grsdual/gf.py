@@ -36,6 +36,7 @@ op is a single lookup.
 
 from __future__ import annotations
 
+import reprlib
 import threading
 from typing import Optional, Sequence
 
@@ -195,9 +196,11 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 def json_int(value, name: str) -> int:
-    """value if it is a JSON integer (not a bool), else ValueError."""
+    """value if it is a JSON integer (not a bool), else ValueError, which
+    quotes a long value abbreviated."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(
+            f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -556,13 +559,6 @@ class FieldCtx:
             by_place += ([s, s ^ 0xfe] * (size // 2) if alternate
                          else [s] * size)
         return bytes([by_place[n] for n in place])
-
-    def smallest_nonresidue(self) -> Felt:
-        """Smallest-index element of character -1 (q odd)."""
-        if self.p == 2:
-            raise EvenCharacteristicError("every element is a square")
-        return next(x for x in range(2, self.q)
-                    if self.quadratic_character(x) == -1)
 
     def sqrt(self, x: Felt) -> Felt:
         """Deterministic square root: the root of smaller index.

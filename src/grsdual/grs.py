@@ -6,14 +6,11 @@ v_n f(a_n)) over all polynomials f of degree < k.  With extended=True the
 coefficient of x^(k-1) is appended as one extra coordinate, giving block
 length n + 1; the extended coordinate is always last.
 
-Messages are plain coefficient lists of length exactly k, constant term
-first (high zeros allowed).
-
 The dual of a plain code is again such a code: GRS_{n-k}(a, u/v) where
 u_i is the product of the inverses of all differences (a_i - a_j).  The
 all-ones-v case is the textbook identity; the entrywise division by v is
-the natural generalization and is cross-checked against the elimination
-nullspace throughout the test suite rather than trusted blindly.
+the natural generalization, which the tests check (orthogonality and
+rank, and equal row spaces by scalar row reduction) rather than trust.
 
 Dual coefficients, generator rows and the theorem-3-5 block products run
 on the field's numpy op provider (`FieldCtx.np_ops`): one difference-
@@ -29,7 +26,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicatePointsError,
-    ExtendedDualUnsupportedError,
     LengthMismatchError,
     ShapeMismatchError,
     TooLargeError,
@@ -158,51 +154,6 @@ def generator_matrix(code: GrsCode) -> MatrixGF:
         last[-1] = 1
         gen = np.hstack((gen, last))
     return MatrixGF(code.ctx, code.k, code.block_length, gen)
-
-
-def encode(code: GrsCode, message: Sequence[Felt]) -> list[Felt]:
-    """Codeword (v_1 f(a_1), ..., v_n f(a_n)) for f given by message.
-
-    The message holds the k coefficients of f, constant term first; when
-    the code is extended, the top coefficient f_{k-1} is appended.
-    """
-    if len(message) != code.k:
-        raise LengthMismatchError(
-            f"message length {len(message)} != dimension {code.k}")
-    ctx = code.ctx
-    word = []
-    for aj, vj in zip(code.a, code.v):
-        acc = 0
-        for c in reversed(message):
-            acc = ctx.add(ctx.mul(acc, aj), c)
-        word.append(ctx.mul(vj, acc))
-    if code.extended:
-        word.append(message[code.k - 1])
-    return word
-
-
-def dual_code(code: GrsCode) -> GrsCode:
-    """The Euclidean dual, itself a GRS code.
-
-    Plain case: GRS_{n-k}(a, u/v) with u = dual_coefficients(a).  Extended
-    case: requires v all ones, a an enumeration of the whole field and
-    1 <= k <= q - 1, and yields the extended code of dimension q - k + 1.
-    """
-    ctx = code.ctx
-    if code.extended:
-        if (any(x != 1 for x in code.v)
-                or len(code.a) != ctx.q
-                or not 1 <= code.k <= ctx.q - 1):
-            raise ExtendedDualUnsupportedError(
-                "extended dual needs v = 1, alpha = all of GF(q) "
-                "and 1 <= k <= q-1")
-        return GrsCode(ctx, code.a, code.v, ctx.q - code.k + 1, extended=True)
-    if code.k == code.n:
-        raise ValueError("dual of a full-dimension code is zero-dimensional")
-    u = dual_coefficients(ctx, code.a)
-    dual_v = tuple(ctx.mul(ui, ctx.inverse(vi))
-                   for ui, vi in zip(u, code.v))
-    return GrsCode(ctx, code.a, dual_v, code.n - code.k)
 
 
 # --- interchange format ---------------------------------------------------

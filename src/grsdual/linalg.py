@@ -13,18 +13,14 @@ with both passes, then tests one small square block per column subset:
 in exact mode one at a time, by a forward pass on Python ints
 (`_np_nonsingular`), and in randomized mode a stack of equally sized
 blocks at once in numpy (`_np_batch_nonsingular`).
-
-Row equivalence is decided by comparing reduced row echelon forms, which
-are canonical, and the nullspace is read off the same form with each
-basis vector scaled so its first nonzero coordinate is 1.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import DuplicatePointsError, ShapeMismatchError
-from .gf import FieldCtx, Felt
+from .errors import ShapeMismatchError
+from .gf import FieldCtx
 
 
 class _MatrixFields(NamedTuple):
@@ -73,45 +69,7 @@ class MatrixGF(_MatrixFields):
         }
 
 
-def matrix(ctx: FieldCtx, rows: Sequence[Sequence[Felt]]) -> MatrixGF:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ShapeMismatchError("ragged rows")
-    return MatrixGF(ctx, nrows, ncols, [x for r in rows for x in r])
-
-
-def vandermonde_system(ctx: FieldCtx, points: Sequence[Felt]) -> MatrixGF:
-    """The (n-1) x n matrix whose row i holds the i-th powers of points.
-
-    Its nullspace is the line of dual coefficient vectors attached to the
-    points; row 0 is all ones.
-    """
-    n = len(points)
-    if len(set(points)) != n:
-        raise DuplicatePointsError("evaluation points must be distinct")
-    if n < 2:
-        raise ValueError("need at least two points")
-    rows = []
-    cur = [1] * n
-    for _ in range(n - 1):
-        rows.append(list(cur))
-        cur = [ctx.mul(c, a) for c, a in zip(cur, points)]
-    return matrix(ctx, rows)
-
-
 # --- elimination ---------------------------------------------------------
-
-def rref(m: MatrixGF) -> MatrixGF:
-    """Canonical reduced row echelon form (same shape, zero rows last)."""
-    a = m.entries.copy()
-    _np_echelon(a, m.ctx.np_ops(), reduced=True)
-    return MatrixGF(m.ctx, m.nrows, m.ncols, a)
-
-
-def rank(m: MatrixGF) -> int:
-    return rank_rows(m.ctx, m.entries)
-
 
 def rank_rows(ctx: FieldCtx, rows) -> int:
     """Rank of a list-of-rows or ndarray.
@@ -130,43 +88,6 @@ def rank_rows(ctx: FieldCtx, rows) -> int:
             and len(_np_echelon(a[:m, :m].copy(), ops)) == m):
         return m
     return len(_np_echelon(a, ops))
-
-
-def nullspace(m: MatrixGF) -> list[tuple[Felt, ...]]:
-    """Basis of the right nullspace, one vector per free column.
-
-    Vectors are listed in free-column order and scaled so the first
-    nonzero coordinate is 1, fixing the scalar left open by elimination.
-    """
-    ctx = m.ctx
-    a = m.entries.copy()
-    pivots = _np_echelon(a, ctx.np_ops(), reduced=True)
-    rows = a.tolist()
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * m.ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = ctx.neg(rows[ri][fc])
-        lead = next(x for x in v if x)
-        if lead != 1:
-            s = ctx.inverse(lead)
-            v = [ctx.mul(s, x) for x in v]
-        basis.append(tuple(v))
-    return basis
-
-
-def row_equivalent(a: MatrixGF, b: MatrixGF) -> bool:
-    """True iff a and b have equal reduced row echelon forms."""
-    if a.ctx is not b.ctx or a.nrows != b.nrows or a.ncols != b.ncols:
-        raise ShapeMismatchError("row equivalence needs equal shapes")
-    return rref(a) == rref(b)
-
-
-def entrywise_power(m: MatrixGF, r: int) -> MatrixGF:
-    return MatrixGF(m.ctx, m.nrows, m.ncols,
-                    [m.ctx.power(x, r) for x in m.entries.ravel().tolist()])
 
 
 # --- numpy elimination kernel ---------------------------------------------

@@ -5,11 +5,11 @@ Every check returns a CheckResult rather than raising, so a report can
 collect failures; only precondition violations (over-budget exact checks,
 repeated points, even characteristic where odd is required) raise.
 
-Inner products (G*G^T for self-duality, the dual-identity products, and
-the codewords the minimum-distance oracle enumerates) are exact integer
-matmuls over the GF(p) coordinates of the stored entries, folded back
-into GF(q) with the field's own reduction rows, so they trust nothing
-about how the matrix was built and share no tables with the rank checks.
+Inner products (G*G^T for self-duality and the dual-identity products)
+are exact integer matmuls over the GF(p) coordinates of the stored
+entries, folded back into GF(q) with the field's own reduction rows, so
+they trust nothing about how the matrix was built and share no tables
+with the rank checks.
 Runs of c consecutive coordinates are packed into one int64, B bits a
 slot (Kronecker substitution), so an inner product of n-entry rows takes
 ceil(e/c)^2 matmuls rather than e^2, and G*G^T, which is symmetric, only
@@ -34,8 +34,6 @@ generator and reports confidence only.  It draws its samples a chunk at
 a time, groups the chunk's blocks by size j, and eliminates each group
 as one (B, j, j) numpy array.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
-Minimum distance by full codeword enumeration is provided as a second,
-independent oracle for tiny codes.
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
 point a as the popcount of the intersection of the points'
@@ -431,34 +429,6 @@ def check_character_sum_bound(ctx: FieldCtx,
               f"{(n - 1) / 2:.4f}")
     return CheckResult("character-sum-bound", "pass" if ok else "fail",
                        detail, "exact")
-
-
-# --- minimum distance oracle ----------------------------------------------------
-
-# messages per chunk times block length: bounds the chunk's int64 arrays
-_DISTANCE_CHUNK = 1 << 16
-
-
-def minimum_distance(code: GrsCode, budget: int = EXACT_MDS_BUDGET) -> int:
-    """Exact minimum distance by enumerating all q^k codewords, a chunk of
-    messages at a time, as exact products with the generator."""
-    import numpy as np
-
-    ctx = code.ctx
-    q, k = ctx.q, code.k
-    total = q ** k
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} codewords exceed budget {budget}")
-    gen = generator_matrix(code)
-    best = gen.ncols
-    chunk = max(1, _DISTANCE_CHUNK // gen.ncols)
-    for start in range(1, total, chunk):  # message 0 is the zero word
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        messages = np.stack([idx // q ** i % q for i in range(k)], axis=1)
-        words = _products(ctx, messages, gen.entries.T)
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
-    return best
 
 
 # --- report assembly --------------------------------------------------------------

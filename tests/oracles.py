@@ -10,6 +10,11 @@ which `verify._products` packs into fewer.  The MDS check below is the
 definition taken literally: every k x k column subset of the generator,
 row-reduced on its own, where `verify` reduces the generator once and
 tests small blocks of that form.
+Three oracles for the paper's claims are built on `echelon` and
+`products` alone: the nullspace of the power-rows system (a line, on
+which the dual coefficients lie), the row-equivalence test for a
+GF(sqrt(q)) solution of that system, and the minimum distance by
+enumeration of every codeword.
 The square-difference backtracking below shares nothing with the bitset
 search in `construct` either: it tests one candidate at a time against
 the Euler criterion, not against the character table.
@@ -22,6 +27,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
+
+import numpy as np
 
 from grsdual.errors import BudgetExceededError, ShapeMismatchError
 from grsdual.gf import FieldCtx, Felt, field_for_order
@@ -61,6 +68,71 @@ def echelon(ctx: FieldCtx, rows: list[list[Felt]],
         if r == nr:
             break
     return rows, pivots
+
+
+def nullspace(ctx: FieldCtx, rows: list[list[Felt]]) -> list[tuple[Felt, ...]]:
+    """Basis of the right nullspace of rows, one vector per free column in
+    column order, each scaled so its first nonzero coordinate is 1."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = echelon(ctx, [list(r) for r in rows], reduced=True)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = ctx.neg(row[fc])
+        scale = ctx.inverse(next(x for x in vec if x))
+        basis.append(tuple(ctx.mul(scale, x) for x in vec))
+    return basis
+
+
+def row_equivalent(ctx: FieldCtx, a: list[list[Felt]],
+                   b: list[list[Felt]]) -> bool:
+    """True iff two matrices of one shape, as rows, have one row space:
+    their reduced row echelon forms, which are canonical, are equal."""
+    return (echelon(ctx, [list(r) for r in a], reduced=True)[0]
+            == echelon(ctx, [list(r) for r in b], reduced=True)[0])
+
+
+def power_rows(ctx: FieldCtx, points: Sequence[Felt]) -> list[list[Felt]]:
+    """The (n-1) x n system whose row i holds the i-th powers of the n
+    points; its nullspace is the line of the dual coefficient vectors."""
+    rows, cur = [], [1] * len(points)
+    for _ in range(len(points) - 1):
+        rows.append(cur)
+        cur = [ctx.mul(c, a) for c, a in zip(cur, points)]
+    return rows
+
+
+def has_subfield_solution(ctx: FieldCtx, points: Sequence[Felt]) -> bool:
+    """Whether the power-rows system of the points has a nonzero solution
+    over GF(r), r = sqrt(q): exactly when raising every entry to the r-th
+    power keeps its row space."""
+    assert ctx.e % 2 == 0, "q must be a square to have GF(sqrt(q))"
+    r = ctx.p ** (ctx.e // 2)
+    rows = power_rows(ctx, points)
+    return row_equivalent(ctx, rows,
+                          [[ctx.power(x, r) for x in row] for row in rows])
+
+
+# messages whose codewords are formed at once by `minimum_distance`
+_DISTANCE_CHUNK = 1 << 12
+
+
+def minimum_distance(code: GrsCode) -> int:
+    """Minimum distance by enumerating all q^k codewords: each nonzero
+    message, as k base-q digits, times the scalar generator, by
+    `products`, a chunk of messages at a time."""
+    q, k = code.ctx.q, code.k
+    gen_t = np.array(generator_matrix(code).entries, dtype=np.int64).T
+    best = code.block_length
+    for start in range(1, q ** k, _DISTANCE_CHUNK):  # 0 is the zero word
+        idx = np.arange(start, min(start + _DISTANCE_CHUNK, q ** k),
+                        dtype=np.int64)
+        messages = np.stack([idx // q ** i % q for i in range(k)], axis=1)
+        words = products(code.ctx, messages, gen_t)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
 
 
 def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
@@ -178,6 +250,16 @@ def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]
                 prod = ctx.mul(prod, ctx.sub(ai, aj))
         out.append(ctx.inverse(prod))
     return tuple(out)
+
+
+def dual_code(code: GrsCode) -> GrsCode:
+    """GRS_{n-k}(a, u/v), the dual of the plain code GRS_k(a, v), with u
+    from `dual_coefficients` above."""
+    ctx = code.ctx
+    u = dual_coefficients(ctx, code.a)
+    return GrsCode(ctx, code.a, [ctx.mul(ui, ctx.inverse(vi))
+                                 for ui, vi in zip(u, code.v)],
+                   code.n - code.k)
 
 
 def generator_matrix(code: GrsCode) -> MatrixGF:

@@ -17,7 +17,7 @@ from grsdual import verify as ver
 from grsdual.errors import NoSubfieldSolutionError
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import dual_coefficients
-from grsdual.linalg import nullspace, vandermonde_system
+import oracles
 
 RANDOM_SAMPLES = 10 ** 4
 
@@ -175,7 +175,7 @@ def test_criterion_7_dual_coefficient_randomized():
             k = rnd.randint(1, n - 1)
             points = tuple(rnd.sample(range(q), n))
             u = dual_coefficients(ctx, points)
-            basis = nullspace(vandermonde_system(ctx, points))
+            basis = oracles.nullspace(ctx, oracles.power_rows(ctx, points))
             if len(basis) != 1:
                 failures.append(f"q={q} a={points}: nullity != 1")
                 continue
@@ -222,7 +222,7 @@ def _compare_scaling_routes(ctx, points, failures):
         direct = True
     except NoSubfieldSolutionError:
         direct = False
-    equiv = families.has_subfield_solution(ctx, points)
+    equiv = oracles.has_subfield_solution(ctx, points)
     if direct != equiv:
         failures.append(f"GF({ctx.q}) a={points}: scaling={direct} "
                         f"row-equivalence={equiv}")
@@ -240,7 +240,7 @@ def test_criterion_9_distance_oracle_agreement():
                 continue
             checked += 1
             expected = code.block_length - code.k + 1
-            d = ver.minimum_distance(code)
+            d = oracles.minimum_distance(code)
             mds = ver.check_mds(code, mode="exact")
             label = (f"{result.family} [{code.block_length},{code.k}] "
                      f"GF({code.ctx.q})")

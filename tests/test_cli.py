@@ -239,6 +239,17 @@ def test_verify_malformed_json_exits_1(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 3000, '{"alpha": ' + "[" * 3000],
+                         ids=["top-level", "in-alpha"])
+def test_verify_json_nested_past_the_parser_limit_exits_1(text, tmp_path,
+                                                         capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    rc, out, err = run_cli(["verify", str(bad)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
 def test_verify_invalid_code_object_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"field": {"p": 5, "e": 1, "modulus": [0, 1]},

@@ -662,7 +662,7 @@ def test_concurrent_lazy_table_builds_agree():
         barrier.wait()
         out = [ctx.mul(x, y) for x, y in pairs]
         out.append(ctx.primitive_element())
-        out.append(ctx.smallest_nonresidue())
+        out.extend(ctx.quadratic_character(x) for x in range(ctx.q))
         out.extend(ctx.character_table()[:10])
         results[ident] = out
 

@@ -1,6 +1,7 @@
-"""Row reduction, nullspaces and row equivalence: the numpy kernel on
-every kind of op provider, cross-checked against the scalar reference in
-`oracles` and against sympy."""
+"""Row reduction and rank: the numpy kernels on every kind of op
+provider, cross-checked against the scalar reference in `oracles` and
+against sympy; and the nullspace and row-equivalence oracles built on
+that reference."""
 
 import random
 import sys
@@ -15,31 +16,34 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import FIELDS, field_and_matrix
 from grsdual import linalg as la
-from grsdual.errors import DuplicatePointsError, ShapeMismatchError
+from grsdual.errors import ShapeMismatchError
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import (GrsCode, code_to_json, dual_coefficients,
                          generator_matrix, stored_generator_from_json)
-from oracles import echelon, mat_vec, matmul, transpose
+from oracles import (echelon, has_subfield_solution, mat_vec, matmul,
+                     nullspace, power_rows, row_equivalent, transpose)
+
+
+def _rref(ctx, rows):
+    """The numpy kernel's reduced row echelon form of rows, an array."""
+    a = np.array(rows, dtype=np.int32, ndmin=2)
+    la._np_echelon(a, ctx.np_ops(), reduced=True)
+    return a
 
 
 def test_vandermonde_shape_and_values():
     ctx = make_field(5)
-    m = la.vandermonde_system(ctx, (0, 1, 2))
-    assert m.entries.tolist() == [[1, 1, 1], [0, 1, 2]]
-    assert la.vandermonde_system(ctx, (0, 1)).entries.tolist() == [[1, 1]]
-    with pytest.raises(DuplicatePointsError):
-        la.vandermonde_system(ctx, (0, 0, 1))
-    with pytest.raises(ValueError):
-        la.vandermonde_system(ctx, (3,))
+    assert power_rows(ctx, (0, 1, 2)) == [[1, 1, 1], [0, 1, 2]]
+    assert power_rows(ctx, (0, 1)) == [[1, 1]]
 
 
 def test_nullspace_of_power_rows_system():
     ctx = make_field(5)
-    m = la.vandermonde_system(ctx, (0, 1, 2))
-    basis = la.nullspace(m)
+    rows = power_rows(ctx, (0, 1, 2))
+    basis = nullspace(ctx, rows)
     assert basis == [(1, 3, 1)]  # frozen: solved by hand-checkable elimination
-    assert mat_vec(m, basis[0]) == [0, 0]
-    assert la.nullspace(la.matrix(ctx, [[1, 0], [0, 1]])) == []
+    assert mat_vec(la.MatrixGF(ctx, 2, 3, rows), basis[0]) == [0, 0]
+    assert nullspace(ctx, [[1, 0], [0, 1]]) == []
 
 
 def test_power_rows_rank_is_n_minus_1():
@@ -49,7 +53,7 @@ def test_power_rows_rank_is_n_minus_1():
         ctx = field_for_order(q)
         n = rnd.randint(2, min(8, q))
         points = tuple(rnd.sample(range(q), n))
-        assert la.rank(la.vandermonde_system(ctx, points)) == n - 1
+        assert la.rank_rows(ctx, power_rows(ctx, points)) == n - 1
 
 
 def test_nullspace_line_matches_dual_coefficients():
@@ -59,7 +63,7 @@ def test_nullspace_line_matches_dual_coefficients():
         ctx = field_for_order(q)
         n = rnd.randint(2, min(8, q))
         points = tuple(rnd.sample(range(q), n))
-        basis = la.nullspace(la.vandermonde_system(ctx, points))
+        basis = nullspace(ctx, power_rows(ctx, points))
         assert len(basis) == 1  # the solution space is a line
         w = basis[0]
         u = dual_coefficients(ctx, points)
@@ -71,11 +75,10 @@ def test_nullspace_line_matches_dual_coefficients():
 @settings(deadline=None)
 def test_rref_is_idempotent_and_rank_counts_pivots(data):
     ctx, rows = data
-    m = la.matrix(ctx, rows)
-    r = la.rref(m)
-    assert la.rref(r) == r
-    nonzero_rows = sum(1 for row in r.entries.tolist() if any(row))
-    assert la.rank(m) == nonzero_rows
+    r = _rref(ctx, rows)
+    assert np.array_equal(_rref(ctx, r), r)
+    nonzero_rows = sum(1 for row in r.tolist() if any(row))
+    assert la.rank_rows(ctx, rows) == nonzero_rows
 
 
 @given(field_and_matrix(max_dim=4))
@@ -88,41 +91,23 @@ def test_row_equivalence_under_random_invertible_left_factor(data):
         p_rows = [[rnd.randrange(ctx.q) for _ in range(n)] for _ in range(n)]
         if la.rank_rows(ctx, p_rows) == n:
             break
-    m = la.matrix(ctx, rows)
-    pm = matmul(la.matrix(ctx, p_rows), m)
-    assert la.row_equivalent(m, pm)
-    assert la.row_equivalent(pm, m)
-    assert la.row_equivalent(m, m)
+    pm = matmul(la.MatrixGF(ctx, n, n, p_rows),
+                la.MatrixGF(ctx, n, len(rows[0]), rows)).entries
+    # reduced row echelon forms are canonical
+    assert np.array_equal(_rref(ctx, pm), _rref(ctx, rows))
+    assert row_equivalent(ctx, rows, pm.tolist())
 
 
 def test_row_equivalent_examples():
     ctx = make_field(5)
-    a = la.matrix(ctx, [[1, 1, 1], [0, 1, 2]])
-    doubled = la.matrix(ctx, [[2, 2, 2], [0, 2, 4]])
-    assert la.row_equivalent(a, doubled)
-    assert not la.row_equivalent(la.matrix(ctx, [[1, 0]]),
-                                 la.matrix(ctx, [[0, 1]]))
-    with pytest.raises(ShapeMismatchError):
-        la.row_equivalent(a, la.matrix(ctx, [[1, 0]]))
+    assert row_equivalent(ctx, [[1, 1, 1], [0, 1, 2]], [[2, 2, 2], [0, 2, 4]])
+    assert not row_equivalent(ctx, [[1, 0]], [[0, 1]])
 
 
 def test_row_equivalence_of_power_rows_under_entrywise_frobenius():
     ctx = make_field(3, 2)
-    points = tuple([0] + ctx.roots_of_unity(4))
-    system = la.vandermonde_system(ctx, points)
-    assert la.row_equivalent(system, la.entrywise_power(system, 3))
-    other = la.vandermonde_system(ctx, (0, 1, 3))
-    assert not la.row_equivalent(other, la.entrywise_power(other, 3))
-
-
-def test_entrywise_power():
-    ctx9 = make_field(3, 2)
-    assert la.entrywise_power(la.matrix(ctx9, [[3]]), 3).entries.tolist() \
-        == [[6]]
-    m = la.matrix(ctx9, [[1, 4], [7, 0]])
-    assert la.entrywise_power(m, 1) == m
-    zero = la.matrix(ctx9, [[0, 0]])
-    assert la.entrywise_power(zero, 5).entries.tolist() == [[0, 0]]
+    assert has_subfield_solution(ctx, tuple([0] + ctx.roots_of_unity(4)))
+    assert not has_subfield_solution(ctx, (0, 1, 3))
 
 
 def _with_dependent_rows(ctx, rows, rnd):
@@ -298,16 +283,15 @@ def test_rank_rref_nullspace_match_sympy():
             shape = (len(rows), len(rows[0]) if rows else 0)
             theirs = DomainMatrix([[field(x) for x in r] for r in rows],
                                   shape, field)
-            m = la.matrix(ctx, rows)
             assert la.rank_rows(ctx, rows) == theirs.rank()
-            assert la.rref(m).entries.ravel().tolist() == [
+            assert _rref(ctx, rows).ravel().tolist() == [
                 int(x) % p for r in theirs.rref()[0].to_list() for x in r]
             basis = []
             for r in theirs.nullspace().to_list():
                 r = [int(x) % p for x in r]
                 lead = next(x for x in r if x)
                 basis.append(tuple(ctx.mul(ctx.inverse(lead), x) for x in r))
-            assert la.nullspace(m) == basis
+            assert nullspace(ctx, rows) == basis
 
 
 def test_reduced_forms_match_scalar_echelon():
@@ -317,16 +301,13 @@ def test_reduced_forms_match_scalar_echelon():
         ctx = field_for_order(q)
         for _ in range(25):
             rows = _random_rows(ctx, rnd)
-            m = la.matrix(ctx, rows)
+            m = la.MatrixGF(ctx, len(rows), len(rows[0]), rows)
             ref, pivots = echelon(ctx, [list(r) for r in rows], reduced=True)
-            reduced = la.rref(m)
-            assert reduced.entries.dtype == np.int32
-            assert not reduced.entries.flags.writeable
-            assert reduced.entries.tolist() == ref
+            assert _rref(ctx, rows).tolist() == ref
             # the nullspace basis vector of a free column is 1 there, 0 on
             # the other free columns, and scaled so it leads with 1
             free = [c for c in range(m.ncols) if c not in pivots]
-            basis = la.nullspace(m)
+            basis = nullspace(ctx, rows)
             assert len(basis) == len(free)
             for fc, vec in zip(free, basis):
                 assert all(type(x) is int for x in vec)
@@ -341,11 +322,12 @@ def test_reduced_forms_match_scalar_echelon():
                                       reduced=False)
                 if len(p_pivots) == n:
                     break
-            assert la.row_equivalent(m, matmul(la.matrix(ctx, p_rows), m))
+            pm = matmul(la.MatrixGF(ctx, n, n, p_rows), m).entries
+            assert _rref(ctx, pm).tolist() == ref
             other = [list(r) for r in rows]
             other[rnd.randrange(n)][rnd.randrange(m.ncols)] = rnd.randrange(q)
-            assert la.row_equivalent(m, la.matrix(ctx, other)) == (
-                echelon(ctx, other, reduced=True)[0] == ref)
+            assert _rref(ctx, other).tolist() == echelon(
+                ctx, other, reduced=True)[0]
 
 
 def _pairs_agree_with_oracles(ctx, xs, ys):
@@ -445,8 +427,8 @@ def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):
 
 def test_matmul_identity_and_shapes():
     ctx = make_field(7)
-    m = la.matrix(ctx, [[1, 2, 3], [4, 5, 6]])
-    assert matmul(la.matrix(ctx, [[1, 0], [0, 1]]), m) == m
+    m = la.MatrixGF(ctx, 2, 3, [[1, 2, 3], [4, 5, 6]])
+    assert matmul(la.MatrixGF(ctx, 2, 2, [[1, 0], [0, 1]]), m) == m
     assert transpose(transpose(m)) == m
     with pytest.raises(ShapeMismatchError):
         matmul(m, m)
@@ -455,7 +437,7 @@ def test_matmul_identity_and_shapes():
 def test_matrix_json_roundtrip():
     # stored generators are read back by grs.stored_generator_from_json
     ctx = make_field(3, 2)
-    m = la.matrix(ctx, [[0, 1, 3], [8, 2, 6]])
+    m = la.MatrixGF(ctx, 2, 3, [[0, 1, 3], [8, 2, 6]])
     blob = m.to_json()
     assert blob["rows"] == 2 and blob["cols"] == 3
     code = GrsCode(ctx, (0, 1, 2), (1, 1, 1), 2)
@@ -466,11 +448,10 @@ def test_matrix_json_roundtrip():
 def test_matrix_holds_a_read_only_int32_array():
     ctx, ctx9 = make_field(7), make_field(3, 2)
     code = GrsCode(ctx, (0, 1, 2), (1, 1, 1), 2, extended=True)
-    m = la.matrix(ctx, [[1, 2, 3], [4, 5, 6]])
+    m = la.MatrixGF(ctx, 2, 3, [[1, 2, 3], [4, 5, 6]])
     for made in (m, la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5, 6)),
                  la.MatrixGF(ctx, 2, 3, np.arange(1, 7)),
-                 generator_matrix(code), la.rref(m),
-                 la.entrywise_power(m, 2), la.vandermonde_system(ctx, (0, 1))):
+                 generator_matrix(code)):
         a = made.entries
         assert type(a) is np.ndarray and a.dtype == np.int32
         assert a.shape == (made.nrows, made.ncols)
@@ -487,10 +468,10 @@ def test_matrix_holds_a_read_only_int32_array():
         la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5))
     # equality is by value: the same context, shape and entries
     assert m == la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5, 6))
-    assert m != la.matrix(ctx, [[1, 2, 3], [4, 5, 0]])
+    assert m != la.MatrixGF(ctx, 2, 3, (1, 2, 3, 4, 5, 0))
     assert m != la.MatrixGF(ctx, 3, 2, (1, 2, 3, 4, 5, 6))
-    assert m != la.matrix(ctx9, [[1, 2, 3], [4, 5, 6]])
-    assert la.matrix(ctx, []) == la.MatrixGF(ctx, 0, 0, ())
+    assert m != la.MatrixGF(ctx9, 2, 3, (1, 2, 3, 4, 5, 6))
+    assert la.MatrixGF(ctx, 0, 0, []) == la.MatrixGF(ctx, 0, 0, ())
     # == and != answer a bool, never an array; the matrix is immutable and,
     # as its array is, unhashable
     for b, equal in ((la.MatrixGF(ctx, 2, 3, [1, 2, 3, 4, 5, 6]), True),
@@ -510,10 +491,12 @@ def test_nullspace_vectors_rank_nullity():
         ctx = FIELDS[rnd.randrange(len(FIELDS))]
         nrows = rnd.randint(1, 5)
         ncols = rnd.randint(1, 5)
-        m = la.matrix(ctx, [[rnd.randrange(ctx.q) for _ in range(ncols)]
-                            for _ in range(nrows)])
-        basis = la.nullspace(m)
-        assert la.rank(m) + len(basis) == ncols
+        rows = [[rnd.randrange(ctx.q) for _ in range(ncols)]
+                for _ in range(nrows)]
+        m = la.MatrixGF(ctx, nrows, ncols, rows)
+        basis = nullspace(ctx, rows)
+        # the kernel's rank and the scalar oracle's nullity
+        assert la.rank_rows(ctx, rows) + len(basis) == ncols
         for vec in basis:
             assert mat_vec(m, vec) == [0] * nrows
             lead = next(x for x in vec if x)
