@@ -29,7 +29,6 @@ from .grs import (
     dual_coefficients,
     generator_matrix,
 )
-from .linalg import MatrixGF
 from .verify import (
     CheckResult,
     VerificationReport,

@@ -127,8 +127,6 @@ def _certify(ctx: FieldCtx, family: str, points: Sequence[Felt],
 
 
 def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
-    if cert.u is None or cert.lam is None:
-        return
     for ui, vi in zip(cert.u, code.v):
         if ctx.mul(cert.lam, ui) != ctx.mul(vi, vi):
             raise InternalCheckError("certificate identity lam*u = v^2 failed")
@@ -507,9 +505,7 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
         raise ValueError(f"r = {r} does not fit q = {q}: auto needs q = r^2")
     if q is None and r is not None:
         q = r * r
-        if n is None and t is not None:
-            n = 2 * t * r
-    if q is None or n is None:
+    if q is None or (n is None and t is None):
         raise ValueError("auto needs q (or r) and a target length n")
     # the field the user named: q, or r, whose square must fit the limit
     if r is None:
@@ -517,6 +513,15 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
     else:
         split_prime_power(r)
         bounded_power(r, 2)
+    if t is not None:
+        # t is read only as n = 2tr, r the square root of q
+        r = math.isqrt(q)
+        if r * r != q:
+            raise ValueError(f"t = {t} needs a square q = r^2, got q = {q}")
+        if n is not None and n != 2 * t * r:
+            raise ValueError(f"n = {n} does not fit t = {t}: "
+                             f"auto needs n = 2tr = {2 * t * r}")
+        n = 2 * t * r
     attempts = []
     # the table lists the most general family first, so try it backwards
     for family in reversed(FAMILY_TABLE.values()):

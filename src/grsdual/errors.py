@@ -57,7 +57,7 @@ class DuplicatePointsError(GrsDualError):
 
 
 class ShapeMismatchError(GrsDualError):
-    """Matrix dimensions or field contexts do not agree."""
+    """Matrix dimensions or entry counts do not agree."""
 
 
 class LengthMismatchError(GrsDualError):

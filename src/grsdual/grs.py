@@ -17,7 +17,9 @@ on the field's numpy op provider (`FieldCtx.np_ops`): one difference-
 product kernel, `difference_products`, reduces rows of the difference
 matrix, and generator row i + 1 is row i times the points, entrywise.
 The verifier's inner products do not use that provider, so a generator
-built here is checked by arithmetic it does not share.
+built here is checked by arithmetic it does not share.  A generator is a
+read-only int32 (k, N) array of element indices; its JSON form lists
+each entry's coordinates (`FieldCtx.coords`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     TooLargeError,
 )
 from .gf import FieldCtx, Felt, field_from_json, json_int
-from .linalg import MatrixGF
 
 
 # Longest block length N accepted, checked before any O(N^2) work; since
@@ -139,8 +140,9 @@ def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]
     return tuple(ctx.np_ops().inv[prod].tolist())
 
 
-def generator_matrix(code: GrsCode) -> MatrixGF:
-    """k x N matrix with row i = (v_j a_j^i); extended column last."""
+def generator_matrix(code: GrsCode):
+    """Read-only int32 k x N array with row i = (v_j a_j^i); extended
+    column last."""
     import numpy as np
 
     mul = code.ctx.np_ops().mul
@@ -153,7 +155,8 @@ def generator_matrix(code: GrsCode) -> MatrixGF:
         last = np.zeros((code.k, 1), dtype=gen.dtype)
         last[-1] = 1
         gen = np.hstack((gen, last))
-    return MatrixGF(code.ctx, code.k, code.block_length, gen)
+    gen.flags.writeable = False
+    return gen
 
 
 # --- interchange format ---------------------------------------------------
@@ -167,7 +170,8 @@ def code_to_json(code: GrsCode) -> dict:
         "extended": code.extended,
         "alpha": ctx.coords(code.a),
         "v": ctx.coords(code.v),
-        "generator": generator_matrix(code).to_json(),
+        "generator": {"rows": code.k, "cols": code.block_length,
+                      "entries": ctx.coords(generator_matrix(code))},
     }
 
 
@@ -239,25 +243,31 @@ def code_from_json(obj: dict) -> GrsCode:
     return code
 
 
-def stored_generator_from_json(obj: dict, code: GrsCode) -> MatrixGF | None:
-    """The generator matrix embedded in a code JSON object, if present.
+def stored_generator_from_json(obj: dict, code: GrsCode):
+    """The generator matrix embedded in a code JSON object, if present,
+    as a read-only int32 k x N array.
 
     code is `code_from_json(obj)`, which has checked every field of obj,
     the generator's included, so obj is not walked a second time.  Kept
     separate from code_from_json so a verifier can check the stored
     matrix against the one implied by (a, v, k) instead of silently
-    regenerating it.  Its shape must be k x block length, and is checked
-    before the entries are shaped into an array.
+    regenerating it.  Its entry count must be rows x cols, and then its
+    shape k x block length, before the entries are shaped into an array.
     """
+    import numpy as np
+
     gen = obj.get("generator")
     if gen is None:
         return None
-    ctx = code.ctx
-    entries = _read_elements(ctx, gen["entries"], "generator.entries")
+    entries = _read_elements(code.ctx, gen["entries"], "generator.entries")
     rows, cols = gen["rows"], gen["cols"]
     k, length = code.k, code.block_length
-    # a wrong entry count is reported first, by MatrixGF
-    if rows * cols == len(entries) and (rows, cols) != (k, length):
+    if rows * cols != len(entries):
+        raise ShapeMismatchError(f"{rows}x{cols} matrix needs "
+                                 f"{rows * cols} entries, got {len(entries)}")
+    if (rows, cols) != (k, length):
         raise ShapeMismatchError(
             f"stored generator is {rows}x{cols}, expected {k}x{length}")
-    return MatrixGF(ctx, rows, cols, entries)
+    stored = np.array(entries, dtype=np.int32).reshape(k, length)
+    stored.flags.writeable = False
+    return stored

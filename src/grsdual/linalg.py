@@ -1,12 +1,11 @@
 """Dense exact linear algebra over a FieldCtx.
 
-A matrix holds its entries, element indices, as one read-only int32
-array of shape (nrows, ncols): the array every kernel reads.  Its JSON
-form lists each entry's coordinates, from one vectorized digit split
-(`FieldCtx.coords`).  Row reduction runs one numpy elimination body,
-`_np_echelon`, with plain leftmost-nonzero pivoting on the field's op
-provider (`FieldCtx.np_ops`), the same provider the GRS layer builds its
-matrices with; there are no numerical concerns in exact arithmetic.
+A matrix is a numpy int32 array of element indices, shape (nrows,
+ncols); it carries no field, so each function takes the FieldCtx too.
+Row reduction runs one numpy elimination body, `_np_echelon`, with plain
+leftmost-nonzero pivoting on the field's op provider (`FieldCtx.np_ops`),
+the same provider the GRS layer builds its matrices with; there are no
+numerical concerns in exact arithmetic.
 Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
 with both passes, then tests one small square block per column subset:
@@ -17,56 +16,7 @@ blocks at once in numpy (`_np_batch_nonsingular`).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import ShapeMismatchError
 from .gf import FieldCtx
-
-
-class _MatrixFields(NamedTuple):
-    ctx: FieldCtx
-    nrows: int
-    ncols: int
-    entries: "np.ndarray"
-
-
-class MatrixGF(_MatrixFields):
-    """Dense matrix over one field context; entries, any row-major
-    sequence or array, are held as a read-only int32 (nrows, ncols) array.
-    Equality is by value: the same context, shape and entries.  Not
-    hashable, as its array is not."""
-
-    __slots__ = ()
-
-    def __new__(cls, ctx: FieldCtx, nrows: int, ncols: int, entries):
-        import numpy as np
-
-        a = np.array(entries, dtype=np.int32)
-        if a.size != nrows * ncols:
-            raise ShapeMismatchError(
-                f"{nrows}x{ncols} matrix needs "
-                f"{nrows * ncols} entries, got {a.size}")
-        a = a.reshape(nrows, ncols)
-        a.flags.writeable = False
-        return super().__new__(cls, ctx, nrows, ncols, a)
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixGF) and self.ctx is other.ctx
-                and self.entries.shape == other.entries.shape
-                and bool((self.entries == other.entries).all()))
-
-    # tuple's own != would compare the arrays elementwise
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": self.ctx.coords(self.entries),
-        }
 
 
 # --- elimination ---------------------------------------------------------

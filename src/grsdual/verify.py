@@ -17,9 +17,9 @@ the run pairs on and above the diagonal.  A slot sums at most n c (p-1)^2
 coordinate products, B = bit_length(n c (p-1)^2) holds that, and c is
 the largest with (2c - 1) B <= 63: no slot carries into the next and no
 sum overflows, so every coordinate sum read back is exact.
-Products and ranks read a matrix's int32 entries array as it is:
-`_products` widens it to int64, and `linalg.rank_rows` eliminates a copy
-with the numpy elimination body, on the field's op provider.
+A matrix is the int32 (k, N) array of element indices itself, read as
+it is: `_products` widens it to int64, and `linalg.rank_rows` eliminates
+a copy with the numpy elimination body, on the field's op provider.
 
 The exact MDS check is the definition itself -- every k-subset of
 generator columns must be nonsingular -- tested in systematic form.  The
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .gf import FieldCtx, Felt, Neighbourhoods
 from .grs import GrsCode, dual_coefficients, generator_matrix
-from .linalg import MatrixGF, rank_rows
+from .linalg import rank_rows
 
 EXACT_MDS_BUDGET = 10 ** 6
 RANDOM_MDS_SAMPLES = 10 ** 4
@@ -177,13 +177,12 @@ def _products(ctx: FieldCtx, x, y):
     return sum(deg[t] % p * p ** t for t in range(e))
 
 
-def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
-                           upper: bool = False):
+def _first_nonzero_product(ctx: FieldCtx, a, b, upper: bool = False):
     """(i, j, value) of the first nonzero <row i of a, row j of b> in
     row-major order, or None; upper scans only j >= i (for a = b)."""
     import numpy as np
 
-    value = _products(ctx, a.entries, b.entries)
+    value = _products(ctx, a, b)
     nonzero = np.triu(value != 0) if upper else value != 0
     hits = np.argwhere(nonzero)
     if hits.size == 0:
@@ -194,13 +193,13 @@ def _first_nonzero_product(ctx: FieldCtx, a: MatrixGF, b: MatrixGF,
 
 # --- self-duality -----------------------------------------------------------
 
-def check_self_dual_matrix(ctx: FieldCtx, gen: MatrixGF) -> CheckResult:
+def check_self_dual_matrix(ctx: FieldCtx, gen) -> CheckResult:
     """N = 2k, full row rank, and all pairwise row inner products zero."""
-    k, ncols = gen.nrows, gen.ncols
+    k, ncols = gen.shape
     if ncols != 2 * k:
         return CheckResult("self-dual", "fail",
                            f"block length {ncols} != 2k = {2 * k}", "exact")
-    if rank_rows(ctx, gen.entries) != k:
+    if rank_rows(ctx, gen) != k:
         return CheckResult("self-dual", "fail",
                            f"generator rank below k = {k}", "exact")
     hit = _first_nonzero_product(ctx, gen, gen, upper=True)
@@ -219,7 +218,7 @@ def check_self_dual(code: GrsCode) -> CheckResult:
 
 # --- MDS --------------------------------------------------------------------
 
-def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
+def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                      budget: int = EXACT_MDS_BUDGET,
                      samples: int = RANDOM_MDS_SAMPLES,
                      seed: int = 0) -> CheckResult:
@@ -238,23 +237,21 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
     """
     import numpy as np
 
-    k, ncols = gen.nrows, gen.ncols
+    if mode not in ("exact", "randomized"):
+        raise ValueError(f"unknown mds mode {mode!r}")
+    k, ncols = gen.shape
     if k > ncols:
         return CheckResult("mds", "fail",
-                           f"dimension {k} exceeds block length {ncols}",
-                           "exact" if mode == "exact" else mode)
+                           f"dimension {k} exceeds block length {ncols}", mode)
     if mode == "exact":
         total = math.comb(ncols, k)
         if total > budget:
             raise BudgetExceededError(
                 f"C({ncols},{k}) = {total} subsets exceed budget {budget}")
-    elif mode == "randomized":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-    else:
-        raise ValueError(f"unknown mds mode {mode!r}")
+    elif samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ops = ctx.np_ops()
-    red = gen.entries.copy()
+    red = gen.copy()
     slot = [-1] * ncols
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
@@ -379,10 +376,10 @@ def check_dual_identity(ctx: FieldCtx, points: Sequence[Felt],
             "dual-identity", "fail",
             f"row {i} of the dual generator is not orthogonal "
             f"to row {j}", "exact")
-    if rank_rows(ctx, gk.entries) != k:
+    if rank_rows(ctx, gk) != k:
         return CheckResult("dual-identity", "fail",
                            "primal generator not full rank", "exact")
-    if rank_rows(ctx, gd.entries) != n - k:
+    if rank_rows(ctx, gd) != n - k:
         return CheckResult("dual-identity", "fail",
                            "dual generator not full rank", "exact")
     return CheckResult(
@@ -437,7 +434,7 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
                 budget: int = EXACT_MDS_BUDGET,
                 samples: int = RANDOM_MDS_SAMPLES, seed: int = 0,
                 dual_identity: bool = False,
-                stored_generator: Optional[MatrixGF] = None,
+                stored_generator=None,
                 ) -> VerificationReport:
     """Self-dual and MDS checks, with optional extras, as one report.
 
@@ -445,17 +442,19 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
     budget and `samples` seeded draws of them otherwise, eliminated a
     chunk at a time (`check_mds_matrix`).
 
-    When a stored generator matrix is supplied, the self-dual and MDS
+    When a stored generator array is supplied, the self-dual and MDS
     checks run against it (so hand-edited matrices fail honestly) and an
     extra consistency check compares it to the matrix implied by (a,v,k).
     """
+    import numpy as np
+
     checks: list[CheckResult] = []
     ctx = code.ctx
     canonical = generator_matrix(code)
     target = canonical
     if stored_generator is not None:
         target = stored_generator
-        if stored_generator == canonical:
+        if np.array_equal(stored_generator, canonical):
             checks.append(CheckResult(
                 "generator-consistency", "pass",
                 "stored generator matches the one implied by (a, v, k)",

@@ -33,7 +33,6 @@ import numpy as np
 from grsdual.errors import BudgetExceededError, ShapeMismatchError
 from grsdual.gf import FieldCtx, Felt, field_for_order
 from grsdual.grs import GrsCode
-from grsdual.linalg import MatrixGF
 from grsdual.verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, CheckResult
 
 
@@ -124,7 +123,7 @@ def minimum_distance(code: GrsCode) -> int:
     message, as k base-q digits, times the scalar generator, by
     `products`, a chunk of messages at a time."""
     q, k = code.ctx.q, code.k
-    gen_t = np.array(generator_matrix(code).entries, dtype=np.int64).T
+    gen_t = np.array(generator_matrix(code), dtype=np.int64).T
     best = code.block_length
     for start in range(1, q ** k, _DISTANCE_CHUNK):  # 0 is the zero word
         idx = np.arange(start, min(start + _DISTANCE_CHUNK, q ** k),
@@ -135,18 +134,20 @@ def minimum_distance(code: GrsCode) -> int:
     return best
 
 
-def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
+def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                      budget: int = EXACT_MDS_BUDGET,
                      samples: int = RANDOM_MDS_SAMPLES,
                      seed: int = 0) -> CheckResult:
     """`verify.check_mds_matrix` as one full k x k elimination per column
-    subset: the same subset walk, the same results and details."""
-    k, ncols = gen.nrows, gen.ncols
+    subset of gen, an array or rows: the same subset walk, the same
+    results and details."""
+    if mode not in ("exact", "randomized"):
+        raise ValueError(f"unknown mds mode {mode!r}")
+    rows = np.asarray(gen).tolist()
+    k, ncols = len(rows), len(rows[0])
     if k > ncols:
         return CheckResult("mds", "fail",
-                           f"dimension {k} exceeds block length {ncols}",
-                           "exact" if mode == "exact" else mode)
-    rows = gen.entries.tolist()
+                           f"dimension {k} exceeds block length {ncols}", mode)
 
     def nonsingular(cols) -> bool:
         sub = [[row[c] for c in cols] for row in rows]
@@ -165,22 +166,20 @@ def check_mds_matrix(ctx: FieldCtx, gen: MatrixGF, mode: str = "exact",
         return CheckResult("mds", "pass",
                            f"all {total} column {k}-subsets nonsingular",
                            "exact")
-    if mode == "randomized":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = random.Random(seed)
-        for _ in range(samples):
-            cols = tuple(sorted(rng.sample(range(ncols), k)))
-            if not nonsingular(cols):
-                return CheckResult(
-                    "mds", "fail",
-                    f"columns {list(cols)} are singular", "randomized",
-                    seed=seed)
-        return CheckResult(
-            "mds", "pass",
-            f"{samples} sampled column {k}-subsets nonsingular "
-            "(statistical evidence, not a proof)", "randomized", seed=seed)
-    raise ValueError(f"unknown mds mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = random.Random(seed)
+    for _ in range(samples):
+        cols = tuple(sorted(rng.sample(range(ncols), k)))
+        if not nonsingular(cols):
+            return CheckResult(
+                "mds", "fail",
+                f"columns {list(cols)} are singular", "randomized",
+                seed=seed)
+    return CheckResult(
+        "mds", "pass",
+        f"{samples} sampled column {k}-subsets nonsingular "
+        "(statistical evidence, not a proof)", "randomized", seed=seed)
 
 
 def products(ctx: FieldCtx, x, y):
@@ -202,36 +201,37 @@ def products(ctx: FieldCtx, x, y):
     return sum(deg[t] % p * p ** t for t in range(e))
 
 
-def transpose(m: MatrixGF) -> MatrixGF:
-    rows = m.entries.tolist()
-    return MatrixGF(m.ctx, m.ncols, m.nrows,
-                    tuple(rows[i][j]
-                          for j in range(m.ncols) for i in range(m.nrows)))
+# Matrices below are arrays or lists of rows, and come back as rows.
+
+def transpose(m) -> list[list[Felt]]:
+    return [list(col) for col in zip(*np.asarray(m).tolist())]
 
 
-def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.ctx is not b.ctx or a.ncols != b.nrows:
+def matmul(ctx: FieldCtx, a, b) -> list[list[Felt]]:
+    arows, brows = np.asarray(a).tolist(), np.asarray(b).tolist()
+    if len(arows[0]) != len(brows):
         raise ShapeMismatchError(
-            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    ctx = a.ctx
-    arows, brows = a.entries.tolist(), b.entries.tolist()
+            f"cannot multiply {len(arows)}x{len(arows[0])} by "
+            f"{len(brows)}x{len(brows[0])}")
     out = []
     for arow in arows:
-        for j in range(b.ncols):
+        row = []
+        for j in range(len(brows[0])):
             acc = 0
             for t, av in enumerate(arow):
                 if av:
                     acc = ctx.add(acc, ctx.mul(av, brows[t][j]))
-            out.append(acc)
-    return MatrixGF(ctx, a.nrows, b.ncols, tuple(out))
+            row.append(acc)
+        out.append(row)
+    return out
 
 
-def mat_vec(m: MatrixGF, vec: Sequence[Felt]) -> list[Felt]:
-    if len(vec) != m.ncols:
+def mat_vec(ctx: FieldCtx, m, vec: Sequence[Felt]) -> list[Felt]:
+    rows = np.asarray(m).tolist()
+    if len(vec) != len(rows[0]):
         raise ShapeMismatchError("vector length does not match columns")
-    ctx = m.ctx
     out = []
-    for row in m.entries.tolist():
+    for row in rows:
         acc = 0
         for mv, xv in zip(row, vec):
             if mv and xv:
@@ -262,19 +262,19 @@ def dual_code(code: GrsCode) -> GrsCode:
                    code.n - code.k)
 
 
-def generator_matrix(code: GrsCode) -> MatrixGF:
-    """k x N matrix with row i = (v_j a_j^i); extended column last."""
+def generator_matrix(code: GrsCode) -> list[list[Felt]]:
+    """Rows of the k x N matrix with row i = (v_j a_j^i); extended column
+    last."""
     ctx = code.ctx
-    ncols = code.block_length
-    entries: list[Felt] = []
+    rows = []
     powers = [1] * code.n
     for i in range(code.k):
         row = [ctx.mul(vj, pw) for vj, pw in zip(code.v, powers)]
         if code.extended:
             row.append(1 if i == code.k - 1 else 0)
-        entries.extend(row)
+        rows.append(row)
         powers = [ctx.mul(pw, aj) for pw, aj in zip(powers, code.a)]
-    return MatrixGF(ctx, code.k, ncols, tuple(entries))
+    return rows
 
 
 def backtrack_square_set(q: int, n: int) -> Optional[tuple[Felt, ...]]:

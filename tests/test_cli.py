@@ -93,12 +93,29 @@ def test_construct_usage_errors_exit_1(capsys):
     # auto's r must be the square root of its q
     (["--family", "auto", "--q", "9", "--n", "6", "--r", "5"],
      "r = 5 does not fit q = 9"),
+    # auto reads t as n = 2tr; it built the [6, 3] code and dropped t
+    (["--family", "auto", "--q", "9", "--n", "6", "--t", "2"],
+     "n = 6 does not fit t = 2: auto needs n = 2tr = 12"),
+    (["--family", "auto", "--q", "27", "--t", "1"],
+     "t = 1 needs a square q = r^2, got q = 27"),
 ])
 def test_construct_rejects_missing_unread_and_conflicting_flags(
         argv, message, capsys):
     rc, out, err = run_cli(["construct", *argv], capsys)
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    # each exited 1 with "auto needs q (or r) and a target length n"
+    ["--q", "9", "--r", "3", "--t", "1"],
+    ["--q", "9", "--t", "1"],
+])
+def test_auto_takes_t_next_to_q(argv, capsys):
+    rc, out, _ = run_cli(["construct", "--family", "auto", *argv], capsys)
+    assert rc == 0
+    obj = json.loads(out)
+    assert (obj["family"], obj["n"], obj["k"]) == ("theorem-3-5", 6, 3)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -674,6 +691,10 @@ def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
     (lambda obj: {**obj, "generator": {**obj["generator"],
                                        "rows": -3, "cols": -6}},
      "stored generator is -3x-6, expected 3x6"),
+    # the entry count is checked before the shape
+    (lambda obj: {**obj, "generator": {
+        **obj["generator"], "entries": obj["generator"]["entries"][:-1]}},
+     "3x6 matrix needs 18 entries, got 17"),
 ])
 def test_verify_schema_names_the_bad_field(tamper, message, monkeypatch,
                                            capsys):
@@ -876,6 +897,12 @@ def test_readme_cli_examples_are_byte_identical(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
     written = (tmp_path / "code.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == README_CODE_JSON
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example\n\n```python\n")[1]
+    exec(compile(block.split("```")[0], "README.md", "exec"), {})
 
 
 # `verify --mds-mode randomized --seed 1` of the even-char [28, 14] code

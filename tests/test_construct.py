@@ -439,6 +439,20 @@ def test_auto_prefers_explicit_families():
     assert con.construct_auto(r=3, t=1).family == "theorem-3-5"
 
 
+def test_auto_reads_t_only_as_n_equal_2tr():
+    # t was dropped whenever n was given, and refused next to q and r
+    for given in (dict(q=9, r=3, t=1), dict(q=9, t=1), dict(q=9, n=6, t=1)):
+        result = con.construct_auto(**given)
+        assert (result.family, result.code.n) == ("theorem-3-5", 6), given
+    assert con.construct_auto(q=49, t=1).code.n == 14
+    with pytest.raises(ValueError, match=r"^n = 6 does not fit t = 2: "
+                                         r"auto needs n = 2tr = 12$"):
+        con.construct_auto(q=9, n=6, t=2)
+    with pytest.raises(ValueError, match=r"^t = 1 needs a square q = r\^2, "
+                                         r"got q = 27$"):
+        con.construct_auto(q=27, t=1)
+
+
 def test_auto_reports_honest_failure():
     with pytest.raises(NotSelfDualizableError):
         con.construct_auto(q=7, n=4)
@@ -497,8 +511,8 @@ def test_family_outputs_equal_their_computed_duals():
         dual = oracles.dual_code(code)
         assert dual.k == code.k
         assert oracles.row_equivalent(
-            code.ctx, generator_matrix(code).entries.tolist(),
-            generator_matrix(dual).entries.tolist())
+            code.ctx, generator_matrix(code).tolist(),
+            generator_matrix(dual).tolist())
 
 
 def test_every_family_roundtrips_through_json_and_verifies():

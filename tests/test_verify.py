@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from grsdual import construct as con_families
@@ -21,28 +22,29 @@ from grsdual.errors import (
 )
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
-from grsdual.linalg import MatrixGF
 import oracles
 from oracles import echelon, matmul, transpose
 
 
-def matrix(ctx, rows):
-    """The matrix over ctx with these rows, at least one."""
-    return MatrixGF(ctx, len(rows), len(rows[0]), rows)
+def matrix(rows):
+    """These rows as a read-only int32 array, the form of a generator."""
+    a = np.array(rows, dtype=np.int32)
+    a.flags.writeable = False
+    return a
 
 
 # --- self-dual -----------------------------------------------------------------
 
 def test_check_self_dual_matrix_pass_and_fail():
     ctx = make_field(5)
-    ok = ver.check_self_dual_matrix(ctx, matrix(ctx, [[2, 1]]))
+    ok = ver.check_self_dual_matrix(ctx, matrix([[2, 1]]))
     assert ok.status == "pass"  # 4 + 1 = 0
-    bad = ver.check_self_dual_matrix(ctx, matrix(ctx, [[1, 1]]))
+    bad = ver.check_self_dual_matrix(ctx, matrix([[1, 1]]))
     assert bad.status == "fail" and "inner product" in bad.detail
-    odd = ver.check_self_dual_matrix(ctx, matrix(ctx, [[1, 1, 1]]))
+    odd = ver.check_self_dual_matrix(ctx, matrix([[1, 1, 1]]))
     assert odd.status == "fail" and "block length" in odd.detail
     low_rank = ver.check_self_dual_matrix(
-        ctx, matrix(ctx, [[1, 1, 1, 1], [2, 2, 2, 2]]))
+        ctx, matrix([[1, 1, 1, 1], [2, 2, 2, 2]]))
     assert low_rank.status == "fail" and "rank" in low_rank.detail
 
 
@@ -97,31 +99,29 @@ def _self_dual_generator(ctx, k, rnd, mix=True):
         tail[m], tail[m + 1] = (a, b) if i % 2 == 0 else (ctx.neg(b), a)
         rows.append([1 if j == i else 0 for j in range(k)] + tail)
     if not mix:
-        return matrix(ctx, rows)
+        return matrix(rows)
     while True:
         p_rows = [[rnd.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
         _, pivots = echelon(ctx, [list(r) for r in p_rows], reduced=False)
         if len(pivots) == k:
-            return matmul(matrix(ctx, p_rows), matrix(ctx, rows))
+            return matrix(matmul(ctx, p_rows, rows))
 
 
-def _tampered(gen, rnd, count):
+def _tampered(ctx, gen, rnd, count):
     """gen with count distinct entries shifted by nonzero field elements."""
-    ctx = gen.ctx
-    entries = gen.entries.ravel().tolist()
+    entries = gen.ravel().tolist()
     for pos in rnd.sample(range(len(entries)), count):
         entries[pos] = ctx.add(entries[pos], rnd.randrange(1, ctx.q))
-    return la.MatrixGF(ctx, gen.nrows, gen.ncols, tuple(entries))
+    return matrix(np.reshape(entries, gen.shape))
 
 
-def _oracle_first_product(a, b, upper=False):
+def _oracle_first_product(ctx, a, b, upper=False):
     """First nonzero entry of a * b^T in row-major order, by scalar loops."""
-    prod = matmul(a, transpose(b))
-    rows = prod.entries.tolist()
-    for i in range(prod.nrows):
-        for j in range(i if upper else 0, prod.ncols):
-            if rows[i][j]:
-                return i, j, rows[i][j]
+    rows = matmul(ctx, a, transpose(b))
+    for i, row in enumerate(rows):
+        for j in range(i if upper else 0, len(row)):
+            if row[j]:
+                return i, j, row[j]
     return None
 
 
@@ -132,8 +132,9 @@ def _inner_product_cases(q):
     rnd = random.Random(q)
     gen = _self_dual_generator(ctx, 6, rnd)
     sparse = _self_dual_generator(ctx, 6, rnd, mix=False)
-    return ctx, gen, (_tampered(gen, rnd, 1), _tampered(gen, rnd, 2),
-                      _tampered(sparse, rnd, 1))
+    return ctx, gen, (_tampered(ctx, gen, rnd, 1),
+                      _tampered(ctx, gen, rnd, 2),
+                      _tampered(ctx, sparse, rnd, 1))
 
 
 # check_self_dual_matrix details for the tampered cases, recorded with the
@@ -185,14 +186,14 @@ def test_inner_products_match_matmul_oracle(q):
     for bad in tampered:
         hit = ver._first_nonzero_product(ctx, bad, bad, upper=True)
         assert hit is not None
-        assert hit == _oracle_first_product(bad, bad, upper=True)
+        assert hit == _oracle_first_product(ctx, bad, bad, upper=True)
         # the full product, and rectangular blocks, as the dual identity uses
         for a, b in ((bad, bad), (bad, gen), (gen, bad)):
             assert (ver._first_nonzero_product(ctx, a, b)
-                    == _oracle_first_product(a, b))
-        top = la.MatrixGF(ctx, 2, bad.ncols, bad.entries[:2])
+                    == _oracle_first_product(ctx, a, b))
+        top = bad[:2]
         assert ver._first_nonzero_product(ctx, gen, top) == \
-            _oracle_first_product(gen, top)
+            _oracle_first_product(ctx, gen, top)
     details = tuple(ver.check_self_dual_matrix(ctx, bad).detail
                     for bad in tampered)
     assert details == PINNED_SELF_DUAL_DETAILS[q]
@@ -252,8 +253,8 @@ def test_packed_products_match_coordinate_pair_oracle(q):
                 assert np.array_equal(got, ver._products(ctx, a, b.copy()))
     # and the oracle itself against scalar field arithmetic
     x, y = rng.integers(0, q, (3, 7)), rng.integers(0, q, (4, 7))
-    want = matmul(matrix(ctx, x.tolist()), transpose(matrix(ctx, y.tolist())))
-    assert oracles.products(ctx, x, y).tolist() == want.entries.tolist()
+    want = matmul(ctx, x, transpose(y))
+    assert oracles.products(ctx, x, y).tolist() == want
 
 
 def test_self_products_multiply_each_run_pair_once(monkeypatch):
@@ -310,7 +311,7 @@ def test_check_mds_exact_pass():
 
 def test_check_mds_exact_fail_on_non_mds_matrix():
     ctx = make_field(5)
-    gen = matrix(ctx, [[1, 0, 0], [0, 1, 0]])
+    gen = matrix([[1, 0, 0], [0, 1, 0]])
     res = ver.check_mds_matrix(ctx, gen, mode="exact")
     assert res.status == "fail"
     assert "[0, 2]" in res.detail  # first singular pair in lex order
@@ -321,12 +322,20 @@ def test_check_mds_exact_fail_on_non_mds_matrix():
 
 def test_check_mds_randomized_needs_a_sample():
     ctx = make_field(5)
-    gen = matrix(ctx, [[1, 0, 1], [0, 1, 1]])
+    gen = matrix([[1, 0, 1], [0, 1, 1]])
     for samples in (0, -1):
         with pytest.raises(ValueError):
             ver.check_mds_matrix(ctx, gen, mode="randomized", samples=samples)
     assert ver.check_mds_matrix(ctx, gen, mode="randomized",
                                 samples=1).status == "pass"
+
+
+def test_check_mds_rejects_an_unknown_mode_before_the_shape():
+    # with more rows than columns it returned a "fail" in mode "bogus"
+    ctx = make_field(5)
+    for rows in ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="unknown mds mode 'bogus'"):
+            ver.check_mds_matrix(ctx, matrix(rows), mode="bogus")
 
 
 def test_check_mds_budget():
@@ -349,7 +358,7 @@ def test_check_mds_randomized_finds_planted_defect():
     # corrupt a generator so some column subsets go singular, then make
     # sure sampling that covers the whole space flags it
     ctx = make_field(5)
-    gen = matrix(ctx, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    gen = matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                samples=500, seed=1)
     assert res.status == "fail"
@@ -365,7 +374,7 @@ def _grs_rows(ctx, rnd, k, n):
     """Generator rows of a random GRS [n, k] code: an MDS code."""
     points = tuple(rnd.sample(range(ctx.q), n))
     v = tuple(rnd.randrange(1, ctx.q) for _ in range(n))
-    return generator_matrix(GrsCode(ctx, points, v, k)).entries.tolist()
+    return generator_matrix(GrsCode(ctx, points, v, k)).tolist()
 
 
 def _mds_cases(ctx, rnd):
@@ -395,15 +404,16 @@ def _oracle_samples(ctx, gen, samples, seed):
     """(j, singular) for each seeded draw of the randomized check, by full
     elimination; j counts the draw's columns without a pivot in the
     generator's reduced form, the size of the block the check eliminates."""
-    rows = gen.entries.tolist()
+    rows = gen.tolist()
+    k, ncols = gen.shape
     pivots = echelon(ctx, [list(r) for r in rows], reduced=True)[1]
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
-        cols = sorted(rng.sample(range(gen.ncols), gen.nrows))
+        cols = sorted(rng.sample(range(ncols), k))
         sub = [[row[c] for c in cols] for row in rows]
         rank = len(echelon(ctx, sub, reduced=False)[1])
-        out.append((sum(c not in pivots for c in cols), rank < gen.nrows))
+        out.append((sum(c not in pivots for c in cols), rank < k))
     return out
 
 
@@ -413,7 +423,7 @@ def _chunk_cases(ctx, rnd, chunk):
     the first chunk, one whose chunk holds a later singular draw with a
     smaller block, and a rank-deficient generator."""
     def first_seed(rows, wanted):
-        gen = matrix(ctx, rows)
+        gen = matrix(rows)
         return next(seed for seed in range(10 ** 4)
                     if wanted(_oracle_samples(ctx, gen, 40, seed)))
 
@@ -445,7 +455,7 @@ def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
     rnd = random.Random(q)
     statuses = set()
     for rows in _mds_cases(ctx, rnd):
-        gen = matrix(ctx, rows)
+        gen = matrix(rows)
         for mode in ("exact", "randomized"):
             seed = rnd.randrange(10 ** 6)
             got = ver.check_mds_matrix(ctx, gen, mode=mode, samples=40,
@@ -459,7 +469,7 @@ def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
     monkeypatch.setattr(ver, "_MDS_CHUNK", 4 * 3 * 3)
     statuses = []
     for rows, seed in _chunk_cases(ctx, rnd, 4):
-        gen = matrix(ctx, rows)
+        gen = matrix(rows)
         got = ver.check_mds_matrix(ctx, gen, mode="randomized", samples=40,
                                    seed=seed)
         want = oracles.check_mds_matrix(ctx, gen, mode="randomized",
@@ -479,25 +489,25 @@ def test_tampered_code_above_the_table_limit_names_the_oracles_subset(q):
     points = tuple(rnd.sample(range(q), 12))
     v = tuple(rnd.randrange(1, q) for _ in range(12))
     code = GrsCode(ctx, points, v, 6)
-    rows = generator_matrix(code).entries.tolist()
+    rows = generator_matrix(code).tolist()
     c, d = rnd.randrange(1, q), rnd.randrange(1, q)
     for row in rows:
         row[11] = ctx.add(ctx.mul(c, row[7]), ctx.mul(d, row[9]))
-    one_entry = generator_matrix(code).entries.tolist()
+    one_entry = generator_matrix(code).tolist()
     one_entry[rnd.randrange(6)][rnd.randrange(12)] = rnd.randrange(q)
     for tampered in (rows, one_entry):
-        gen = matrix(ctx, tampered)
+        gen = matrix(tampered)
         got = ver.check_mds_matrix(ctx, gen, mode="exact")
         assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
     first = next(list(cols) for cols in combinations(range(12), 6)
                  if {7, 9, 11} <= set(cols))
-    assert ver.check_mds_matrix(ctx, matrix(ctx, rows)).detail == (
+    assert ver.check_mds_matrix(ctx, matrix(rows)).detail == (
         f"columns {first} are singular")
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
     ctx = make_field(5)
-    gen = matrix(ctx, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])  # rank 1
+    gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])  # rank 1
     exact = ver.check_mds_matrix(ctx, gen, mode="exact")
     assert exact.detail == "columns [0, 1] are singular"
     first = tuple(sorted(random.Random(5).sample(range(5), 2)))
@@ -535,11 +545,11 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
     assert Counter(blocks) == {(3, 3): 1, (2, 2): 9, (1, 1): 9, (0, 0): 1}
     # with column 4 a copy of column 2 the walk stops at the first subset
     # that holds both
-    rows = generator_matrix(code).entries.tolist()
+    rows = generator_matrix(code).tolist()
     for row in rows:
         row[4] = row[2]
     calls.update(subsets=0, eliminations=0)
-    res = ver.check_mds_matrix(code.ctx, matrix(code.ctx, rows), mode="exact")
+    res = ver.check_mds_matrix(code.ctx, matrix(rows), mode="exact")
     walked, first = next((i + 1, cols) for i, cols
                          in enumerate(combinations(range(6), 3))
                          if {2, 4} <= set(cols))
@@ -557,7 +567,7 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
 
     # rank 1: the first draw fails, and only its chunk is drawn
     ctx = make_field(5)
-    gen = matrix(ctx, [[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
+    gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
     first = sorted(random.Random(5).sample(range(5), 2))
     monkeypatch.setattr(ver.random, "Random", Counted)
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
@@ -778,11 +788,9 @@ def test_verify_code_report_roundtrip():
 def test_verify_code_flags_corrupted_stored_generator():
     result = con_families.construct_theorem_3_5(3, 1)
     code = result.code
-    gen = generator_matrix(code)
-    entries = gen.entries.ravel().tolist()
-    entries[0] = code.ctx.add(entries[0], 1)
-    corrupted = matrix(code.ctx, [entries[i * gen.ncols:(i + 1) * gen.ncols]
-                                  for i in range(gen.nrows)])
+    rows = generator_matrix(code).tolist()
+    rows[0][0] = code.ctx.add(rows[0][0], 1)
+    corrupted = matrix(rows)
     report = ver.verify_code(code, stored_generator=corrupted)
     assert not report.overall
     by_name = {c.name: c for c in report.checks}
