@@ -31,7 +31,6 @@ from .errors import (
     BudgetExceededError,
     ConstructionInfeasible,
     GrsDualError,
-    NotPrimeError,
     SearchGaveUpError,
 )
 from .gf import bounded_power, is_prime, make_field, split_prime_power
@@ -137,7 +136,7 @@ def _resolve_q(args) -> Optional[int]:
             raise GrsDualError("--e given without --p")
         q = bounded_power(args.p, 1 if args.e is None else args.e)
         if not is_prime(args.p):
-            raise NotPrimeError(f"--p {args.p} is not prime")
+            raise GrsDualError(f"--p {args.p} is not prime")
         if args.q is not None and args.q != q:
             raise GrsDualError(f"--q {args.q} conflicts with --p/--e ({q})")
         return q

@@ -30,20 +30,8 @@ import math
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .errors import (
-    BadOrderError,
-    BadResidueClassError,
-    BadSubfieldError,
-    EvenCharacteristicError,
-    InternalCheckError,
-    LengthTooLongError,
-    NoSubfieldSolutionError,
-    NotFoundError,
-    NotSelfDualizableError,
-    OddLengthError,
-    ParameterRangeError,
-    SearchGaveUpError,
-)
+from .errors import (ConstructionInfeasible, GrsDualError, NotFoundError,
+                     SearchGaveUpError)
 from .gf import (FieldCtx, Felt, Neighbourhoods, bounded_power, make_field,
                  split_prime_power)
 from .grs import (
@@ -96,7 +84,7 @@ def find_subfield_scaling(ctx: FieldCtx, u: Sequence[Felt]) -> tuple[Felt, ...]:
     exists; that scaled vector is returned.
     """
     if ctx.e % 2:
-        raise BadSubfieldError("q must be a square to have GF(sqrt(q))")
+        raise ConstructionInfeasible("q must be a square to have GF(sqrt(q))")
     r = ctx.p ** (ctx.e // 2)
     if not u or any(x == 0 for x in u):
         raise ValueError("u must be a nonzero-coordinate vector")
@@ -104,7 +92,7 @@ def find_subfield_scaling(ctx: FieldCtx, u: Sequence[Felt]) -> tuple[Felt, ...]:
     w = tuple(ctx.mul(ui, scale) for ui in u)
     for i, wi in enumerate(w):
         if not ctx.in_subfield(wi, r):
-            raise NoSubfieldSolutionError(
+            raise ConstructionInfeasible(
                 f"coordinate {i} of u/u_1 lies outside GF({r})")
     return w
 
@@ -129,17 +117,17 @@ def _certify(ctx: FieldCtx, family: str, points: Sequence[Felt],
 def _check_certificate(ctx: FieldCtx, code: GrsCode, cert: Certificate) -> None:
     for ui, vi in zip(cert.u, code.v):
         if ctx.mul(cert.lam, ui) != ctx.mul(vi, vi):
-            raise InternalCheckError("certificate identity lam*u = v^2 failed")
+            raise GrsDualError("certificate identity lam*u = v^2 failed")
     if cert.w is not None:
         for wi, vi in zip(cert.w, code.v):
             if wi != ctx.mul(vi, vi):
-                raise InternalCheckError("certificate identity w = v^2 failed")
+                raise GrsDualError("certificate identity w = v^2 failed")
 
 
 def _check_selfdual_result(result: ConstructionResult) -> ConstructionResult:
     res = check_self_dual(result.code)
     if res.status != "pass":
-        raise InternalCheckError(f"constructed code is not self-dual: {res.detail}")
+        raise GrsDualError(f"constructed code is not self-dual: {res.detail}")
     return result
 
 
@@ -149,13 +137,13 @@ def construct_even_char(q: int, n: int) -> ConstructionResult:
     """Self-dual [n, n/2] code over even GF(q) on the first n elements."""
     p, e = split_prime_power(q)
     if p != 2:
-        raise ParameterRangeError(f"q = {q} is not a power of 2")
+        raise ConstructionInfeasible(f"q = {q} is not a power of 2")
     if n % 2:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ConstructionInfeasible(f"length must be even, got {n}")
     if n > q:
-        raise LengthTooLongError(f"need n <= q, got n = {n} > q = {q}")
+        raise ConstructionInfeasible(f"need n <= q, got n = {n} > q = {q}")
     if n < 2:
-        raise ParameterRangeError("length must be at least 2")
+        raise ConstructionInfeasible("length must be at least 2")
     ctx = make_field(p, e)
     points = tuple(range(n))
     u = dual_coefficients(ctx, points)
@@ -166,7 +154,7 @@ def construct_extended(q: int) -> ConstructionResult:
     """Extended [q+1, (q+1)/2, (q+3)/2] self-dual code over odd GF(q)."""
     p, e = split_prime_power(q)
     if p == 2:
-        raise EvenCharacteristicError("extended family needs odd q")
+        raise ConstructionInfeasible("extended family needs odd q")
     ctx = make_field(p, e)
     code = GrsCode(ctx, tuple(range(q)), (1,) * q, (q + 1) // 2, extended=True)
     cert = Certificate(alpha_set=code.a)
@@ -215,9 +203,9 @@ def search_square_difference_set(q: int, n: int,
     """
     p, e = split_prime_power(q)
     if q % 4 != 1:
-        raise BadResidueClassError(f"q = {q} is not 1 mod 4")
+        raise ConstructionInfeasible(f"q = {q} is not 1 mod 4")
     if n < 2:
-        raise ParameterRangeError("need n >= 2")
+        raise ConstructionInfeasible("need n >= 2")
     if n * n > q:
         # the Paley graph is vertex-transitive, so its clique size times
         # its independence number is at most q, and self-complementary,
@@ -257,7 +245,7 @@ def construct_square_set(q: int, n: int) -> ConstructionResult:
     """Self-dual [n, n/2] code from a square-difference point set."""
     p, e = split_prime_power(q)
     if n % 2:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ConstructionInfeasible(f"length must be even, got {n}")
     points = search_square_difference_set(q, n)
     if points is None:
         raise NotFoundError(
@@ -265,7 +253,7 @@ def construct_square_set(q: int, n: int) -> ConstructionResult:
     ctx = make_field(p, e)
     u = dual_coefficients(ctx, points)
     if any(ctx.quadratic_character(ui) != 1 for ui in u):
-        raise InternalCheckError("square-set coefficients must all be squares")
+        raise GrsDualError("square-set coefficients must all be squares")
     return _certify(ctx, "square-set", points, u, 1)
 
 
@@ -277,17 +265,17 @@ def construct_subfield_points(r: int, n: int) -> ConstructionResult:
     """
     p, d = split_prime_power(r)
     if n % 2:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ConstructionInfeasible(f"length must be even, got {n}")
     if n > r:
-        raise LengthTooLongError(f"need n <= r, got n = {n} > r = {r}")
+        raise ConstructionInfeasible(f"need n <= r, got n = {n} > r = {r}")
     if n < 2:
-        raise ParameterRangeError("length must be at least 2")
+        raise ConstructionInfeasible("length must be at least 2")
     ctx = make_field(p, 2 * d)
     points = tuple(ctx.subfield_elements(r)[:n])
     u = dual_coefficients(ctx, points)
     for ui in u:
         if not ctx.in_subfield(ui, r):
-            raise InternalCheckError("dual coefficients left the subfield")
+            raise GrsDualError("dual coefficients left the subfield")
     return _certify(ctx, "subfield-points", points, u, 1, w=u)
 
 
@@ -300,16 +288,17 @@ def construct_roots_of_unity(q: int, n: int) -> ConstructionResult:
     """
     p, e = split_prime_power(q)
     if p == 2:
-        raise EvenCharacteristicError("this family needs odd q")
+        raise ConstructionInfeasible("this family needs odd q")
     if e % 2:
-        raise BadSubfieldError(f"q = {q} is not a square")
+        raise ConstructionInfeasible(f"q = {q} is not a square")
     if n % 2:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ConstructionInfeasible(f"length must be even, got {n}")
     if n < 2:
-        raise ParameterRangeError("length must be at least 2")
+        raise ConstructionInfeasible("length must be at least 2")
     m = n - 1
     if (q - 1) % m != 0:
-        raise BadOrderError(f"n - 1 = {m} does not divide q - 1 = {q - 1}")
+        raise ConstructionInfeasible(
+            f"n - 1 = {m} does not divide q - 1 = {q - 1}")
     check_block_length(n)  # before the n roots are listed
     ctx = make_field(p, e)
     points = tuple([0] + ctx.roots_of_unity(m))
@@ -329,9 +318,9 @@ def construct_theorem_3_5(r: int, t: int) -> ConstructionResult:
     """
     p, d = split_prime_power(r)
     if r % 4 != 3:
-        raise BadResidueClassError(f"r = {r} is not 3 mod 4")
+        raise ConstructionInfeasible(f"r = {r} is not 3 mod 4")
     if not 1 <= t <= (r - 1) // 2:
-        raise ParameterRangeError(
+        raise ConstructionInfeasible(
             f"t = {t} outside [1, {(r - 1) // 2}] for r = {r}")
     check_block_length(2 * t * r)  # before the 2tr points are listed
     ctx = make_field(p, 2 * d)
@@ -341,7 +330,7 @@ def construct_theorem_3_5(r: int, t: int) -> ConstructionResult:
     points = tuple(ctx.add(ctx.mul(labels[bl], beta), labels[kk])
                    for bl in range(2 * t) for kk in range(r))
     if len(set(points)) != 2 * t * r:
-        raise InternalCheckError("coset points collided")
+        raise GrsDualError("coset points collided")
     _check_block_products(ctx, r, t, beta, labels, points)
     return _certify(ctx, "theorem-3-5", points, dual_coefficients(ctx, points),
                     1, beta=beta, gamma=gamma)
@@ -361,18 +350,18 @@ def _check_block_products(ctx: FieldCtx, r: int, t: int, beta: Felt,
     minus_two = ctx.neg(ctx.add(1, 1))
     beta_shift = ctx.sub(ctx.power(beta, r - 1), 1)
     if beta_shift != minus_two:
-        raise InternalCheckError("beta^(r-1) - 1 != -2")
+        raise GrsDualError("beta^(r-1) - 1 != -2")
     ops = ctx.np_ops()
     prods = difference_products(ctx, points, blocks=2 * t)
     own = np.repeat(np.arange(2 * t), r)
     if not np.isin(prods[np.arange(own.size), own], labels).all():
-        raise InternalCheckError("own-block product left GF(r)")
+        raise GrsDualError("own-block product left GF(r)")
     lab = np.array(labels[:2 * t], dtype=np.int32)
     expected = ops.mul[ops.sub[lab[own, None], lab[None, :]],
                        ctx.mul(beta, beta_shift)]
     cross = own[:, None] != np.arange(2 * t)[None, :]
     if (prods != expected)[cross].any():
-        raise InternalCheckError("cross-block product mismatch")
+        raise GrsDualError("cross-block product mismatch")
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -521,6 +510,8 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
         if n is not None and n != 2 * t * r:
             raise ValueError(f"n = {n} does not fit t = {t}: "
                              f"auto needs n = 2tr = {2 * t * r}")
+        if t < 1:
+            raise ConstructionInfeasible(f"t = {t} must be at least 1")
         n = 2 * t * r
     attempts = []
     # the table lists the most general family first, so try it backwards
@@ -529,7 +520,7 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
             return family.construct(*family.from_q_n(q, n))
         except (NotEligible, NotFoundError) as exc:
             attempts.append(f"{family.name}: {exc}")
-    raise NotSelfDualizableError(
+    raise ConstructionInfeasible(
         f"no family yields a self-dual code for q={q}, n={n} "
         f"({'; '.join(attempts)})")
 

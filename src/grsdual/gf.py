@@ -40,16 +40,7 @@ import reprlib
 import threading
 from typing import Optional, Sequence
 
-from .errors import (
-    BadOrderError,
-    BadSubfieldError,
-    DivisionByZeroError,
-    EvenCharacteristicError,
-    InternalCheckError,
-    NonResidueError,
-    NotPrimeError,
-    TooLargeError,
-)
+from .errors import ConstructionInfeasible, GrsDualError
 
 Felt = int  # a field element: its index in [0, q)
 
@@ -73,20 +64,20 @@ def is_prime(n: int) -> bool:
 
 
 def bounded_power(p: int, e: int) -> int:
-    """p**e, or TooLargeError past FIELD_SIZE_LIMIT without forming a huge
+    """p**e, or GrsDualError past FIELD_SIZE_LIMIT without forming a huge
     power first."""
     if ((abs(p) > 1 and e >= FIELD_SIZE_LIMIT.bit_length())
             or p ** e > FIELD_SIZE_LIMIT):
-        raise TooLargeError(f"{p}^{e} exceeds the limit {FIELD_SIZE_LIMIT}")
+        raise GrsDualError(f"{p}^{e} exceeds the limit {FIELD_SIZE_LIMIT}")
     return p ** e
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p^e with p prime; raises NotPrimeError otherwise."""
+    """Factor q as p^e with p prime; raises GrsDualError otherwise."""
     if q < 2:
-        raise NotPrimeError(f"{q} is not a prime power")
+        raise GrsDualError(f"{q} is not a prime power")
     if q > FIELD_SIZE_LIMIT:
-        raise TooLargeError(f"{q} exceeds the limit {FIELD_SIZE_LIMIT}")
+        raise GrsDualError(f"{q} exceeds the limit {FIELD_SIZE_LIMIT}")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -100,7 +91,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
         m //= p
         e += 1
     if m != 1:
-        raise NotPrimeError(f"{q} is not a prime power")
+        raise GrsDualError(f"{q} is not a prime power")
     return p, e
 
 
@@ -192,7 +183,7 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
         f = cs + [1]
         if _is_irreducible(f, p):
             return tuple(f)
-    raise InternalCheckError(f"no irreducible of degree {e} over GF({p})")
+    raise GrsDualError(f"no irreducible of degree {e} over GF({p})")
 
 
 def json_int(value, name: str) -> int:
@@ -354,7 +345,7 @@ class FieldCtx:
 
     def inverse(self, x: Felt) -> Felt:
         if x == 0:
-            raise DivisionByZeroError("zero has no multiplicative inverse")
+            raise GrsDualError("zero has no multiplicative inverse")
         return self._arrays()[2].item(x)
 
     def power(self, x: Felt, n: int) -> Felt:
@@ -384,7 +375,7 @@ class FieldCtx:
             m //= self.p
             d += 1
         if m != 1 or d == 0 or self.e % d != 0:
-            raise BadSubfieldError(
+            raise ConstructionInfeasible(
                 f"{r} is not the order of a subfield of GF({self.q})")
         return d
 
@@ -404,7 +395,7 @@ class FieldCtx:
         self._subfield_degree(r)
         out = [0] + self.roots_of_unity(r - 1)
         if len(set(out)) != r or any(self.power(x, r) != x for x in out):
-            raise InternalCheckError("subfield enumeration is not GF(r)")
+            raise GrsDualError("subfield enumeration is not GF(r)")
         return out
 
     def primitive_element(self) -> Felt:
@@ -431,7 +422,7 @@ class FieldCtx:
         for x in range(1, self.q):
             if all(self._pow_slow(x, q1 // ell) != 1 for ell in primes):
                 return x
-        raise InternalCheckError("no primitive element found")
+        raise GrsDualError("no primitive element found")
 
     def quadratic_character(self, x: Felt) -> int:
         """0 for x = 0, +1 for nonzero squares, -1 for nonsquares (q odd).
@@ -441,7 +432,7 @@ class FieldCtx:
         digit shifts and squares with `_mul_slow`, so each checks the other.
         """
         if self.p == 2:
-            raise EvenCharacteristicError(
+            raise ConstructionInfeasible(
                 "quadratic character is undefined in characteristic 2")
         if x == 0:
             return 0
@@ -484,7 +475,7 @@ class FieldCtx:
         exp/log tables would import numpy, and a search never does.
         """
         if self.p == 2:
-            raise EvenCharacteristicError(
+            raise ConstructionInfeasible(
                 "quadratic character is undefined in characteristic 2")
         if self._chi is None:
             with self._lock:
@@ -574,21 +565,22 @@ class FieldCtx:
         exp, log, _ = self._arrays()
         k = log.item(x)
         if k % 2:
-            raise NonResidueError(f"{x} is not a square in GF({self.q})")
+            raise GrsDualError(f"{x} is not a square in GF({self.q})")
         y = exp.item(k // 2)
         return min(y, self.neg(y))
 
     def roots_of_unity(self, m: int) -> list[Felt]:
         """The m distinct solutions of z^m = 1, sorted by index."""
         if m < 1 or (self.q - 1) % m != 0:
-            raise BadOrderError(f"{m} does not divide q - 1 = {self.q - 1}")
+            raise ConstructionInfeasible(
+                f"{m} does not divide q - 1 = {self.q - 1}")
         z = self.power(self.primitive_element(), (self.q - 1) // m)
         out, cur = [], 1
         for _ in range(m):
             out.append(cur)
             cur = self.mul(cur, z)
         if len(set(out)) != m:
-            raise InternalCheckError("root-of-unity generator has wrong order")
+            raise GrsDualError("root-of-unity generator has wrong order")
         return sorted(out)
 
     # --- lazily built tables ---------------------------------------------
@@ -638,7 +630,7 @@ class FieldCtx:
             log[exp[:q1]] = steps
             # log[exp[i]] == i for every i only if the q - 1 powers differ
             if exp[:q1].min() == 0 or (log[exp[:q1]] != steps).any():
-                raise InternalCheckError(f"bad exp table for GF({self.q})")
+                raise GrsDualError(f"bad exp table for GF({self.q})")
             inv = np.zeros(q1 + 1, dtype=np.int32)
             inv[1:] = exp[q1 - log[1:]]
             self._tables = exp, log, inv
@@ -755,11 +747,13 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
     smallest monic irreducible (constant term first), and for e = 1 it is
     the polynomial x.
     """
-    if not isinstance(p, int) or not isinstance(e, int) or e < 1:
+    # type(), not isinstance: a bool is an int, and True == 1 would share
+    # the cache slot of e = 1
+    if type(p) is not int or type(e) is not int or e < 1:
         raise ValueError("p and e must be ints with e >= 1")
     bounded_power(p, e)  # before the primality test, which is slow for huge p
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise GrsDualError(f"{p} is not prime")
     key = (p, e)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:

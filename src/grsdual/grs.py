@@ -26,12 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DuplicatePointsError,
-    LengthMismatchError,
-    ShapeMismatchError,
-    TooLargeError,
-)
+from .errors import GrsDualError
 from .gf import FieldCtx, Felt, field_from_json, json_int
 
 
@@ -44,9 +39,9 @@ MAX_BLOCK_LENGTH = 1280
 
 
 def check_block_length(length: int) -> None:
-    """TooLargeError when a code of this block length would be too big."""
+    """GrsDualError when a code of this block length would be too big."""
     if length > MAX_BLOCK_LENGTH:
-        raise TooLargeError(
+        raise GrsDualError(
             f"block length {length} exceeds the limit {MAX_BLOCK_LENGTH}")
 
 
@@ -68,9 +63,9 @@ class GrsCode(_CodeFields):
         self = super().__new__(cls, ctx, tuple(a), tuple(v), k, extended)
         check_block_length(self.block_length)
         if len(set(self.a)) != len(self.a):
-            raise DuplicatePointsError("evaluation points must be distinct")
+            raise GrsDualError("evaluation points must be distinct")
         if len(self.v) != len(self.a):
-            raise LengthMismatchError("need one multiplier per point")
+            raise GrsDualError("need one multiplier per point")
         if any(type(x) is not int or not 0 < x < ctx.q for x in self.v):
             raise ValueError("multipliers must be nonzero field elements")
         if any(type(x) is not int or not 0 <= x < ctx.q for x in self.a):
@@ -133,7 +128,7 @@ def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]
     """
     n = len(points)
     if len(set(points)) != n:
-        raise DuplicatePointsError("evaluation points must be distinct")
+        raise GrsDualError("evaluation points must be distinct")
     if n < 2:
         raise ValueError("need at least two points")
     prod = difference_products(ctx, points)[:, 0]
@@ -263,10 +258,10 @@ def stored_generator_from_json(obj: dict, code: GrsCode):
     rows, cols = gen["rows"], gen["cols"]
     k, length = code.k, code.block_length
     if rows * cols != len(entries):
-        raise ShapeMismatchError(f"{rows}x{cols} matrix needs "
-                                 f"{rows * cols} entries, got {len(entries)}")
+        raise GrsDualError(f"{rows}x{cols} matrix needs "
+                           f"{rows * cols} entries, got {len(entries)}")
     if (rows, cols) != (k, length):
-        raise ShapeMismatchError(
+        raise GrsDualError(
             f"stored generator is {rows}x{cols}, expected {k}x{length}")
     stored = np.array(entries, dtype=np.int32).reshape(k, length)
     stored.flags.writeable = False

@@ -51,12 +51,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import (
-    BudgetExceededError,
-    DuplicatePointsError,
-    EvenCharacteristicError,
-    TooLargeError,
-)
+from .errors import BudgetExceededError, ConstructionInfeasible, GrsDualError
 from .gf import FieldCtx, Felt, Neighbourhoods
 from .grs import GrsCode, dual_coefficients, generator_matrix
 from .linalg import rank_rows
@@ -138,7 +133,7 @@ def _products(ctx: FieldCtx, x, y):
     # a coordinate product sums n terms below p^2: n (p-1)^2 < 2^63 holds
     # for every q <= 2^20 and n < 2^23
     if n * (p - 1) ** 2 >= 1 << 63:
-        raise TooLargeError(f"{n} columns overflow the int64 inner products")
+        raise GrsDualError(f"{n} columns overflow the int64 inner products")
     same = x is y
     x = np.asarray(x, dtype=np.int64)
     y = x if same else np.asarray(y, dtype=np.int64)
@@ -402,11 +397,11 @@ def check_character_sum_bound(ctx: FieldCtx,
     floats are quotients of those integers.
     """
     if ctx.p == 2:
-        raise EvenCharacteristicError("the character needs odd q")
+        raise ConstructionInfeasible("the character needs odd q")
     if any(type(a) is not int or not 0 <= a < ctx.q for a in points):
         raise ValueError("points must be field elements")
     if len(set(points)) != len(points):
-        raise DuplicatePointsError("points must be distinct")
+        raise GrsDualError("points must be distinct")
     if not points:
         raise ValueError("need at least one point")
     nbhd = Neighbourhoods(ctx)

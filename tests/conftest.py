@@ -1,5 +1,8 @@
-"""Shared fields and hypothesis strategies for the test suite."""
+"""Shared fields, hypothesis strategies and helpers for the test suite."""
 
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import strategies as st
 
 from grsdual.gf import make_field
@@ -31,3 +34,12 @@ def field_and_matrix(draw, max_dim=5, fields=None):
     rows = [[draw(st.integers(0, ctx.q - 1)) for _ in range(ncols)]
             for _ in range(nrows)]
     return ctx, rows
+
+
+@contextmanager
+def raises_exactly(cls, match):
+    """pytest.raises(cls, match=match) that also refuses a subclass of
+    cls: the CLI reads a failure's exit code off its class."""
+    with pytest.raises(cls, match=match) as excinfo:
+        yield excinfo
+    assert excinfo.type is cls

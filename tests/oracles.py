@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from grsdual.errors import BudgetExceededError, ShapeMismatchError
+from grsdual.errors import BudgetExceededError
 from grsdual.gf import FieldCtx, Felt, field_for_order
 from grsdual.grs import GrsCode
 from grsdual.verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, CheckResult
@@ -210,7 +210,7 @@ def transpose(m) -> list[list[Felt]]:
 def matmul(ctx: FieldCtx, a, b) -> list[list[Felt]]:
     arows, brows = np.asarray(a).tolist(), np.asarray(b).tolist()
     if len(arows[0]) != len(brows):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"cannot multiply {len(arows)}x{len(arows[0])} by "
             f"{len(brows)}x{len(brows[0])}")
     out = []
@@ -229,7 +229,7 @@ def matmul(ctx: FieldCtx, a, b) -> list[list[Felt]]:
 def mat_vec(ctx: FieldCtx, m, vec: Sequence[Felt]) -> list[Felt]:
     rows = np.asarray(m).tolist()
     if len(vec) != len(rows[0]):
-        raise ShapeMismatchError("vector length does not match columns")
+        raise ValueError("vector length does not match columns")
     out = []
     for row in rows:
         acc = 0

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from grsdual import construct as families
 from grsdual import verify as ver
-from grsdual.errors import NoSubfieldSolutionError
+from grsdual.errors import ConstructionInfeasible
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import dual_coefficients
 import oracles
@@ -220,7 +220,8 @@ def _compare_scaling_routes(ctx, points, failures):
     try:
         families.find_subfield_scaling(ctx, u)
         direct = True
-    except NoSubfieldSolutionError:
+    except ConstructionInfeasible as exc:
+        assert "lies outside GF(" in str(exc)
         direct = False
     equiv = oracles.has_subfield_solution(ctx, points)
     if direct != equiv:

@@ -531,7 +531,76 @@ def test_auto_failure_message_is_frozen(q, n, expected, capsys):
     assert (rc, out, err) == (2, "", expected)
 
 
-FAMILY_ORDER = ["even-char", "extended", "square-set", "subfield-points",
+def _repeat_alpha(obj):
+    return {**obj, "alpha": [obj["alpha"][0], *obj["alpha"][:-1]]}
+
+
+def _drop_multiplier(obj):
+    return {**obj, "v": obj["v"][:-1]}
+
+
+# One failure per parameter rule or contract the CLI can reach, with its
+# exit code and its whole stderr line: 1 for a bad request, 2 for a code
+# that does not exist or a search that found none.  A verify row tampers
+# with the q = 5 extended code and reads it from stdin.
+@pytest.mark.parametrize("argv, rc, line", [
+    (["construct", "--family", "extended", "--q", "6"], 1,
+     "error: 6 is not a prime power"),
+    (["construct", "--family", "even-char", "--p", "4", "--n", "2"], 1,
+     "error: --p 4 is not prime"),
+    (["construct", "--family", "extended", "--q", "1073741827"], 1,
+     "error: 1073741827 exceeds the limit 1048576"),
+    (["construct", "--family", "even-char", "--q", "4096", "--n", "2000"], 1,
+     f"error: block length 2000 exceeds the limit {MAX_BLOCK_LENGTH}"),
+    (["verify", _repeat_alpha], 1,
+     "error: not a valid code object: evaluation points must be distinct"),
+    (["verify", _drop_multiplier], 1,
+     "error: not a valid code object: need one multiplier per point"),
+    (["construct", "--family", "even-char", "--q", "8", "--n", "3"], 2,
+     "construction infeasible: length must be even, got 3"),
+    (["construct", "--family", "even-char", "--q", "8", "--n", "10"], 2,
+     "construction infeasible: need n <= q, got n = 10 > q = 8"),
+    (["construct", "--family", "even-char", "--q", "9", "--n", "2"], 2,
+     "construction infeasible: q = 9 is not a power of 2"),
+    (["construct", "--family", "even-char", "--q", "8", "--n", "0"], 2,
+     "construction infeasible: length must be at least 2"),
+    (["construct", "--family", "extended", "--q", "8"], 2,
+     "construction infeasible: extended family needs odd q"),
+    (["construct", "--family", "square-set", "--q", "7", "--n", "2"], 2,
+     "construction infeasible: q = 7 is not 1 mod 4"),
+    (["search", "--q", "7", "--n", "2"], 2,
+     "search infeasible: q = 7 is not 1 mod 4"),
+    (["construct", "--family", "theorem-3-5", "--r", "3", "--t", "2"], 2,
+     "construction infeasible: t = 2 outside [1, 1] for r = 3"),
+    (["construct", "--family", "roots-of-unity", "--q", "27", "--n", "2"], 2,
+     "construction infeasible: q = 27 is not a square"),
+    (["construct", "--family", "roots-of-unity", "--q", "9", "--n", "6"], 2,
+     "construction infeasible: n - 1 = 5 does not divide q - 1 = 8"),
+    (["construct", "--family", "square-set", "--q", "13", "--n", "4"], 2,
+     "construction infeasible: no square-difference set of size 4 exists "
+     "in GF(13)"),
+])
+def test_each_failure_keeps_its_exit_code_and_stderr(argv, rc, line,
+                                                     monkeypatch, capsys):
+    if argv[0] == "verify":
+        _, out, _ = run_cli(["construct", "--family", "extended", "--q", "5"],
+                            capsys)
+        tampered = argv[1](json.loads(out))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(tampered)))
+        argv = ["verify", "-"]
+    assert run_cli(argv, capsys) == (rc, "", line + "\n")
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_auto_refuses_t_below_one(t, capsys):
+    # t was read as n = 2tr, and the failure named n = 0 or n = -6
+    rc, out, err = run_cli(["construct", "--family", "auto", "--q", "9",
+                            "--t", t], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"construction infeasible: t = {t} must be at least 1\n"
+
+
+FAMILY_ORDER =["even-char", "extended", "square-set", "subfield-points",
                 "roots-of-unity", "theorem-3-5"]
 
 

@@ -9,25 +9,16 @@ import pytest
 from grsdual import construct as con
 from grsdual import verify as ver
 from grsdual.errors import (
-    BadOrderError,
-    BadResidueClassError,
-    BadSubfieldError,
     BudgetExceededError,
-    EvenCharacteristicError,
-    InternalCheckError,
-    LengthTooLongError,
-    NoSubfieldSolutionError,
+    ConstructionInfeasible,
+    GrsDualError,
     NotFoundError,
-    NotPrimeError,
-    NotSelfDualizableError,
-    OddLengthError,
-    ParameterRangeError,
     SearchGaveUpError,
-    TooLargeError,
 )
 from grsdual.gf import (FieldCtx, _square_bitset, field_for_order, make_field,
                         split_prime_power)
 from grsdual.grs import dual_coefficients, generator_matrix
+from conftest import raises_exactly
 import oracles
 from oracles import backtrack_square_set
 
@@ -35,7 +26,7 @@ from oracles import backtrack_square_set
 def is_prime_power(q):
     try:
         split_prime_power(q)
-    except NotPrimeError:
+    except GrsDualError:
         return False
     return True
 
@@ -87,7 +78,8 @@ def test_find_subfield_scaling_failure():
     # frozen: u = (2x, 2+2x, 1+2x); u/u_1 has second coordinate 1+2x
     assert u == (6, 8, 7)
     assert ctx.mul(u[1], ctx.inverse(u[0])) == 7  # outside GF(3)
-    with pytest.raises(NoSubfieldSolutionError):
+    with raises_exactly(ConstructionInfeasible,
+                        match=r"^coordinate 1 of u/u_1 lies outside GF\(3\)$"):
         con.find_subfield_scaling(ctx, u)
 
 
@@ -100,7 +92,8 @@ def test_find_subfield_scaling_identity_when_already_rational():
 
 
 def test_find_subfield_scaling_requires_square_field():
-    with pytest.raises(BadSubfieldError):
+    with raises_exactly(ConstructionInfeasible,
+                        match=r"^q must be a square to have GF\(sqrt\(q\)\)$"):
         con.find_subfield_scaling(make_field(5), (1, 2))
     with pytest.raises(ValueError):
         con.find_subfield_scaling(make_field(3, 2), (0, 1))
@@ -124,7 +117,8 @@ def test_scaling_agrees_with_row_equivalence_exhaustively_gf9():
             try:
                 con.find_subfield_scaling(ctx, u)
                 scaled = True
-            except NoSubfieldSolutionError:
+            except ConstructionInfeasible as exc:
+                assert "lies outside GF(3)" in str(exc)
                 scaled = False
             assert scaled == oracles.has_subfield_solution(ctx, points)
 
@@ -138,7 +132,8 @@ def test_scaling_agrees_with_row_equivalence_random_gf25():
         try:
             con.find_subfield_scaling(ctx, u)
             scaled = True
-        except NoSubfieldSolutionError:
+        except ConstructionInfeasible as exc:
+            assert "lies outside GF(5)" in str(exc)
             scaled = False
         assert scaled == oracles.has_subfield_solution(ctx, points)
 
@@ -197,9 +192,9 @@ def test_long_coset_families_are_refused_before_listing_points(monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "roots_of_unity", listed)
     monkeypatch.setattr(FieldCtx, "subfield_elements", listed)
-    with pytest.raises(TooLargeError, match="block length 130306"):
+    with raises_exactly(GrsDualError, match="block length 130306"):
         con.construct_roots_of_unity(1042441, 130306)
-    with pytest.raises(TooLargeError, match="block length 1037342"):
+    with raises_exactly(GrsDualError, match="block length 1037342"):
         con.construct_theorem_3_5(1019, 509)
 
 
@@ -212,9 +207,11 @@ def test_search_bitset_is_the_set_of_nonzero_squares(q):
 
 
 def test_search_rejects_wrong_residue_class():
-    with pytest.raises(BadResidueClassError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^q = 11 is not 1 mod 4$"):
         con.search_square_difference_set(11, 4)
-    with pytest.raises(BadResidueClassError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^q = 16 is not 1 mod 4$"):
         con.search_square_difference_set(16, 4)
 
 
@@ -251,11 +248,14 @@ def test_construct_even_char():
     assert (result.code.block_length, result.code.k) == (6, 3)
     assert ver.check_mds(result.code).status == "pass"
 
-    with pytest.raises(LengthTooLongError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^need n <= q, got n = 6 > q = 4$"):
         con.construct_even_char(4, 6)
-    with pytest.raises(OddLengthError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^length must be even, got 5$"):
         con.construct_even_char(8, 5)
-    with pytest.raises(ParameterRangeError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^q = 5 is not a power of 2$"):
         con.construct_even_char(5, 4)
 
 
@@ -271,7 +271,8 @@ def test_construct_extended():
     assert (result9.code.block_length, result9.code.k) == (10, 5)
     assert ver.check_mds(result9.code).status == "pass"
 
-    with pytest.raises(EvenCharacteristicError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^extended family needs odd q$"):
         con.construct_extended(4)
 
 
@@ -287,7 +288,8 @@ def test_construct_square_set():
     assert (tiny.code.block_length, tiny.code.k) == (2, 1)
     assert_certified(tiny)
 
-    with pytest.raises(BadResidueClassError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^q = 11 is not 1 mod 4$"):
         con.construct_square_set(11, 4)
     with pytest.raises(NotFoundError):
         con.construct_square_set(5, 4)  # squares mod 5 are too sparse
@@ -301,7 +303,7 @@ def test_construct_square_set_rejects_nonsquare_coefficients(monkeypatch):
     assert [ctx.quadratic_character(x) for x in u] == [-1, -1, -1, -1]
     monkeypatch.setattr(con, "search_square_difference_set",
                         lambda q, n: (0, 1, 2, 3))
-    with pytest.raises(InternalCheckError, match="must all be squares"):
+    with raises_exactly(GrsDualError, match="must all be squares"):
         con.construct_square_set(13, 4)
 
 
@@ -316,7 +318,8 @@ def test_construct_subfield_points():
     assert (tiny.code.block_length, tiny.code.k) == (2, 1)
     assert tiny.code.ctx.q == 9
 
-    with pytest.raises(LengthTooLongError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^need n <= r, got n = 4 > r = 3$"):
         con.construct_subfield_points(3, 4)
 
 
@@ -343,11 +346,14 @@ def test_construct_roots_of_unity():
     tiny = con.construct_roots_of_unity(9, 2)
     assert (tiny.code.block_length, tiny.code.k) == (2, 1)
 
-    with pytest.raises(BadOrderError):
-        con.construct_roots_of_unity(25, 6)  # 5 does not divide 24
-    with pytest.raises(BadSubfieldError):
-        con.construct_roots_of_unity(13, 4)  # not a square
-    with pytest.raises(EvenCharacteristicError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^n - 1 = 5 does not divide q - 1 = 24$"):
+        con.construct_roots_of_unity(25, 6)
+    with raises_exactly(ConstructionInfeasible,
+                        match="^q = 13 is not a square$"):
+        con.construct_roots_of_unity(13, 4)
+    with raises_exactly(ConstructionInfeasible,
+                        match="^this family needs odd q$"):
         con.construct_roots_of_unity(16, 4)
 
 
@@ -393,13 +399,13 @@ def test_block_products_catch_a_tampered_point_or_beta(r, t, monkeypatch):
         real(ctx, r, t, beta, labels, points)
         # 2 lies in GF(r)*, so 2*beta keeps beta^(r-1) - 1 = -2 and only
         # the cross-block products can notice the change
-        with pytest.raises(InternalCheckError, match="cross-block"):
+        with raises_exactly(GrsDualError, match="cross-block"):
             real(ctx, r, t, ctx.mul(beta, 2), labels, points)
         spare = next(x for x in range(ctx.q) if x not in points)
         for i in (0, r // 2, len(points) - 1):
             moved = list(points)
             moved[i] = spare
-            with pytest.raises(InternalCheckError):
+            with raises_exactly(GrsDualError, match="product"):
                 real(ctx, r, t, beta, labels, moved)
 
         # one own-block product moved out of GF(r) by the primitive
@@ -410,7 +416,7 @@ def test_block_products_catch_a_tampered_point_or_beta(r, t, monkeypatch):
             return prods
 
         monkeypatch.setattr(con, "difference_products", own_block_off)
-        with pytest.raises(InternalCheckError, match="own-block"):
+        with raises_exactly(GrsDualError, match="own-block"):
             real(ctx, r, t, beta, labels, points)
         raise Checked
 
@@ -420,11 +426,15 @@ def test_block_products_catch_a_tampered_point_or_beta(r, t, monkeypatch):
 
 
 def test_construct_theorem_3_5_parameter_errors():
-    with pytest.raises(BadResidueClassError):
-        con.construct_theorem_3_5(5, 1)  # 5 = 1 mod 4
-    with pytest.raises(ParameterRangeError):
-        con.construct_theorem_3_5(7, 4)  # t must stay below (r-1)/2
-    with pytest.raises(ParameterRangeError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^r = 5 is not 3 mod 4$"):
+        con.construct_theorem_3_5(5, 1)
+    # t must stay below (r-1)/2
+    with raises_exactly(ConstructionInfeasible,
+                        match=r"^t = 4 outside \[1, 3\] for r = 7$"):
+        con.construct_theorem_3_5(7, 4)
+    with raises_exactly(ConstructionInfeasible,
+                        match=r"^t = 0 outside \[1, 1\] for r = 3$"):
         con.construct_theorem_3_5(3, 0)
 
 
@@ -454,10 +464,13 @@ def test_auto_reads_t_only_as_n_equal_2tr():
 
 
 def test_auto_reports_honest_failure():
-    with pytest.raises(NotSelfDualizableError):
+    failed = "^no family yields a self-dual code for "
+    with raises_exactly(ConstructionInfeasible, match=failed + "q=7, n=4 "):
         con.construct_auto(q=7, n=4)
     # here even the square-set search exhausts: GF(25) has no 6-point set
-    with pytest.raises(NotSelfDualizableError):
+    with raises_exactly(ConstructionInfeasible, match=failed + "q=25, n=6 "
+                        r".*square-set: no square-difference set of size 6 "
+                        r"exists in GF\(25\)"):
         con.construct_auto(q=25, n=6)
 
 

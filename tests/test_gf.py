@@ -17,16 +17,9 @@ from hypothesis import strategies as st
 from sympy import Poly, symbols
 from sympy.ntheory import primerange, primitive_root
 
-from conftest import FIELDS, ODD_FIELDS, field_and_elements
-from grsdual.errors import (
-    BadOrderError,
-    BadSubfieldError,
-    DivisionByZeroError,
-    EvenCharacteristicError,
-    NonResidueError,
-    NotPrimeError,
-    TooLargeError,
-)
+from conftest import FIELDS, ODD_FIELDS, field_and_elements, raises_exactly
+from grsdual import gf
+from grsdual.errors import ConstructionInfeasible, GrsDualError
 from grsdual.gf import (
     FIELD_SIZE_LIMIT,
     FieldCtx,
@@ -107,22 +100,34 @@ def test_canonical_modulus_is_the_lex_first_irreducible_by_sympy(p, e):
 
 
 def test_make_field_rejects_composite():
-    with pytest.raises(NotPrimeError):
+    with raises_exactly(GrsDualError, match="^4 is not prime$"):
         make_field(4, 1)
-    with pytest.raises(NotPrimeError):
+    with raises_exactly(GrsDualError, match="^15 is not prime$"):
         make_field(15, 2)
+
+
+def test_make_field_rejects_bools(monkeypatch):
+    # True == 1, so make_field(5, True) filled the (5, 1) cache slot with a
+    # context whose to_json() wrote "e": true, which field_from_json refuses
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    for p, e in ((5, True), (True, 1)):
+        with pytest.raises(ValueError, match="p and e must be ints"):
+            make_field(p, e)
+    assert type(make_field(5).to_json()["e"]) is int
+    assert make_field(5).to_json()["e"] == 1
 
 
 def test_make_field_size_limit():
     assert make_field(2, 20).q == FIELD_SIZE_LIMIT
-    with pytest.raises(TooLargeError):
+    limit = f"exceeds the limit {FIELD_SIZE_LIMIT}$"
+    with raises_exactly(GrsDualError, match=f"^2\\^21 {limit}"):
         make_field(2, 21)
-    with pytest.raises(TooLargeError):
+    with raises_exactly(GrsDualError, match=f"^3\\^13 {limit}"):
         make_field(3, 13)
     # refused before forming the power or testing primality
-    with pytest.raises(TooLargeError):
+    with raises_exactly(GrsDualError, match=f"^3\\^100000000 {limit}"):
         make_field(3, 10 ** 8)
-    with pytest.raises(TooLargeError):
+    with raises_exactly(GrsDualError, match=f"^10000000000000061\\^1 {limit}"):
         make_field(10000000000000061)
 
 
@@ -135,11 +140,13 @@ def test_split_prime_power():
     assert split_prime_power(49) == (7, 2)
     assert split_prime_power(13) == (13, 1)
     assert split_prime_power(1024) == (2, 10)
-    with pytest.raises(NotPrimeError):
+    with raises_exactly(GrsDualError, match="^12 is not a prime power$"):
         split_prime_power(12)
-    with pytest.raises(NotPrimeError):
+    with raises_exactly(GrsDualError, match="^1 is not a prime power$"):
         split_prime_power(1)
-    with pytest.raises(TooLargeError):  # refused before trial division
+    # refused before trial division
+    with raises_exactly(GrsDualError, match=f"^10000000000000061 exceeds the "
+                                            f"limit {FIELD_SIZE_LIMIT}$"):
         split_prime_power(10000000000000061)
 
 
@@ -153,7 +160,8 @@ def test_is_prime_small():
 def test_inverse_in_gf5():
     ctx = make_field(5)
     assert ctx.inverse(2) == 3  # 2*3 = 6 = 1
-    with pytest.raises(DivisionByZeroError):
+    with raises_exactly(GrsDualError,
+                        match="^zero has no multiplicative inverse$"):
         ctx.inverse(0)
 
 
@@ -236,7 +244,8 @@ def test_power_and_negative_exponents():
         assert ctx.mul(ctx.power(x, -3), ctx.power(x, 3)) == 1
     assert ctx.power(0, 0) == 1
     assert ctx.power(0, 5) == 0
-    with pytest.raises(DivisionByZeroError):
+    with raises_exactly(GrsDualError,
+                        match="^zero has no multiplicative inverse$"):
         ctx.power(0, -1)
 
 
@@ -292,9 +301,11 @@ def test_in_subfield_gf9():
     assert not ctx.in_subfield(3, 3)   # x^3 = -x != x
     assert ctx.in_subfield(0, 3)
     assert ctx.in_subfield(5, 9)       # the whole field
-    with pytest.raises(BadSubfieldError):
+    with raises_exactly(ConstructionInfeasible, match=r"^2 is not the order "
+                        r"of a subfield of GF\(9\)$"):
         ctx.in_subfield(2, 2)
-    with pytest.raises(BadSubfieldError):
+    with raises_exactly(ConstructionInfeasible, match=r"^27 is not the order "
+                        r"of a subfield of GF\(9\)$"):
         ctx.in_subfield(2, 27)
 
 
@@ -370,7 +381,8 @@ def test_quadratic_character_frozen_values():
     assert ctx.quadratic_character(2) == -1   # 2^6 mod 13 = 12
     for odd in ODD_FIELDS:
         assert odd.quadratic_character(0) == 0
-    with pytest.raises(EvenCharacteristicError):
+    with raises_exactly(ConstructionInfeasible, match="^quadratic character "
+                        "is undefined in characteristic 2$"):
         make_field(2, 2).quadratic_character(3)
 
 
@@ -469,15 +481,17 @@ def test_minus_one_square_iff_q_1_mod_4_or_even(ctx):
 def test_sqrt_frozen_values():
     assert make_field(5).sqrt(4) == 2       # roots 2 and 3; smaller index
     assert make_field(3, 2).sqrt(2) == 3    # roots x (index 3) and 2x (6)
-    with pytest.raises(NonResidueError):
-        make_field(5).sqrt(2)               # squares mod 5 are {0, 1, 4}
+    # squares mod 5 are {0, 1, 4}
+    with raises_exactly(GrsDualError, match=r"^2 is not a square in GF\(5\)$"):
+        make_field(5).sqrt(2)
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_sqrt_exhaustive(ctx):
     for x in range(ctx.q):
         if ctx.p != 2 and ctx.quadratic_character(x) == -1:
-            with pytest.raises(NonResidueError):
+            with raises_exactly(GrsDualError, match=rf"^{x} is not a square "
+                                rf"in GF\({ctx.q}\)$"):
                 ctx.sqrt(x)
             continue
         y = ctx.sqrt(x)
@@ -491,7 +505,8 @@ def test_roots_of_unity_gf9():
     ctx = make_field(3, 2)
     assert ctx.roots_of_unity(4) == [1, 2, 3, 6]  # {1, 2, x, 2x}
     assert ctx.roots_of_unity(1) == [1]
-    with pytest.raises(BadOrderError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^5 does not divide q - 1 = 8$"):
         ctx.roots_of_unity(5)
 
 
@@ -536,8 +551,8 @@ def test_scalar_ops_match_slow_and_coordinate_oracles(p, e):
             assert ctx.inverse(x) == inverse, x
             assert ctx.power(x, -n) == ctx._pow_slow(inverse, n), (x, n)
         if x and p != 2 and ctx._pow_slow(x, (q - 1) // 2) != 1:
-            with pytest.raises(NonResidueError,
-                               match=rf"^{x} is not a square in GF\({q}\)$"):
+            with raises_exactly(GrsDualError,
+                                match=rf"^{x} is not a square in GF\({q}\)$"):
                 ctx.sqrt(x)
         else:
             root = ctx.sqrt(x)

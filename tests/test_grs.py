@@ -13,11 +13,7 @@ import pytest
 
 from grsdual import grs
 from grsdual import linalg as la
-from grsdual.errors import (
-    DuplicatePointsError,
-    LengthMismatchError,
-    TooLargeError,
-)
+from grsdual.errors import GrsDualError
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import (
     MAX_BLOCK_LENGTH,
@@ -29,6 +25,7 @@ from grsdual.grs import (
     generator_matrix,
     stored_generator_from_json,
 )
+from conftest import raises_exactly
 import oracles
 from oracles import mat_vec, matmul, transpose
 
@@ -52,7 +49,8 @@ def test_dual_coefficients_frozen():
     assert dual_coefficients(ctx, (0, 1, 2)) == (3, 4, 3)
     # over all of GF(5) each difference product is the full unit product -1
     assert dual_coefficients(ctx, (0, 1, 2, 3, 4)) == (4, 4, 4, 4, 4)
-    with pytest.raises(DuplicatePointsError):
+    with raises_exactly(GrsDualError,
+                        match="^evaluation points must be distinct$"):
         dual_coefficients(ctx, (0, 0))
 
 
@@ -149,22 +147,23 @@ def test_generator_matrix_has_rank_k():
 
 def test_code_invariants_enforced():
     ctx = make_field(5)
-    with pytest.raises(DuplicatePointsError):
+    with raises_exactly(GrsDualError,
+                        match="^evaluation points must be distinct$"):
         GrsCode(ctx, (0, 0), (1, 1), 1)
     with pytest.raises(ValueError):
         GrsCode(ctx, (0, 1), (0, 1), 1)  # zero multiplier
     with pytest.raises(ValueError):
         GrsCode(ctx, (0, 1), (1, 1), 3)  # k > N
-    with pytest.raises(LengthMismatchError):
+    with raises_exactly(GrsDualError, match="^need one multiplier per point$"):
         GrsCode(ctx, (0, 1), (1,), 1)
     # each case breaks two rules; the earlier rule's error is the one raised
     cases = [
-        ((ctx, [0] * (MAX_BLOCK_LENGTH + 1), [1], 1), TooLargeError,
+        ((ctx, [0] * (MAX_BLOCK_LENGTH + 1), [1], 1), GrsDualError,
          f"block length {MAX_BLOCK_LENGTH + 1} exceeds the limit "
          f"{MAX_BLOCK_LENGTH}"),
-        ((ctx, [0, 0], [1], 1), DuplicatePointsError,
+        ((ctx, [0, 0], [1], 1), GrsDualError,
          "evaluation points must be distinct"),
-        ((ctx, [0, 1], [0], 1), LengthMismatchError,
+        ((ctx, [0, 1], [0], 1), GrsDualError,
          "need one multiplier per point"),
         ((ctx, [0, 5], [0, 1], 1), ValueError,
          "multipliers must be nonzero field elements"),
@@ -191,7 +190,7 @@ def test_code_invariants_enforced():
          r"dimension must be an integer, got 'x{12}\.\.\.x{13}'"),
     ]
     for args, error, message in cases:
-        with pytest.raises(error, match=f"^{message}$"):
+        with raises_exactly(error, match=f"^{message}$"):
             GrsCode(*args)
 
 
@@ -331,8 +330,12 @@ def test_block_length_limit_admits_the_longest_allowed_code():
     ctx = make_field(2, 11)
     code = GrsCode(ctx, range(MAX_BLOCK_LENGTH), (1,) * MAX_BLOCK_LENGTH, 1)
     assert code.block_length == MAX_BLOCK_LENGTH
-    with pytest.raises(TooLargeError, match=f"limit {MAX_BLOCK_LENGTH}"):
+    with raises_exactly(GrsDualError, match=f"^block length "
+                        f"{MAX_BLOCK_LENGTH + 1} exceeds the limit "
+                        f"{MAX_BLOCK_LENGTH}$"):
         GrsCode(ctx, range(MAX_BLOCK_LENGTH), (1,) * MAX_BLOCK_LENGTH, 1,
                 extended=True)
-    with pytest.raises(TooLargeError):
+    with raises_exactly(GrsDualError, match=f"^block length "
+                        f"{MAX_BLOCK_LENGTH + 1} exceeds the limit "
+                        f"{MAX_BLOCK_LENGTH}$"):
         dual_coefficients(ctx, range(MAX_BLOCK_LENGTH + 1))

@@ -16,12 +16,12 @@ from grsdual import linalg as la
 from grsdual import verify as ver
 from grsdual.errors import (
     BudgetExceededError,
-    DuplicatePointsError,
-    EvenCharacteristicError,
-    TooLargeError,
+    ConstructionInfeasible,
+    GrsDualError,
 )
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import GrsCode, generator_matrix
+from conftest import raises_exactly
 import oracles
 from oracles import echelon, matmul, transpose
 
@@ -290,7 +290,7 @@ def test_products_refuse_int64_overflow_before_allocating(p, e):
     x = np.broadcast_to(np.int64(ctx.q - 1), (2, n))
     tracemalloc.start()
     try:
-        with pytest.raises(TooLargeError) as err:
+        with raises_exactly(GrsDualError, match="columns overflow") as err:
             ver._products(ctx, x, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -655,11 +655,12 @@ def test_character_sum_bound_frozen_examples():
 
 def test_character_sum_bound_preconditions():
     ctx = make_field(13)
-    with pytest.raises(DuplicatePointsError):
+    with raises_exactly(GrsDualError, match="^points must be distinct$"):
         ver.check_character_sum_bound(ctx, (1, 1))
     with pytest.raises(ValueError):
         ver.check_character_sum_bound(ctx, ())
-    with pytest.raises(EvenCharacteristicError):
+    with raises_exactly(ConstructionInfeasible,
+                        match="^the character needs odd q$"):
         ver.check_character_sum_bound(make_field(2, 2), (1,))
 
 
