@@ -10,13 +10,14 @@ Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
 with both passes, then tests one small square block per column subset:
 in exact mode one at a time, by a forward pass on Python ints
-(`_np_nonsingular`), and in randomized mode a stack of equally sized
-blocks at once in numpy (`_np_batch_nonsingular`).
+(`_np_nonsingular`) that reads the field through memoryview rows of its
+tables (`gf.RowOps`, built once per check), and in randomized mode a
+stack of equally sized blocks at once in numpy (`_np_batch_nonsingular`).
 """
 
 from __future__ import annotations
 
-from .gf import FieldCtx
+from .gf import FieldCtx, RowOps
 
 
 # --- elimination ---------------------------------------------------------
@@ -84,14 +85,18 @@ def _np_nonsingular(a, ops) -> bool:
     """Nonsingularity of a square int32 array, by a forward pass on Python
     ints from a.tolist(); a is not changed.
 
-    Each step pivots on the first row with a nonzero leading entry, as
-    `_np_echelon` does, and keeps the rows below it, cleared, without the
-    pivot column; two rows left are a 2 x 2 determinant.  On the small
-    blocks of exact mode, ops' scalar indexing (tables or exp/log ops)
-    costs less than a dozen numpy calls a column.  The `_np_` name stays:
-    the benchmark's spans and tests wrap this function by name.
+    ops is the field's `RowOps`, or its op provider, whose `rows()` are
+    then built for this one call; the exact MDS check builds them once
+    and passes them to every call.  Each step pivots on the first row with
+    a nonzero leading entry, as `_np_echelon` does, and keeps the rows
+    below it, cleared, without the pivot column; two rows left are a
+    2 x 2 determinant.  Each cleared row fetches the product row m of its
+    factor once, and each entry reads sub[x][m[y]]: two memoryview reads
+    of the dense tables up to 2^10, where numpy's scalar indexing costs
+    about three times as much.  The `_np_` name stays: the benchmark's
+    spans and tests wrap this function by name.
     """
-    mul, sub, inv = ops.mul, ops.sub, ops.inv
+    mul, sub, inv = ops if isinstance(ops, RowOps) else ops.rows()
     rows = a.tolist()
     while len(rows) > 2:
         for i, top in enumerate(rows):
@@ -100,12 +105,12 @@ def _np_nonsingular(a, ops) -> bool:
         else:
             return False
         rows[i] = rows[0]
-        s, tail = inv[top[0]], top[1:]
-        rows = [[sub[x, mul[f, y]] for x, y in zip(row[1:], tail)]
-                for row in rows[1:] for f in (mul[row[0], s],)]
+        scale, tail = mul[inv[top[0]]], top[1:]
+        rows = [[sub[x][m[y]] for x, y in zip(row[1:], tail)]
+                for row in rows[1:] for m in (mul[scale[row[0]]],)]
     if len(rows) == 2:
         (w, x), (y, z) = rows
-        return bool(mul[w, z] != mul[x, y])
+        return mul[w][z] != mul[x][y]
     return not rows or bool(rows[0][0])
 
 

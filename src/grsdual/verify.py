@@ -29,10 +29,13 @@ permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
 elimination of j ~ k/2 rows instead of k: a forward pass on Python ints
-per subset in exact mode.  Randomized mode samples subsets from a seeded
-generator and reports confidence only.  It draws its samples a chunk at
-a time, groups the chunk's blocks by size j, and eliminates each group
-as one (B, j, j) numpy array.  The structural mode certifies via
+per subset in exact mode, through the field's row views (`gf.RowOps`),
+built once per check and dropped with it.  Randomized mode samples
+subsets from a seeded generator and reports confidence only.  It draws
+its samples a chunk at a time, making the `getrandbits` calls of
+`random.Random.sample` inline (`_draw_subsets`, the same sorted lists),
+groups the chunk's blocks by size j, and eliminates each group as one
+(B, j, j) numpy array.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
@@ -223,8 +226,9 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
 
     The generator is brought to reduced row echelon form once, and each
     subset is tested on its block of that form.  Exact mode eliminates
-    one block per subset on Python ints (`_np_subset_nonsingular`).
-    Randomized mode draws a chunk of samples at a time, at most
+    one block per subset on Python ints (`_np_subset_nonsingular`), on
+    the field's row views, built once for the check.  Randomized mode
+    draws a chunk of samples at a time (`_draw_subsets`), at most
     `_MDS_CHUNK` block entries, and eliminates the chunk's blocks in
     numpy together (`_blocks_nonsingular`); the first singular draw is
     reported, so a failure stops the draws within one chunk of it.
@@ -251,8 +255,9 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
     if mode == "exact":
+        rows = ops.rows()
         for cols in combinations(range(ncols), k):
-            if not _np_subset_nonsingular(red, slot, cols, ops):
+            if not _np_subset_nonsingular(red, slot, cols, rows):
                 return CheckResult("mds", "fail",
                                    f"columns {list(cols)} are singular",
                                    "exact")
@@ -263,8 +268,7 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     pivot_row = np.array(slot)
     chunk = max(1, _MDS_CHUNK // max(1, k * k))
     for start in range(0, samples, chunk):
-        drawn = [sorted(rng.sample(range(ncols), k))
-                 for _ in range(min(chunk, samples - start))]
+        drawn = _draw_subsets(rng, ncols, k, min(chunk, samples - start))
         cols = np.array(drawn, dtype=np.intp).reshape(len(drawn), k)
         ok = _blocks_nonsingular(red, pivot_row, cols, ops)
         if not ok.all():
@@ -281,7 +285,8 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
 def _np_subset_nonsingular(red, slot, cols, ops) -> bool:
     """Nonsingularity of the columns cols of a generator, read off its
     reduced row echelon form red, where slot[c] is the row whose pivot
-    lies in column c (-1 for a non-pivot column).
+    lies in column c (-1 for a non-pivot column); ops goes to
+    `linalg._np_nonsingular` as it is.
 
     The pivot columns among cols are unit vectors; expanding the
     determinant along them leaves the block of red whose rows have no
@@ -292,6 +297,60 @@ def _np_subset_nonsingular(red, slot, cols, ops) -> bool:
     used = {slot[c] for c in cols}
     rows = [r for r in range(len(red)) if r not in used]
     return linalg._np_nonsingular(red.take(rows, 0).take(free, 1), ops)
+
+
+def _draw_subsets(rng: random.Random, n: int, k: int,
+                  count: int) -> list[list[int]]:
+    """[sorted(rng.sample(range(n), k)) for _ in range(count)], from the
+    same `rng.getrandbits` calls as CPython's `Random.sample`, in order.
+
+    `sample` draws each index below m as getrandbits(m.bit_length()),
+    drawn again while it is m or more.  Up to `_pool_limit(k)` elements
+    it keeps a pool, a partial Fisher-Yates shuffle of range(n): the i-th
+    index is below m = n - i, and the pool's element m - 1 moves into
+    the vacancy.  Here the two swap, so the k picked elements end up in
+    the pool's last k places.  Above the limit, `sample` draws below n
+    and draws again while the index is taken.  Inlined, a draw makes no
+    method call per index.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    if n <= _pool_limit(k):
+        bounds = [(m - 1, m.bit_length()) for m in range(n, n - k, -1)]
+        whole = list(range(n))
+        for _ in range(count):
+            pool = whole[:]
+            for last, bits in bounds:
+                j = getrandbits(bits)
+                while j > last:
+                    j = getrandbits(bits)
+                pool[j], pool[last] = pool[last], pool[j]
+            picked = pool[n - k:]
+            picked.sort()
+            out.append(picked)
+        return out
+    bits = n.bit_length()
+    for _ in range(count):
+        taken = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in taken:
+                j = getrandbits(bits)
+            taken.add(j)
+        out.append(sorted(taken))
+    return out
+
+
+def _pool_limit(k: int) -> int:
+    """The largest n for which `Random.sample` draws k of range(n) from a
+    pool: 21, plus for k > 5 the smallest power of 4 that is at least 3k,
+    which `sample` computes as 4 ** ceil(log(3k, 4)) in floating point."""
+    if k <= 5:
+        return 21
+    size = 4
+    while size < 3 * k:
+        size *= 4
+    return 21 + size
 
 
 # block entries B k^2 per chunk of subsets eliminated together

@@ -629,6 +629,32 @@ def test_exp_log_tables_with_a_dense_modulus():
     _check_tables_against_slow_powers(ctx, 37)
 
 
+@pytest.mark.parametrize("q", [4, 9, 16, 17, 27, 1024, 1031, 43 ** 2, 2048])
+def test_row_ops_read_the_fields_ops_as_python_ints(q):
+    # memoryview rows of the dense tables up to 2^10 (every pair below
+    # 32), row objects over exp/log above (random pairs): rows()[x][y]
+    # is the scalar op's result, a Python int
+    ctx = field_for_order(q)
+    rows = ctx.np_ops().rows()
+    assert rows is not ctx.np_ops().rows()  # built afresh, not kept
+    if q <= 32:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rnd = random.Random(q)
+        pairs = [(0, 0), (0, q - 1), (q - 1, 0), (1, q - 1), (q - 1, q - 1)]
+        pairs += [(rnd.randrange(q), rnd.randrange(q)) for _ in range(2000)]
+    for x, y in pairs:
+        m, d = rows.mul[x][y], rows.sub[x][y]
+        assert type(m) is int and m == ctx.mul(x, y), (x, y)
+        assert type(d) is int and d == ctx.sub(x, y), (x, y)
+    assert type(rows.inv[0]) is int and rows.inv[0] == 0
+    for x in {x for x, _ in pairs} - {0}:
+        assert type(rows.inv[x]) is int and rows.inv[x] == ctx.inverse(x)
+    if q <= 1024:
+        assert all(type(r) is memoryview and len(r) == q
+                   for r in (*rows.mul, *rows.sub))
+
+
 # --- serialization ------------------------------------------------------------------
 
 def test_field_json_roundtrip_and_determinism():

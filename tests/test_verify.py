@@ -3,6 +3,7 @@ dual identity, character-sum counts; and the distance-enumeration
 oracle that the acceptance suite compares the MDS check with."""
 
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from grsdual.errors import (
     GrsDualError,
 )
 from grsdual.gf import FieldCtx, field_for_order, make_field
-from grsdual.grs import GrsCode, generator_matrix
+from grsdual.grs import MAX_BLOCK_LENGTH, GrsCode, generator_matrix
 from conftest import raises_exactly
 import oracles
 from oracles import echelon, matmul, transpose
@@ -559,21 +560,21 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
 
 def test_randomized_mds_check_streams_its_draws(monkeypatch):
     draws = []
+    draw = ver._draw_subsets
 
-    class Counted(random.Random):
-        def sample(self, *args, **kwargs):
-            draws.append(1)
-            return super().sample(*args, **kwargs)
+    def counted(rng, n, k, count):
+        draws.append(count)
+        return draw(rng, n, k, count)
 
     # rank 1: the first draw fails, and only its chunk is drawn
     ctx = make_field(5)
     gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
     first = sorted(random.Random(5).sample(range(5), 2))
-    monkeypatch.setattr(ver.random, "Random", Counted)
+    monkeypatch.setattr(ver, "_draw_subsets", counted)
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                samples=10 ** 9, seed=5)
     assert res.detail == f"columns {first} are singular"
-    assert len(draws) == ver._MDS_CHUNK // 2 ** 2
+    assert draws == [ver._MDS_CHUNK // 2 ** 2]
     # a [28, 14] check: no subset is eliminated on its own, and each chunk
     # of B draws makes at most one batched call per block size 0..k
     calls = {"subsets": 0}
@@ -600,6 +601,45 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
     assert len(blocks) <= -(-samples // chunk) * (k + 1)
     assert sum(b for b, _, _ in blocks) == samples
     assert all(b <= chunk and j <= k for b, j, _ in blocks)
+
+
+def _sample_lists(seed, n, k, count):
+    """What `_draw_subsets` must return: `Random.sample`'s lists, sorted."""
+    rng = random.Random(seed)
+    return [sorted(rng.sample(range(n), k)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 2 ** 40 + 3])
+def test_draws_are_random_sample_lists_in_order(seed):
+    # every k of N = 1..64, N on both sides of each pool/set boundary
+    # with k at every step of the pool limit, and N at the length cap
+    cases = [(n, k) for n in range(1, 65) for k in range(n + 1)]
+    steps = (1, 5, 6, 21, 22, 85, 86, 341, 342)
+    for n in (85, 86, 277, 278, 1045, 1046):
+        cases += [(n, k) for k in sorted({*steps, n // 2, n}) if k <= n]
+    cases += [(MAX_BLOCK_LENGTH, k) for k in (1, 6, 640, MAX_BLOCK_LENGTH)]
+    branches = set()
+    for n, k in cases:
+        count = 3 if k <= 100 else 1
+        got = ver._draw_subsets(random.Random(seed), n, k, count)
+        assert got == _sample_lists(seed, n, k, count), (n, k)
+        branches.add(n <= ver._pool_limit(k))
+    assert branches == {True, False}
+    # the generator is left where sample leaves it
+    rng, ref = random.Random(seed), random.Random(seed)
+    ver._draw_subsets(rng, 278, 22, 4)
+    for _ in range(4):
+        ref.sample(range(278), 22)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_pool_limit_is_samples_floating_point_rule_in_integers():
+    # Random.sample: setsize = 21, plus 4 ** ceil(log(3k, 4)) for k > 5
+    for k in range(MAX_BLOCK_LENGTH + 1):
+        want = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+        assert ver._pool_limit(k) == want, k
+    assert [ver._pool_limit(k) for k in (5, 6, 21, 22, 85, 86)] == [
+        21, 85, 85, 277, 277, 1045]
 
 
 def test_check_mds_structural():
