@@ -9,15 +9,16 @@ numerical concerns in exact arithmetic.
 Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
 with both passes, then tests one small square block per column subset:
-in exact mode one at a time, by a forward pass on Python ints
-(`_np_nonsingular`) that reads the field through memoryview rows of its
-tables (`gf.RowOps`, built once per check), and in randomized mode a
-stack of equally sized blocks at once in numpy (`_np_batch_nonsingular`).
+in exact mode one at a time, by a forward pass on the block's Python
+rows (`_np_nonsingular`, given lists cut from the reduced form's
+`tolist()`), reading the field through memoryview rows of its tables
+(`gf.RowOps`, built once per check); in randomized mode a stack of
+equally sized blocks at once in numpy (`_np_batch_nonsingular`).
 """
 
 from __future__ import annotations
 
-from .gf import FieldCtx, RowOps
+from .gf import FieldCtx
 
 
 # --- elimination ---------------------------------------------------------
@@ -81,33 +82,40 @@ def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
     return pivots
 
 
-def _np_nonsingular(a, ops) -> bool:
-    """Nonsingularity of a square int32 array, by a forward pass on Python
-    ints from a.tolist(); a is not changed.
+def _np_nonsingular(rows, ops) -> bool:
+    """Nonsingularity of a square block given as a list of rows of
+    Python ints, by a forward pass on them; rows is not changed.
 
-    ops is the field's `RowOps`, or its op provider, whose `rows()` are
-    then built for this one call; the exact MDS check builds them once
-    and passes them to every call.  Each step pivots on the first row with
-    a nonzero leading entry, as `_np_echelon` does, and keeps the rows
-    below it, cleared, without the pivot column; two rows left are a
-    2 x 2 determinant.  Each cleared row fetches the product row m of its
-    factor once, and each entry reads sub[x][m[y]]: two memoryview reads
-    of the dense tables up to 2^10, where numpy's scalar indexing costs
-    about three times as much.  The `_np_` name stays: the benchmark's
-    spans and tests wrap this function by name.
+    ops is the field's `RowOps`, which the exact MDS check builds once and
+    passes to every call.  Each step pivots on the first row with a
+    nonzero leading entry, as `_np_echelon` does, and keeps the rows
+    below it, cleared, without the pivot column.  Three rows left are
+    tested by their determinant expanded along the first row, two by
+    theirs, with no list built.  Each cleared row fetches the product
+    row m of its factor once, and each entry reads sub[x][m[y]]: two
+    memoryview reads of the dense tables up to 2^10, where numpy's
+    scalar indexing costs about three times as much.  The `_np_` name
+    stays: the benchmark's spans and tests wrap this function by name.
     """
-    mul, sub, inv = ops if isinstance(ops, RowOps) else ops.rows()
-    rows = a.tolist()
-    while len(rows) > 2:
+    mul, sub, inv = ops
+    while len(rows) > 3:
         for i, top in enumerate(rows):
             if top[0]:
                 break
         else:
             return False
-        rows[i] = rows[0]
+        below = rows[1:]
+        if i:
+            below[i - 1] = rows[0]
         scale, tail = mul[inv[top[0]]], top[1:]
         rows = [[sub[x][m[y]] for x, y in zip(row[1:], tail)]
-                for row in rows[1:] for m in (mul[scale[row[0]]],)]
+                for row in below for m in (mul[scale[row[0]]],)]
+    if len(rows) == 3:
+        # a (ei - fh) - (b (di - fg) - c (dh - eg))
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        md, me, mf = mul[d], mul[e], mul[f]
+        return sub[mul[a][sub[me[i]][mf[h]]]][
+            sub[mul[b][sub[md[i]][mf[g]]]][mul[c][sub[md[h]][me[g]]]]] != 0
     if len(rows) == 2:
         (w, x), (y, z) = rows
         return mul[w][z] != mul[x][y]

@@ -28,14 +28,16 @@ column subset, and in the reduced form G' = [I | A] (up to a column
 permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
-elimination of j ~ k/2 rows instead of k: a forward pass on Python ints
-per subset in exact mode, through the field's row views (`gf.RowOps`),
+elimination of j ~ k/2 rows instead of k: in exact mode a forward pass
+on Python ints per subset, its block cut from the reduced form's rows
+as lists and its field read through the row views (`gf.RowOps`), both
 built once per check and dropped with it.  Randomized mode samples
 subsets from a seeded generator and reports confidence only.  It draws
-its samples a chunk at a time, making the `getrandbits` calls of
-`random.Random.sample` inline (`_draw_subsets`, the same sorted lists),
-groups the chunk's blocks by size j, and eliminates each group as one
-(B, j, j) numpy array.  The structural mode certifies via
+a window of four chunks of samples into one int16 array, making the
+`getrandbits` calls of `random.Random.sample` inline (`_draw_subsets`,
+the same sorted lists), groups the window's blocks by size j, and
+eliminates each group as (B, j, j) numpy arrays of at most
+`_MDS_CHUNK` entries.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
@@ -226,12 +228,14 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
 
     The generator is brought to reduced row echelon form once, and each
     subset is tested on its block of that form.  Exact mode eliminates
-    one block per subset on Python ints (`_np_subset_nonsingular`), on
-    the field's row views, built once for the check.  Randomized mode
-    draws a chunk of samples at a time (`_draw_subsets`), at most
-    `_MDS_CHUNK` block entries, and eliminates the chunk's blocks in
-    numpy together (`_blocks_nonsingular`); the first singular draw is
-    reported, so a failure stops the draws within one chunk of it.
+    one block per subset on Python ints (`_np_subset_nonsingular`),
+    cutting it from the form's `tolist()` and reading the field through
+    its row views, both made once for the check.  Randomized mode draws
+    a window of four chunks of samples into one int16 array, each chunk
+    (`_draw_subsets`) at most `_MDS_CHUNK` block entries, and
+    eliminates the window's blocks in numpy, one pass per block size
+    (`_blocks_nonsingular`); the first singular draw is reported, so a
+    failure stops the draws within one window of it.
     Below rank k every block keeps a zero row, so the first subset fails.
     """
     import numpy as np
@@ -255,9 +259,9 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
     if mode == "exact":
-        rows = ops.rows()
+        rows, ops = red.tolist(), ops.rows()
         for cols in combinations(range(ncols), k):
-            if not _np_subset_nonsingular(red, slot, cols, rows):
+            if not _np_subset_nonsingular(rows, slot, cols, ops):
                 return CheckResult("mds", "fail",
                                    f"columns {list(cols)} are singular",
                                    "exact")
@@ -265,16 +269,20 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                            f"all {total} column {k}-subsets nonsingular",
                            "exact")
     rng = random.Random(seed)
-    pivot_row = np.array(slot)
+    # row and column indices stay below the length cap, 1280: int16 holds them
+    pivot_row = np.array(slot, dtype=np.int16)
     chunk = max(1, _MDS_CHUNK // max(1, k * k))
-    for start in range(0, samples, chunk):
-        drawn = _draw_subsets(rng, ncols, k, min(chunk, samples - start))
-        cols = np.array(drawn, dtype=np.intp).reshape(len(drawn), k)
+    window = np.empty((min(4 * chunk, samples), k), dtype=np.int16)
+    for start in range(0, samples, len(window)):
+        cols = window[:min(len(window), samples - start)]
+        for at in range(0, len(cols), chunk):
+            cols[at:at + chunk] = _draw_subsets(
+                rng, ncols, k, min(chunk, len(cols) - at))
         ok = _blocks_nonsingular(red, pivot_row, cols, ops)
         if not ok.all():
             return CheckResult(
                 "mds", "fail",
-                f"columns {drawn[int(ok.argmin())]} are singular",
+                f"columns {cols[int(ok.argmin())].tolist()} are singular",
                 "randomized", seed=seed)
     return CheckResult(
         "mds", "pass",
@@ -284,19 +292,21 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
 
 def _np_subset_nonsingular(red, slot, cols, ops) -> bool:
     """Nonsingularity of the columns cols of a generator, read off its
-    reduced row echelon form red, where slot[c] is the row whose pivot
-    lies in column c (-1 for a non-pivot column); ops goes to
-    `linalg._np_nonsingular` as it is.
+    reduced row echelon form red, given as a list of rows, where slot[c]
+    is the row whose pivot lies in column c (-1 for a non-pivot column);
+    ops goes to `linalg._np_nonsingular` as it is.
 
     The pivot columns among cols are unit vectors; expanding the
     determinant along them leaves the block of red whose rows have no
-    pivot in cols and whose columns are cols' non-pivot columns.  Rows
-    past the rank are zero and belong to every block.
+    pivot in cols and whose columns are cols' non-pivot columns, cut
+    from red's rows as lists.  Rows past the rank are zero and belong to
+    every block.
     """
     free = [c for c in cols if slot[c] < 0]
     used = {slot[c] for c in cols}
-    rows = [r for r in range(len(red)) if r not in used]
-    return linalg._np_nonsingular(red.take(rows, 0).take(free, 1), ops)
+    return linalg._np_nonsingular(
+        [[row[c] for c in free] for r, row in enumerate(red) if r not in used],
+        ops)
 
 
 def _draw_subsets(rng: random.Random, n: int, k: int,
@@ -353,35 +363,43 @@ def _pool_limit(k: int) -> int:
     return 21 + size
 
 
-# block entries B k^2 per chunk of subsets eliminated together
+# the most block entries drawn per chunk (B k^2) or eliminated per call
+# (B j^2); a window of draws holds four chunks
 _MDS_CHUNK = 1 << 16
 
 
 def _blocks_nonsingular(red, pivot_row, cols, ops):
     """`_np_subset_nonsingular` for every row of the (B, k) array cols,
-    as a bool array of length B; pivot_row is slot as an array.
+    as a bool array of length B; pivot_row is slot as an int16 array.
 
     A subset with j non-pivot columns has a j x j block.  The blocks of
-    each size j are gathered with one fancy index into a (B_j, j, j)
-    array, rows and columns in the same order as the one-subset path,
-    and eliminated together (`linalg._np_batch_nonsingular`).
+    each size j are cut into slices of at most max(1, _MDS_CHUNK // j^2)
+    blocks; each slice is gathered with one fancy index into a
+    (B_j, j, j) array, rows and columns in the same order as the
+    one-subset path, and eliminated together
+    (`linalg._np_batch_nonsingular`).  A slice marks the rows its blocks
+    leave out in a table of its own, one column past the last row
+    catching the non-pivot columns' -1.
     """
     import numpy as np
 
-    nblocks = len(cols)
+    nrows = len(red)
     rows = pivot_row[cols]
     free = rows < 0
-    used = np.zeros((nblocks, len(red)), dtype=bool)
-    at = np.nonzero(~free)
-    used[at[0], rows[at]] = True
     sizes = free.sum(1)
-    ok = np.ones(nblocks, dtype=bool)
+    ok = np.ones(len(cols), dtype=bool)
     for j in np.flatnonzero(np.bincount(sizes)).tolist():
-        picked = np.flatnonzero(sizes == j)
-        block_cols = cols[picked][free[picked]].reshape(len(picked), j)
-        block_rows = np.nonzero(~used[picked])[1].reshape(len(picked), j)
-        blocks = red[block_rows[:, :, None], block_cols[:, None, :]]
-        ok[picked] = linalg._np_batch_nonsingular(blocks, ops)
+        group = np.flatnonzero(sizes == j)
+        step = max(1, _MDS_CHUNK // max(1, j * j))
+        for at in range(0, len(group), step):
+            picked = group[at:at + step]
+            b = len(picked)
+            used = np.zeros((b, nrows + 1), dtype=bool)
+            used[np.arange(b)[:, None], rows[picked]] = True
+            block_rows = np.nonzero(~used[:, :nrows])[1].reshape(b, j)
+            block_cols = cols[picked][free[picked]].reshape(b, j)
+            blocks = red[block_rows[:, :, None], block_cols[:, None, :]]
+            ok[picked] = linalg._np_batch_nonsingular(blocks, ops)
     return ok
 
 
@@ -494,7 +512,7 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
 
     mds_mode "auto" checks every column subset when their count fits the
     budget and `samples` seeded draws of them otherwise, eliminated a
-    chunk at a time (`check_mds_matrix`).
+    window at a time (`check_mds_matrix`).
 
     When a stored generator array is supplied, the self-dual and MDS
     checks run against it (so hand-edited matrices fail honestly) and an

@@ -418,25 +418,29 @@ def _oracle_samples(ctx, gen, samples, seed):
     return out
 
 
+def _first_fail(draws):
+    """The index of the first singular draw of `_oracle_samples`, or None."""
+    return next((i for i, (_, bad) in enumerate(draws) if bad), None)
+
+
+def _first_seed(ctx, rows, wanted, samples=40):
+    """The first seed whose `_oracle_samples` satisfy wanted."""
+    gen = matrix(rows)
+    return next(seed for seed in range(10 ** 4)
+                if wanted(_oracle_samples(ctx, gen, samples, seed)))
+
+
 def _chunk_cases(ctx, rnd, chunk):
     """(generator rows, seed) for the randomized check in chunks of chunk
     draws: more than two chunks that all pass, a first singular draw past
     the first chunk, one whose chunk holds a later singular draw with a
     smaller block, and a rank-deficient generator."""
-    def first_seed(rows, wanted):
-        gen = matrix(rows)
-        return next(seed for seed in range(10 ** 4)
-                    if wanted(_oracle_samples(ctx, gen, 40, seed)))
-
-    def first_fail(draws):
-        return next((i for i, (_, bad) in enumerate(draws) if bad), None)
-
     def past_first_chunk(draws):
-        first = first_fail(draws)
+        first = _first_fail(draws)
         return first is not None and first >= chunk
 
     def smaller_block_later(draws):
-        first = first_fail(draws)
+        first = _first_fail(draws)
         if first is None:
             return False
         end = (first // chunk + 1) * chunk
@@ -445,8 +449,8 @@ def _chunk_cases(ctx, rnd, chunk):
     grs = _grs_rows(ctx, rnd, 3, 7)
     _, repeated, _, low_rank = _mds_cases(ctx, rnd)[-4:]
     return [(grs, rnd.randrange(10 ** 6)),
-            (repeated, first_seed(repeated, past_first_chunk)),
-            (repeated, first_seed(repeated, smaller_block_later)),
+            (repeated, _first_seed(ctx, repeated, past_first_chunk)),
+            (repeated, _first_seed(ctx, repeated, smaller_block_later)),
             (low_rank, rnd.randrange(10 ** 6))]
 
 
@@ -478,6 +482,67 @@ def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
         assert got == want, (seed, rows)
         statuses.append(got.status)
     assert statuses == ["pass", "fail", "fail", "fail"]
+
+
+def _window_cases(ctx, rnd, window):
+    """(generator rows, seed) for the randomized check in windows of
+    window draws: all pass, or the first singular draw is the last of the
+    first window, the first of the second, or in the third or later."""
+    def first_at(test):
+        def wanted(draws):
+            first = _first_fail(draws)
+            return first is not None and test(first)
+        return _first_seed(ctx, repeated, wanted)
+
+    grs = _grs_rows(ctx, rnd, 3, 7)
+    repeated = _mds_cases(ctx, rnd)[-3]
+    return [(grs, rnd.randrange(10 ** 6)),
+            (repeated, first_at(lambda i: i == window - 1)),
+            (repeated, first_at(lambda i: i == window)),
+            (repeated, first_at(lambda i: i >= 2 * window))]
+
+
+@pytest.mark.parametrize("q", [13, 25, 1031])
+def test_randomized_windows_match_the_oracle(q, monkeypatch):
+    # chunks of 2 draws of 3 x 7 generators (windows of 8), so that 40
+    # draws span five windows, and slices of at most 4 blocks of 2 x 2
+    # and 2 of 3 x 3: a window often holds more blocks of one size
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    monkeypatch.setattr(ver, "_MDS_CHUNK", 2 * 3 * 3)
+    samples, window = 40, 4 * 2
+    cases = _window_cases(ctx, rnd, window)
+    draws = []
+    draw = ver._draw_subsets
+
+    def counted(rng, n, k, count):
+        draws.append(count)
+        return draw(rng, n, k, count)
+
+    monkeypatch.setattr(ver, "_draw_subsets", counted)
+    windows = _record_windows(monkeypatch)
+    statuses, split = [], False
+    for rows, seed in cases:
+        gen = matrix(rows)
+        draws.clear()
+        windows.clear()
+        got = ver.check_mds_matrix(ctx, gen, mode="randomized",
+                                   samples=samples, seed=seed)
+        want = oracles.check_mds_matrix(ctx, gen, mode="randomized",
+                                        samples=samples, seed=seed)
+        assert got == want, (seed, rows)
+        statuses.append(got.status)
+        # no draw asks for more than one chunk, and the draws stop with
+        # the window that holds the first singular one
+        assert max(draws) <= max(1, ver._MDS_CHUNK // 3 ** 2)
+        assert sum(draws) == sum(b for w in windows for b, _ in w)
+        if got.status == "fail":
+            first = _first_fail(_oracle_samples(ctx, gen, samples, seed))
+            assert sum(draws) == min(samples, (first // window + 1) * window)
+        _assert_one_pass_per_block_size(windows)
+        split |= any(len(w) > len({j for _, j in w}) for w in windows)
+    assert statuses == ["pass", "fail", "fail", "fail"]
+    assert split, "no block size was split over several slices"
 
 
 @pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
@@ -527,7 +592,12 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
         def wrapper(*args):
             calls[key] += 1
             if key == "eliminations":
-                blocks.append(args[0].shape)
+                # the block comes as square lists of Python ints
+                block = args[0]
+                assert type(block) is list and all(
+                    type(row) is list and len(row) == len(block)
+                    and all(type(x) is int for x in row) for row in block)
+                blocks.append(len(block))
             return fn(*args)
         return wrapper
 
@@ -543,7 +613,7 @@ def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
         "call each")
     # pivots in columns 0-2: a subset with i of them leaves a (3-i)x(3-i)
     # block, for C(3, i) C(3, 3-i) subsets
-    assert Counter(blocks) == {(3, 3): 1, (2, 2): 9, (1, 1): 9, (0, 0): 1}
+    assert Counter(blocks) == {3: 1, 2: 9, 1: 9, 0: 1}
     # with column 4 a copy of column 2 the walk stops at the first subset
     # that holds both
     rows = generator_matrix(code).tolist()
@@ -566,7 +636,8 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
         draws.append(count)
         return draw(rng, n, k, count)
 
-    # rank 1: the first draw fails, and only its chunk is drawn
+    # rank 1: the first draw fails, and only its window of four chunks
+    # is drawn
     ctx = make_field(5)
     gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
     first = sorted(random.Random(5).sample(range(5), 2))
@@ -574,33 +645,66 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                samples=10 ** 9, seed=5)
     assert res.detail == f"columns {first} are singular"
-    assert draws == [ver._MDS_CHUNK // 2 ** 2]
-    # a [28, 14] check: no subset is eliminated on its own, and each chunk
-    # of B draws makes at most one batched call per block size 0..k
+    assert draws == [ver._MDS_CHUNK // 2 ** 2] * 4
+    # a [28, 14] check: no subset is eliminated on its own, and each
+    # window makes one pass per block size, in slices of bounded size
     calls = {"subsets": 0}
-    blocks = []
     subset = ver._np_subset_nonsingular
-    batch = la._np_batch_nonsingular
 
     def one(*args):
         calls["subsets"] += 1
         return subset(*args)
 
-    def batched(a, ops):
-        blocks.append(a.shape)
-        return batch(a, ops)
-
     monkeypatch.setattr(ver, "_np_subset_nonsingular", one)
-    monkeypatch.setattr(la, "_np_batch_nonsingular", batched)
+    windows = _record_windows(monkeypatch)
+    draws.clear()
     code = con_families.construct_extended(27).code
     samples, k = 10 ** 4, 14
     assert ver.check_mds(code, mode="randomized",
                          samples=samples).status == "pass"
     chunk = ver._MDS_CHUNK // k ** 2
     assert calls["subsets"] == 0
-    assert len(blocks) <= -(-samples // chunk) * (k + 1)
-    assert sum(b for b, _, _ in blocks) == samples
-    assert all(b <= chunk and j <= k for b, j, _ in blocks)
+    assert draws == [chunk] * (samples // chunk) + [samples % chunk]
+    assert [sum(b for b, _ in window) for window in windows] == (
+        [4 * chunk] * (samples // (4 * chunk)) + [samples % (4 * chunk)])
+    assert all(j <= k for window in windows for _, j in window)
+    _assert_one_pass_per_block_size(windows)
+
+
+def _record_windows(monkeypatch):
+    """Patch the randomized check's block kernels; return a list that
+    gets one list of (B, j) per window, one pair per batched call."""
+    windows = []
+    blocks, batch = ver._blocks_nonsingular, la._np_batch_nonsingular
+
+    def per_window(*args):
+        windows.append([])
+        return blocks(*args)
+
+    def batched(a, ops):
+        nblocks, j, j2 = a.shape
+        assert j == j2
+        windows[-1].append((nblocks, j))
+        return batch(a, ops)
+
+    monkeypatch.setattr(ver, "_blocks_nonsingular", per_window)
+    monkeypatch.setattr(la, "_np_batch_nonsingular", batched)
+    return windows
+
+
+def _assert_one_pass_per_block_size(windows):
+    """Each window eliminates its block sizes in increasing order, each in
+    slices of max(1, _MDS_CHUNK // j^2) blocks but the last, so no call
+    holds more than max(_MDS_CHUNK, j^2) block entries."""
+    for window in windows:
+        sizes = [j for _, j in window]
+        assert sizes == sorted(sizes)
+        for j in set(sizes):
+            step = max(1, ver._MDS_CHUNK // max(1, j * j))
+            slices = [b for b, i in window if i == j]
+            assert all(b == step for b in slices[:-1]), (j, slices)
+            assert 1 <= slices[-1] <= step
+            assert slices[-1] * j * j <= max(ver._MDS_CHUNK, j * j)
 
 
 def _sample_lists(seed, n, k, count):
