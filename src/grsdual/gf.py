@@ -30,11 +30,11 @@ Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
 (`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For q <= 2^10 `mul` and `sub` are
-also evaluated once on every pair and kept as dense q x q tables, so each
-op is a single lookup.  The provider's `rows()` gives the same ops a
-Python int at a time, `mul[x][y]`, for the exact MDS check's per-subset
-kernel: memoryviews of the tables' rows, or above 2^10 row objects
-over the exp/log arrays (`RowOps`).
+also evaluated once on every pair and kept as dense q x q int16 tables,
+so each op is a single lookup.  The provider's `rows()` gives the same
+ops a Python int at a time, `mul[x][y]`, for the exact MDS check's
+per-subset kernel: memoryviews of the tables' rows, or above 2^10 row
+objects over the exp/log arrays (`RowOps`).
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class RowOps(NamedTuple):
 
 
 def _table_rows(table) -> list[memoryview]:
-    """Row x of a C-contiguous q x q int32 table as a memoryview, for
+    """Row x of a C-contiguous q x q int16 table as a memoryview, for
     every x, sliced from one flat view of its buffer."""
     q = len(table)
     flat = memoryview(table.reshape(-1))
@@ -707,17 +707,17 @@ class FieldCtx:
         return self._np_ops
 
     def _build_np_ops(self) -> _NpOps:
-        """`sub` and `mul` as dense q x q int32 tables up to 2^10.
+        """`sub` and `mul` as read-only dense q x q int16 tables up to 2^10.
 
-        `mul` is exp at log x + log y.  `sub` is x ^ y for p = 2; for odd
-        p it grows from the p x p table of GF(p) one base-p digit at a
-        time: x - y below p^(i+1) is the GF(p) difference of the digits
-        at weight p^i, times p^i, plus x - y of the lower digits, one
-        broadcast add.  Above the limit `sub` is `_digit_sub` and `mul`
-        the exp/log lookup, evaluated on the arrays they are given.
-        `rows` builds the `RowOps` of the same tables, or of exp and log
-        above the limit; they are not kept, so they live only as long as
-        the check that asked for them.
+        `mul` is an int16 copy of exp at log x + log y.  `sub` is x ^ y for
+        p = 2; for odd p it grows from the p x p table of GF(p) one base-p
+        digit at a time: x - y below p^(i+1) is the GF(p) difference of the
+        digits at weight p^i, times p^i, plus x - y of the lower digits, one
+        broadcast add.  Above the limit `sub` is `_digit_sub` and `mul` the
+        exp/log lookup, evaluated on the arrays they are given.  `rows`
+        builds the `RowOps` of the same tables, or of exp and log above the
+        limit; they are not kept, so they live only as long as the check
+        that asked for them.
         """
         import numpy as np
 
@@ -732,18 +732,21 @@ class FieldCtx:
                 return RowOps(_Rows(_MulRow, memoryview(exp), memoryview(log)),
                               _Rows(_SubRow, self._sub), memoryview(inv))
             return _NpOps(_Indexed(self._sub), _Indexed(mul), inv, rows)
-        # mul first: its q x q index array is freed before sub is built
-        products = exp[log[:, None] + log[None, :]]
+        # mul first: its q x q index array is freed before sub is built.
+        # Log sums stay below 4q and every entry below q: int16 holds both
+        log16 = log.astype(np.int16)
+        products = exp.astype(np.int16)[log16[:, None] + log16[None, :]]
         if p == 2:
-            xs = np.arange(q, dtype=np.int32)
+            xs = np.arange(q, dtype=np.int16)
             sub = xs[:, None] ^ xs[None, :]
         else:
-            digits = np.arange(p, dtype=np.int32)
+            digits = np.arange(p, dtype=np.int16)
             top = (digits[:, None] - digits[None, :]) % p
             sub = top
             for w in (p ** i for i in range(1, e)):
                 sub = (top[:, None, :, None] * w + sub[None, :, None, :]
                        ).reshape(w * p, w * p)
+        products.flags.writeable = sub.flags.writeable = False
 
         def rows():
             return RowOps(_table_rows(products), _table_rows(sub),

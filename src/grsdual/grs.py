@@ -91,12 +91,14 @@ _DIFFERENCE_CHUNK = 1 << 20
 
 def difference_products(ctx: FieldCtx, points: Sequence[Felt],
                         blocks: int = 1):
-    """(n, blocks) array: entry (i, b) is the product of (a_i - a_j) over
-    the j != i in the b-th of `blocks` equal runs of the points.
+    """(n, blocks) int32 array: entry (i, b) is the product of (a_i - a_j)
+    over the j != i in the b-th of `blocks` equal runs of the points.
 
     One kernel on the field's op provider: the n x n difference matrix
     with ones on its diagonal, each row block reduced by log-depth
-    pairwise products.  Tabulated and exp/log ops index alike.
+    pairwise products.  Tabulated and exp/log ops index alike; each
+    chunk's products are written into the int32 result, whatever dtype
+    the ops gather.
     """
     import numpy as np
 
@@ -104,7 +106,7 @@ def difference_products(ctx: FieldCtx, points: Sequence[Felt],
     check_block_length(n)
     ops = ctx.np_ops()
     a = np.array(points, dtype=np.int32)
-    out = []
+    out = np.empty((n, blocks), dtype=np.int32)
     chunk = max(1, _DIFFERENCE_CHUNK // n)
     for start in range(0, n, chunk):
         rows = np.arange(start, min(start + chunk, n))
@@ -116,8 +118,8 @@ def difference_products(ctx: FieldCtx, points: Sequence[Felt],
             paired = ops.mul[d[:, :, :half], d[:, :, half:2 * half]]
             d = (np.concatenate((paired, d[:, :, 2 * half:]), axis=2)
                  if d.shape[2] % 2 else paired)
-        out.append(d[:, :, 0])
-    return np.concatenate(out)
+        out[start:start + rows.size] = d[:, :, 0]
+    return out
 
 
 def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]:
@@ -137,19 +139,19 @@ def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]
 
 def generator_matrix(code: GrsCode):
     """Read-only int32 k x N array with row i = (v_j a_j^i); extended
-    column last."""
+    column last.  Each row is written into the one array in place, so it
+    stays int32 whatever dtype the ops gather."""
     import numpy as np
 
     mul = code.ctx.np_ops().mul
+    n = code.n
     a = np.array(code.a, dtype=np.int32)
-    rows = [np.array(code.v, dtype=np.int32)]
-    for _ in range(code.k - 1):
-        rows.append(mul[rows[-1], a])
-    gen = np.stack(rows)
+    gen = np.zeros((code.k, code.block_length), dtype=np.int32)
+    gen[0, :n] = code.v
+    for i in range(1, code.k):
+        gen[i, :n] = mul[gen[i - 1, :n], a]
     if code.extended:
-        last = np.zeros((code.k, 1), dtype=gen.dtype)
-        last[-1] = 1
-        gen = np.hstack((gen, last))
+        gen[-1, n] = 1
     gen.flags.writeable = False
     return gen
 

@@ -655,6 +655,24 @@ def test_row_ops_read_the_fields_ops_as_python_ints(q):
                    for r in (*rows.mul, *rows.sub))
 
 
+def test_dense_tables_are_read_only():
+    # the field cache shares one pair of tables with every caller, so a
+    # stray in-place write must fail rather than corrupt later ops
+    ctx = make_field(3, 2)
+    ops = ctx.np_ops()
+    product, difference = int(ops.mul[2, 5]), int(ops.sub[2, 5])
+    for table in (ops.mul, ops.sub):
+        with pytest.raises(ValueError):
+            table[2, 5] = 0
+        with pytest.raises(ValueError):
+            table[:] = 0
+    assert (int(ops.mul[2, 5]), int(ops.sub[2, 5])) == (product, difference)
+    rows = ops.rows()
+    assert rows.mul[2][5] == product == ctx.mul(2, 5)
+    assert rows.sub[2][5] == difference == ctx.sub(2, 5)
+    assert all(r.readonly for r in (*rows.mul, *rows.sub))
+
+
 # --- serialization ------------------------------------------------------------------
 
 def test_field_json_roundtrip_and_determinism():

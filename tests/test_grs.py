@@ -13,6 +13,7 @@ import pytest
 
 from grsdual import grs
 from grsdual import linalg as la
+from grsdual.construct import construct_extended
 from grsdual.errors import GrsDualError
 from grsdual.gf import field_for_order, make_field
 from grsdual.grs import (
@@ -136,6 +137,36 @@ def test_generator_matrix_plain_and_extended():
     assert generator_matrix(ce).tolist() == [[1, 1, 1, 0], [0, 1, 2, 1]]
     assert_read_only_int32(generator_matrix(c1), (1, 2))
     assert_read_only_int32(generator_matrix(ce), (2, 4))
+
+
+def _assert_int32_results(code):
+    # the tables' gathers may be narrower than int32; the generator and
+    # the difference products are int32 all the same, and the generator
+    # matches the scalar oracle
+    gen = generator_matrix(code)
+    assert_read_only_int32(gen, (code.k, code.block_length))
+    assert gen.tolist() == oracles.generator_matrix(code)
+    prods = difference_products(code.ctx, code.a)
+    assert type(prods) is np.ndarray and prods.dtype == np.int32
+    assert prods.shape == (code.n, 1)
+
+
+def test_generator_matrix_is_int32_over_a_tabulated_field():
+    # the extended [14,7] code over GF(13): k >= 3, so rows 1 and on are
+    # gathers from the dense tables
+    code = construct_extended(13).code
+    assert (code.k, code.block_length) == (7, 14)
+    assert isinstance(code.ctx.np_ops().mul, np.ndarray)
+    _assert_int32_results(code)
+
+
+def test_generator_matrix_is_int32_above_the_table_limit():
+    ctx = field_for_order(2048)
+    assert not isinstance(ctx.np_ops().mul, np.ndarray)
+    rnd = random.Random(2048)
+    points = rnd.sample(range(2048), 9)
+    _assert_int32_results(GrsCode(
+        ctx, points, [rnd.randint(1, 2047) for _ in points], 5, extended=True))
 
 
 def test_generator_matrix_has_rank_k():

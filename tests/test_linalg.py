@@ -342,23 +342,26 @@ def _pairs_agree_with_oracles(ctx, xs, ys):
 
 
 def test_array_ops_agree_with_dense_tables():
-    # up to 2^10 np_ops() keeps q x q tables (prime, characteristic 2 and
-    # digit-wise subtraction); all q^2 pairs against the oracles, and
-    # sampled pairs plus the 0 and 1 rows and columns at the limit
+    # up to 2^10 np_ops() keeps q x q int16 tables, C-contiguous and
+    # read-only (prime, characteristic 2 and digit-wise subtraction); all
+    # q^2 pairs against the oracles, and sampled pairs plus the 0 and 1
+    # rows and columns at the limit
+    def assert_dense_int16(table, q):
+        assert table.shape == (q, q) and table.dtype == np.int16
+        assert table.flags.c_contiguous and not table.flags.writeable
+
     for q in (4, 5, 9, 16, 25, 27, 81, 125):
         ctx = field_for_order(q)
         ops = ctx.np_ops()
         for table in (ops.mul, ops.sub):
-            assert table.shape == (q, q) and table.dtype == np.int32
-            assert table.flags.c_contiguous
+            assert_dense_int16(table, q)
         x, y = np.meshgrid(np.arange(q, dtype=np.int32),
                            np.arange(q, dtype=np.int32))
         _pairs_agree_with_oracles(ctx, x.ravel(), y.ravel())
     ctx = field_for_order(1024)
     ops = ctx.np_ops()
     for table in (ops.mul, ops.sub):
-        assert table.shape == (1024, 1024) and table.dtype == np.int32
-        assert table.flags.c_contiguous
+        assert_dense_int16(table, 1024)
     rnd = random.Random(4)
     xs = np.array([0] * 1024 + [1] * 1024 + list(range(1024)) * 2
                   + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
