@@ -33,7 +33,7 @@ from .errors import (
     GrsDualError,
     SearchGaveUpError,
 )
-from .gf import bounded_power, is_prime, make_field, split_prime_power
+from .gf import bounded_power, field_for_order, is_prime
 from .grs import code_from_json, stored_generator_from_json
 from .verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, verify_code
 
@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     found = search_square_difference_set(args.q, args.n,
                                          node_budget=args.node_budget)
-    ctx = make_field(*split_prime_power(args.q))
+    ctx = field_for_order(args.q)
     payload = {
         "q": args.q,
         "n": args.n,

@@ -504,8 +504,8 @@ def construct_auto(q: Optional[int] = None, n: Optional[int] = None,
         bounded_power(r, 2)
     if t is not None:
         # t is read only as n = 2tr, r the square root of q
-        r = math.isqrt(q)
-        if r * r != q:
+        r = _square_root(q)
+        if r is None:
             raise ValueError(f"t = {t} needs a square q = r^2, got q = {q}")
         if n is not None and n != 2 * t * r:
             raise ValueError(f"n = {n} does not fit t = {t}: "

@@ -9,7 +9,9 @@ package refers to that index order.
 The modulus polynomial is canonical: the monic irreducible of degree e
 over GF(p) whose coefficient vector (constant first) is lexicographically
 smallest.  This makes every derived quantity (primitive elements, square
-roots, root-of-unity lists, JSON exports) reproducible bit for bit.
+roots, root-of-unity lists, JSON exports) reproducible bit for bit.  The
+search tests each candidate with the table-free product below, `_pow_slow`
+of a throwaway context modulo that candidate, irreducible or not.
 
 A FieldCtx is immutable after construction and safe to share between
 threads.  Every product, inverse, power and square root, scalar or
@@ -52,19 +54,24 @@ FIELD_SIZE_LIMIT = 1 << 20
 _NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; []
+    for n < 2."""
+    primes = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
 
 
 def bounded_power(p: int, e: int) -> int:
@@ -82,20 +89,12 @@ def split_prime_power(q: int) -> tuple[int, int]:
         raise GrsDualError(f"{q} is not a prime power")
     if q > FIELD_SIZE_LIMIT:
         raise GrsDualError(f"{q} exceeds the limit {FIELD_SIZE_LIMIT}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise GrsDualError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p ** e != q:
+        e += 1
     return p, e
 
 
@@ -106,17 +105,6 @@ def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
@@ -146,30 +134,22 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
     Uses gcd(f, x^(p^d) - x): that binomial is the product of all monic
     irreducibles of degree dividing d, so a nontrivial gcd for some
-    d <= deg(f)//2 is exactly reducibility.
+    d <= deg(f)//2 is exactly reducibility.  x^(p^d) mod f comes from
+    the table-free product, `_pow_slow` of a FieldCtx over f: it is plain
+    polynomial arithmetic mod any monic f, irreducible or not.  That
+    context is local and never cached, and only its private ops run: a
+    traced benchmark run counts the public ones inside `make_field`.
     """
     e = len(f) - 1
     if e == 1:
         return True
     if f[0] == 0:
         return False  # divisible by x
-    t = [0, 1]  # the polynomial x
+    ring = FieldCtx(p, e, f)
+    t = x = p  # the polynomial x, as an index
     for _ in range(e // 2):
-        # t <- t^p mod f by square-and-multiply on the exponent p
-        base, acc, n = t, [1], p
-        while n:
-            if n & 1:
-                acc = _pmod(_pmul(acc, base, p), f, p)
-            n >>= 1
-            if n:
-                base = _pmod(_pmul(base, base, p), f, p)
-        t = acc
-        diff = list(t)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _ptrim(diff), p)
-        if len(g) != 1:
+        t = ring._pow_slow(t, p)
+        if len(_pgcd(f, _ptrim(ring.coeffs(ring._sub(t, x))), p)) != 1:
             return False
     return True
 
@@ -471,17 +451,7 @@ class FieldCtx:
 
     def _find_primitive(self) -> Felt:
         q1 = self.q - 1
-        primes = []
-        m = q1
-        f = 2
-        while f * f <= m:
-            if m % f == 0:
-                primes.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            primes.append(m)
+        primes = _prime_factors(q1)
         for x in range(1, self.q):
             if all(self._pow_slow(x, q1 // ell) != 1 for ell in primes):
                 return x

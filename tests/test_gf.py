@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
-from sympy.ntheory import primerange, primitive_root
+from sympy.ntheory import factorint, isprime, primerange, primitive_root
 
 from conftest import FIELDS, ODD_FIELDS, field_and_elements, raises_exactly
 from grsdual import gf
@@ -140,19 +140,64 @@ def test_split_prime_power():
     assert split_prime_power(49) == (7, 2)
     assert split_prime_power(13) == (13, 1)
     assert split_prime_power(1024) == (2, 10)
+    assert split_prime_power(FIELD_SIZE_LIMIT) == (2, 20)
+    # the largest prime below the limit
+    assert split_prime_power(1048573) == (1048573, 1)
+    assert split_prime_power(1021 ** 2) == (1021, 2)
     with raises_exactly(GrsDualError, match="^12 is not a prime power$"):
         split_prime_power(12)
-    with raises_exactly(GrsDualError, match="^1 is not a prime power$"):
-        split_prime_power(1)
+    for n in (-4, -49):
+        with raises_exactly(GrsDualError, match=f"^{n} is not a prime power$"):
+            split_prime_power(n)
     # refused before trial division
-    with raises_exactly(GrsDualError, match=f"^10000000000000061 exceeds the "
-                                            f"limit {FIELD_SIZE_LIMIT}$"):
-        split_prime_power(10000000000000061)
+    limit = f"exceeds the limit {FIELD_SIZE_LIMIT}$"
+    for n in (FIELD_SIZE_LIMIT + 1, 10000000000000061):
+        with raises_exactly(GrsDualError, match=f"^{n} {limit}"):
+            split_prime_power(n)
+    for n in range(-3, 5000):
+        factors = factorint(n) if n >= 2 else {}
+        if len(factors) == 1:
+            assert split_prime_power(n) == next(iter(factors.items())), n
+        else:
+            with raises_exactly(GrsDualError,
+                                match=f"^{n} is not a prime power$"):
+                split_prime_power(n)
 
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {n for n in range(30) if is_prime(n)} == primes
+    assert is_prime(1048573)
+    for n in (-7, FIELD_SIZE_LIMIT, FIELD_SIZE_LIMIT + 1, 1021 ** 2):
+        assert not is_prime(n), n
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if isprime(n)]
+
+
+def test_is_irreducible_matches_sympy():
+    # every monic polynomial of each degree: squares of irreducibles, zero
+    # constant terms, and candidates after the canonical modulus included
+    for p, degrees in ((2, 4), (3, 4), (5, 3), (7, 3)):
+        for e in range(1, degrees + 1):
+            for low in itertools.product(range(p), repeat=e):
+                f = low + (1,)
+                assert gf._is_irreducible(f, p) == sympy_irreducible(f, p), f
+
+
+def test_canonical_modulus_runs_no_counted_field_op(monkeypatch):
+    # the benchmark's tracer counts these six ops, and make_field runs
+    # inside its spans: the modulus search must add to none of its counts
+    calls = []
+    for op in ("add", "sub", "neg", "mul", "inverse", "power"):
+        def counted(self, *args, _op=op, _orig=getattr(FieldCtx, op)):
+            calls.append(_op)
+            return _orig(self, *args)
+        monkeypatch.setattr(FieldCtx, op, counted)
+    assert make_field(5, 2).sub(1, 2) == 4 and calls == ["sub"]
+    calls.clear()
+    assert gf._canonical_modulus(5, 6) == (1, 0, 0, 0, 1, 1, 1)
+    assert gf._canonical_modulus(3, 4) == (1, 0, 1, 1, 1)
+    assert calls == []
 
 
 # --- arithmetic ---------------------------------------------------------------
