@@ -33,7 +33,7 @@ from .errors import (
     GrsDualError,
     SearchGaveUpError,
 )
-from .gf import bounded_power, field_for_order, is_prime
+from .gf import bounded_power, field_for_order, is_prime, split_prime_power
 from .grs import code_from_json, stored_generator_from_json
 from .verify import EXACT_MDS_BUDGET, RANDOM_MDS_SAMPLES, verify_code
 
@@ -210,6 +210,10 @@ def _cmd_sweep(args) -> int:
         # square-set grid has default cells only when both axes are unset
         lone_axis = args.family == "square-set" and any((args.q, args.n))
         families[0].check_given(args, needed=lone_axis)
+    # every --q and --r is a field order: one that is not could leave the
+    # grid empty, a header-only table and exit 0
+    for value in chain(args.q or (), args.r or ()):
+        split_prime_power(value)
     rows = []
     all_ok = True
     for family in families:

@@ -33,15 +33,13 @@ coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
 (`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For q <= 2^10 `mul` and `sub` are
 also evaluated once on every pair and kept as dense q x q int16 tables,
-so each op is a single lookup.  The provider's `rows()` gives the same
-ops a Python int at a time, `mul[x][y]`, for the exact MDS check's
-per-subset kernel: memoryviews of the tables' rows, or above 2^10 row
-objects over the exp/log arrays (`RowOps`).
+so each op is a single lookup; above 2^10 they are evaluated on the
+arrays they are given.  Whether a field has the dense tables also picks
+the exact MDS check's kernel (see `verify`).
 """
 
 from __future__ import annotations
 
-import functools
 import reprlib
 import threading
 from typing import NamedTuple, Optional, Sequence
@@ -208,75 +206,14 @@ class _Indexed:
         return self.fn(*key) if isinstance(key, tuple) else self.fn(key)
 
 
-class _NpOps:
+class _NpOps(NamedTuple):
     """What `linalg._np_echelon` and `grs.difference_products` read:
-    sub[x, y], mul[x, y], inv[x]; and rows(), which builds the same ops'
-    `RowOps` afresh on each call."""
-
-    __slots__ = ("sub", "mul", "inv", "rows")
-
-    def __init__(self, sub, mul, inv, rows):
-        self.sub = sub
-        self.mul = mul
-        self.inv = inv
-        self.rows = rows
-
-
-class RowOps(NamedTuple):
-    """The field's ops read a Python int at a time, as the per-subset
-    kernel `linalg._np_nonsingular` reads them: mul[x][y], sub[x][y] and
-    inv[x].
-
-    Up to 2^10, mul[x] and sub[x] are memoryviews of row x of the dense
-    tables, and inv a memoryview of the inverse array: a read is one
-    buffer lookup, where a numpy scalar read builds an index tuple and a
-    numpy int.  Above, mul[x] and sub[x] are row objects made on each
-    read (`_MulRow`, `_SubRow`).
-    """
-    mul: Sequence
-    sub: Sequence
-    inv: memoryview
-
-
-def _table_rows(table) -> list[memoryview]:
-    """Row x of a C-contiguous q x q int16 table as a memoryview, for
-    every x, sliced from one flat view of its buffer."""
-    q = len(table)
-    flat = memoryview(table.reshape(-1))
-    return [flat[x:x + q] for x in range(0, q * q, q)]
-
-
-class _Rows(functools.partial):
-    """rows[x] calls the partial with x: a row object made on each read."""
-
-    __getitem__ = functools.partial.__call__
-
-
-class _MulRow:
-    """Row x of the product above the table limit: row[y] = x y, read as
-    exp at log x + log y from memoryviews of the exp/log arrays (log 0
-    reads a zero from exp's zero tail, as in `FieldCtx.mul`)."""
-
-    __slots__ = ("exp", "log", "at")
-
-    def __init__(self, exp, log, x):
-        self.exp, self.log, self.at = exp, log, log[x]
-
-    def __getitem__(self, y):
-        return self.exp[self.at + self.log[y]]
-
-
-class _SubRow:
-    """Row x of subtraction above the table limit: row[y] = x - y, by the
-    field's digit-wise subtraction on Python ints."""
-
-    __slots__ = ("sub", "x")
-
-    def __init__(self, sub, x):
-        self.sub, self.x = sub, x
-
-    def __getitem__(self, y):
-        return self.sub(self.x, y)
+    sub[x, y], mul[x, y], inv[x].  sub and mul are the dense q x q int16
+    tables up to 2^10 and `_Indexed` ops above; inv is the int32 inverse
+    array."""
+    sub: object
+    mul: object
+    inv: object
 
 
 class FieldCtx:
@@ -684,10 +621,7 @@ class FieldCtx:
         digit at a time: x - y below p^(i+1) is the GF(p) difference of the
         digits at weight p^i, times p^i, plus x - y of the lower digits, one
         broadcast add.  Above the limit `sub` is `_digit_sub` and `mul` the
-        exp/log lookup, evaluated on the arrays they are given.  `rows`
-        builds the `RowOps` of the same tables, or of exp and log above the
-        limit; they are not kept, so they live only as long as the check
-        that asked for them.
+        exp/log lookup, evaluated on the arrays they are given.
         """
         import numpy as np
 
@@ -698,10 +632,7 @@ class FieldCtx:
             return exp[log[x] + log[y]]
 
         if q > _NP_TABLE_LIMIT:
-            def rows():
-                return RowOps(_Rows(_MulRow, memoryview(exp), memoryview(log)),
-                              _Rows(_SubRow, self._sub), memoryview(inv))
-            return _NpOps(_Indexed(self._sub), _Indexed(mul), inv, rows)
+            return _NpOps(_Indexed(self._sub), _Indexed(mul), inv)
         # mul first: its q x q index array is freed before sub is built.
         # Log sums stay below 4q and every entry below q: int16 holds both
         log16 = log.astype(np.int16)
@@ -717,11 +648,7 @@ class FieldCtx:
                 sub = (top[:, None, :, None] * w + sub[None, :, None, :]
                        ).reshape(w * p, w * p)
         products.flags.writeable = sub.flags.writeable = False
-
-        def rows():
-            return RowOps(_table_rows(products), _table_rows(sub),
-                          memoryview(inv))
-        return _NpOps(sub, products, inv, rows)
+        return _NpOps(sub, products, inv)
 
     # --- serialization ----------------------------------------------------
 

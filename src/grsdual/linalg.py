@@ -8,12 +8,13 @@ the same provider the GRS layer builds its matrices with; there are no
 numerical concerns in exact arithmetic.
 Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
-with both passes, then tests one small square block per column subset:
-in exact mode one at a time, by a forward pass on the block's Python
-rows (`_np_nonsingular`, given lists cut from the reduced form's
-`tolist()`), reading the field through memoryview rows of its tables
-(`gf.RowOps`, built once per check); in randomized mode a stack of
-equally sized blocks at once in numpy (`_np_batch_nonsingular`).
+with both passes, then tests one small square block per column subset.
+Exact checks over fields with dense tables (q <= 2^10) take the blocks
+one at a time, by a forward pass on the block's Python rows
+(`_np_nonsingular`, given lists cut from the reduced form's `tolist()`),
+reading the field through memoryview rows of its tables, made once per
+check.  Every other check, exact above 2^10 or randomized, eliminates a
+stack of equally sized blocks at once in numpy (`_np_batch_nonsingular`).
 """
 
 from __future__ import annotations
@@ -86,15 +87,16 @@ def _np_nonsingular(rows, ops) -> bool:
     """Nonsingularity of a square block given as a list of rows of
     Python ints, by a forward pass on them; rows is not changed.
 
-    ops is the field's `RowOps`, which the exact MDS check builds once and
-    passes to every call.  Each step pivots on the first row with a
+    ops is the plain (mul, sub, inv) tuple of the dense tables' rows,
+    which the exact MDS check makes once (`verify._table_rows`) and
+    passes to every call; fields above 2^10 have no dense tables and
+    never come here.  Each step pivots on the first row with a
     nonzero leading entry, as `_np_echelon` does, and keeps the rows
     below it, cleared, without the pivot column.  Three rows left are
     tested by their determinant expanded along the first row, two by
     theirs, with no list built.  Each cleared row fetches the product
     row m of its factor once, and each entry reads sub[x][m[y]]: two
-    memoryview reads of the dense tables up to 2^10, where numpy's
-    scalar indexing costs about three times as much.  The `_np_` name
+    memoryview reads, where numpy's scalar indexing costs about three times as much.  The `_np_` name
     stays: the benchmark's spans and tests wrap this function by name.
     """
     mul, sub, inv = ops

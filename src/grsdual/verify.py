@@ -28,15 +28,17 @@ column subset, and in the reduced form G' = [I | A] (up to a column
 permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
-elimination of j ~ k/2 rows instead of k: in exact mode a forward pass
-on Python ints per subset, its block cut from the reduced form's rows
-as lists and its field read through the row views (`gf.RowOps`), both
-built once per check and dropped with it.  Randomized mode samples
-subsets from a seeded generator and reports confidence only.  It draws
-a window of four chunks of samples into one int16 array, making the
-`getrandbits` calls of `random.Random.sample` inline (`_draw_subsets`,
-the same sorted lists), groups the window's blocks by size j, and
-eliminates each group as (B, j, j) numpy arrays of at most
+elimination of j ~ k/2 rows instead of k.  Exact mode walks the subsets
+in lexicographic order; randomized mode samples them from a seeded
+generator and reports confidence only, making the `getrandbits` calls
+of `random.Random.sample` inline (`_draw_subsets`, the same sorted
+lists).  Over a field with dense tables (q <= 2^10) exact mode runs a
+forward pass on Python ints per subset, its block cut from the reduced
+form's rows as lists and its field read through memoryview rows of the
+tables (`_table_rows`), both made once per check and dropped with it.
+Every other check fills a window of four chunks of subsets, from the
+walk or the draws, into one int16 array, groups the window's blocks by
+size j, and eliminates each group as (B, j, j) numpy arrays of at most
 `_MDS_CHUNK` entries.  The structural mode certifies via
 the evaluation-code shape (distinct points, nonzero multipliers).
 
@@ -50,9 +52,10 @@ scaled by 2^n.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -227,15 +230,18 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     draws (randomized); the first singular subset is reported.
 
     The generator is brought to reduced row echelon form once, and each
-    subset is tested on its block of that form.  Exact mode eliminates
-    one block per subset on Python ints (`_np_subset_nonsingular`),
-    cutting it from the form's `tolist()` and reading the field through
-    its row views, both made once for the check.  Randomized mode draws
-    a window of four chunks of samples into one int16 array, each chunk
-    (`_draw_subsets`) at most `_MDS_CHUNK` block entries, and
-    eliminates the window's blocks in numpy, one pass per block size
-    (`_blocks_nonsingular`); the first singular draw is reported, so a
-    failure stops the draws within one window of it.
+    subset is tested on its block of that form.  Over a field with dense
+    tables (q <= 2^10) exact mode eliminates one block per subset on
+    Python ints (`_np_subset_nonsingular`), cutting it from the form's
+    `tolist()` and reading the field through the tables' rows
+    (`_table_rows`), both made once for the check.  Otherwise the
+    subsets come in windows of four chunks, each chunk at most
+    `_MDS_CHUNK` block entries, in one int16 array: the next subsets of
+    the lexicographic walk (exact), or seeded draws (`_draw_subsets`,
+    randomized).  Each window's blocks are eliminated in numpy, one pass
+    per block size (`_blocks_nonsingular`), and its first singular
+    subset is the first in walk or draw order, so a failure stops the
+    check within one window of it.
     Below rank k every block keeps a zero row, so the first subset fails.
     """
     import numpy as np
@@ -251,43 +257,61 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
         if total > budget:
             raise BudgetExceededError(
                 f"C({ncols},{k}) = {total} subsets exceed budget {budget}")
+        passed, seed = f"all {total} column {k}-subsets nonsingular", None
+        walk = combinations(range(ncols), k)
+        subsets = functools.partial(islice, walk)
     elif samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    else:
+        total = samples
+        passed = (f"{samples} sampled column {k}-subsets nonsingular "
+                  "(statistical evidence, not a proof)")
+        subsets = functools.partial(_draw_subsets, random.Random(seed),
+                                    ncols, k)
     ops = ctx.np_ops()
     red = gen.copy()
     slot = [-1] * ncols
     for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
         slot[c] = row
-    if mode == "exact":
-        rows, ops = red.tolist(), ops.rows()
-        for cols in combinations(range(ncols), k):
-            if not _np_subset_nonsingular(rows, slot, cols, ops):
+    if mode == "exact" and isinstance(ops.mul, np.ndarray):
+        rows, field = red.tolist(), _table_rows(ops)
+        for cols in walk:
+            if not _np_subset_nonsingular(rows, slot, cols, field):
                 return CheckResult("mds", "fail",
                                    f"columns {list(cols)} are singular",
                                    "exact")
-        return CheckResult("mds", "pass",
-                           f"all {total} column {k}-subsets nonsingular",
-                           "exact")
-    rng = random.Random(seed)
+        return CheckResult("mds", "pass", passed, "exact")
     # row and column indices stay below the length cap, 1280: int16 holds them
     pivot_row = np.array(slot, dtype=np.int16)
     chunk = max(1, _MDS_CHUNK // max(1, k * k))
-    window = np.empty((min(4 * chunk, samples), k), dtype=np.int16)
-    for start in range(0, samples, len(window)):
-        cols = window[:min(len(window), samples - start)]
+    window = np.empty((min(4 * chunk, total), k), dtype=np.int16)
+    for start in range(0, total, len(window)):
+        cols = window[:min(len(window), total - start)]
         for at in range(0, len(cols), chunk):
-            cols[at:at + chunk] = _draw_subsets(
-                rng, ncols, k, min(chunk, len(cols) - at))
+            cols[at:at + chunk] = list(subsets(min(chunk, len(cols) - at)))
         ok = _blocks_nonsingular(red, pivot_row, cols, ops)
         if not ok.all():
             return CheckResult(
                 "mds", "fail",
                 f"columns {cols[int(ok.argmin())].tolist()} are singular",
-                "randomized", seed=seed)
-    return CheckResult(
-        "mds", "pass",
-        f"{samples} sampled column {k}-subsets nonsingular "
-        "(statistical evidence, not a proof)", "randomized", seed=seed)
+                mode, seed=seed)
+    return CheckResult("mds", "pass", passed, mode, seed=seed)
+
+
+def _table_rows(ops):
+    """The dense tables' ops a Python int at a time, as
+    `linalg._np_nonsingular` reads them: (mul, sub, inv), where mul[x]
+    and sub[x] are memoryviews of row x of the q x q tables, sliced from
+    one flat view of each, and inv a memoryview of the inverse array.  A
+    read is one buffer lookup, where a numpy scalar read builds an index
+    tuple and a numpy int."""
+    q = len(ops.mul)
+
+    def rows(table):
+        flat = memoryview(table.reshape(-1))
+        return [flat[x:x + q] for x in range(0, q * q, q)]
+
+    return rows(ops.mul), rows(ops.sub), memoryview(ops.inv)
 
 
 def _np_subset_nonsingular(red, slot, cols, ops) -> bool:

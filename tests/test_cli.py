@@ -345,6 +345,25 @@ def test_sweep_rejects_flags_its_family_does_not_read(argv, unread,
     assert err == f"error: {unread}\n"
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--family", "even-char", "--q", "1"], "1"),
+    (["--family", "even-char", "--q", "-4"], "-4"),
+    (["--family", "even-char", "--q", "6"], "6"),
+    (["--family", "even-char", "--q", "4", "6"], "6"),
+    (["--family", "subfield-points", "--r", "1"], "1"),
+    (["--family", "theorem-3-5", "--r", "1"], "1"),
+    (["--family", "all", "--q", "1"], "1"),
+])
+def test_sweep_rejects_a_field_order_that_is_no_prime_power(
+        argv, value, monkeypatch, capsys):
+    # some of these left the grid empty: a header-only table and exit 0
+    cells = []
+    monkeypatch.setattr(grsdual.cli, "build", cells.append)
+    rc, out, err = run_cli(["sweep", *argv], capsys)
+    assert (rc, out, cells) == (1, "", [])
+    assert err == f"error: {value} is not a prime power\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_construct_rejects_e_below_one(value, capsys):
     # argparse names the flag; no float or "1 is not a prime power" leaks

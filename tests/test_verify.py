@@ -546,10 +546,17 @@ def test_randomized_windows_match_the_oracle(q, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
-def test_tampered_code_above_the_table_limit_names_the_oracles_subset(q):
-    # exp/log ops, no dense tables: a GRS [12, 6] code with column 11 made
-    # a combination of columns 7 and 9 fails first at a subset far into
-    # the walk; a code with one entry changed may pass or fail
+def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
+        q, monkeypatch):
+    # exp/log ops, no dense tables, so the exact walk goes through the
+    # batched kernel and never the per-subset one: a GRS [12, 6] code with
+    # column 11 made a combination of columns 7 and 9 fails first at a
+    # subset far into the walk; a code with one entry changed may pass or
+    # fail
+    def per_subset(*args):
+        raise AssertionError("the per-subset kernel ran above 2^10")
+
+    monkeypatch.setattr(ver, "_np_subset_nonsingular", per_subset)
     ctx = field_for_order(q)
     rnd = random.Random(q)
     points = tuple(rnd.sample(range(q), 12))
@@ -569,6 +576,33 @@ def test_tampered_code_above_the_table_limit_names_the_oracles_subset(q):
                  if {7, 9, 11} <= set(cols))
     assert ver.check_mds_matrix(ctx, matrix(rows)).detail == (
         f"columns {first} are singular")
+    # a GRS [16, 8] code with d added to the last entry of column 15.
+    # Expanding along that column, a subset T + {15} is singular iff
+    # v_15 prod_{t in T} (a_15 - a_t) = -d, and the rest stay
+    # nonsingular; d is minus a product first reached in the walk's
+    # third window: C(16, 8) = 12,870 subsets in windows of four chunks
+    # of 1,024, so the check fails two whole windows in
+    points = tuple(rnd.sample(range(q), 16))
+    v = tuple(rnd.randrange(1, q) for _ in range(16))
+    rows = generator_matrix(GrsCode(ctx, points, v, 8)).tolist()
+    walk = list(combinations(range(16), 8))
+    window = 4 * (ver._MDS_CHUNK // 8 ** 2)
+    assert window == 4096
+    reached = {}
+    for at, cols in enumerate(walk):
+        if cols[-1] == 15:
+            value = v[15]
+            for t in cols[:-1]:
+                value = ctx.mul(value, ctx.sub(points[15], points[t]))
+            reached.setdefault(value, at)
+    at, value = min((at, value) for value, at in reached.items()
+                    if at >= 2 * window)
+    assert at < 3 * window
+    rows[7][15] = ctx.sub(rows[7][15], value)
+    gen = matrix(rows)
+    want = oracles.check_mds_matrix(ctx, gen, mode="exact")
+    assert want.detail == f"columns {list(walk[at])} are singular"
+    assert ver.check_mds_matrix(ctx, gen, mode="exact") == want
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
