@@ -15,6 +15,8 @@ one at a time, by a forward pass on the block's Python rows
 reading the field through memoryview rows of its tables, made once per
 check.  Every other check, exact above 2^10 or randomized, eliminates a
 stack of equally sized blocks at once in numpy (`_np_batch_nonsingular`).
+A randomized check eliminates no block at all when the reduced form has
+a Cauchy form, which proves every subset nonsingular (`verify`).
 """
 
 from __future__ import annotations

@@ -29,10 +29,16 @@ permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
 elimination of j ~ k/2 rows instead of k.  Exact mode walks the subsets
-in lexicographic order; randomized mode samples them from a seeded
+in lexicographic order.  Randomized mode first tries a proof: when the
+pivots are columns 0..k-1 and A is a generalized Cauchy matrix
+(`_cauchy_form`), as it is for every GRS code, every subset is
+nonsingular, and the check passes with the report the draws would give,
+drawing nothing.  Otherwise it samples the subsets from a seeded
 generator and reports confidence only, making the `getrandbits` calls
 of `random.Random.sample` inline (`_draw_subsets`, the same sorted
-lists).  Over a field with dense tables (q <= 2^10) exact mode runs a
+lists).  Exact mode never tries the proof: it is the oracle that does
+not trust the evaluation-code structure.
+Over a field with dense tables (q <= 2^10) exact mode runs a
 forward pass on Python ints per subset, its block cut from the reduced
 form's rows as lists and its field read through memoryview rows of the
 tables (`_table_rows`), both made once per check and dropped with it.
@@ -229,8 +235,13 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     all of them in lexicographic order (exact), or `samples` seeded
     draws (randomized); the first singular subset is reported.
 
-    The generator is brought to reduced row echelon form once, and each
-    subset is tested on its block of that form.  Over a field with dense
+    The generator is brought to reduced row echelon form once.  In
+    randomized mode a Cauchy form of that form's non-pivot part
+    (`_cauchy_form`, only when the pivots are columns 0..k-1) proves
+    every subset nonsingular, and the check returns the pass that the
+    draws would give without drawing; the reports stay the same, and
+    only a generator with no such form is sampled.  Each subset checked
+    is tested on its block of the reduced form.  Over a field with dense
     tables (q <= 2^10) exact mode eliminates one block per subset on
     Python ints (`_np_subset_nonsingular`), cutting it from the form's
     `tolist()` and reading the field through the tables' rows
@@ -270,8 +281,13 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                                     ncols, k)
     ops = ctx.np_ops()
     red = gen.copy()
+    pivots = linalg._np_echelon(red, ops, reduced=True)
+    # a Cauchy form makes every subset nonsingular, so every draw passes
+    if (mode == "randomized" and pivots == list(range(k))
+            and _cauchy_form(red[:, k:], ops)):
+        return CheckResult("mds", "pass", passed, mode, seed=seed)
     slot = [-1] * ncols
-    for row, c in enumerate(linalg._np_echelon(red, ops, reduced=True)):
+    for row, c in enumerate(pivots):
         slot[c] = row
     if mode == "exact" and isinstance(ops.mul, np.ndarray):
         rows, field = red.tolist(), _table_rows(ops)
@@ -296,6 +312,41 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                 f"columns {cols[int(ok.argmin())].tolist()} are singular",
                 mode, seed=seed)
     return CheckResult("mds", "pass", passed, mode, seed=seed)
+
+
+def _cauchy_form(a, ops) -> bool:
+    """True if the k x m array a of a reduced generator [I | a] is a
+    generalized Cauchy matrix with its column 0 at infinity: a_i0 = c_i
+    and a_ij = c_i d_j / (x_i - y_j) for j >= 1, no c or d zero, and the
+    x's and y's pairwise distinct and disjoint.  Every square submatrix
+    of such a matrix is nonsingular (Cauchy's determinant), so [I | a] is
+    MDS.  The reduced generator of every GRS code, extended or not, has
+    this form, since a Moebius map of the points can put any column at
+    infinity (Roth and Seroussi 1985; Roth and Lempel 1989).
+
+    T_ij = a_i0 / a_ij (j >= 1) must be (x_i - y_j) w_j, w_j = 1 / d_j.
+    x moves by a shift and w by a scale, so x_0 = 0 and w_1 = 1: rows 0
+    and 1 of T give x_1, w and y, and every other entry of T is checked
+    against them.  False proves nothing either way.  For k < 2 or m < 3
+    every block is at most 2 x 2, cheap to sample; those are left to the
+    draws.
+    """
+    import numpy as np
+
+    k, m = a.shape
+    if k < 2 or m < 3 or not a.all():
+        return False
+    mul, sub, inv = ops.mul, ops.sub, ops.inv
+    t = mul[a[:, :1], inv[a[:, 1:]]]
+    x = sub[t[:, 0], t[0, 0]]
+    if not x[1]:
+        return False
+    w = mul[sub[t[1], t[0]], inv[x[1]]]
+    if not w.all():
+        return False
+    y = sub[0, mul[t[0], inv[w]]]
+    return bool((t == mul[sub[x[:, None], y], w]).all()
+                and np.bincount(np.concatenate([x, y])).max() <= 1)
 
 
 def _table_rows(ops):
@@ -536,7 +587,8 @@ def verify_code(code: GrsCode, mds_mode: str = "auto",
 
     mds_mode "auto" checks every column subset when their count fits the
     budget and `samples` seeded draws of them otherwise, eliminated a
-    window at a time (`check_mds_matrix`).
+    window at a time, unless a Cauchy form proves the generator MDS and
+    nothing is drawn (`check_mds_matrix`).
 
     When a stored generator array is supplied, the self-dual and MDS
     checks run against it (so hand-edited matrices fail honestly) and an

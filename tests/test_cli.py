@@ -1031,6 +1031,27 @@ def test_seeded_randomized_verify_is_byte_identical(tmp_path, capsys):
     assert first >= verify._MDS_CHUNK // 14 ** 2
 
 
+# Default `verify` of the even-char [256, 128] code over GF(2048), pinned
+# by the SHA-256 of what it prints.  C(256, 128) subsets are far over the
+# exact budget, so the MDS check is randomized; the hash was recorded
+# while that check still drew its 10^4 subsets (12.6 s on a 2-vCPU host).
+# The code's Cauchy form now proves it MDS with no draw.
+DEFAULT_VERIFY_2048_SHA = (
+    "1193aa7118236c284c1eb5bf836193ca6b81589384a90673a1cc555398ceb8db")
+
+
+def test_default_verify_of_a_long_grs_code_is_bounded(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    rc, _, _ = run_cli(["construct", "--family", "even-char", "--q", "2048",
+                        "--n", "256", "-o", str(code_file)], capsys)
+    assert rc == 0
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["verify", str(code_file)], capsys)
+    assert time.perf_counter() - start < 3.0
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_VERIFY_2048_SHA
+
+
 def test_verify_over_budget_exact_mds_gives_up(tmp_path, capsys):
     code_file = tmp_path / "code.json"
     run_cli(["construct", "--family", "extended", "--q", "29",

@@ -378,6 +378,25 @@ def _grs_rows(ctx, rnd, k, n):
     return generator_matrix(GrsCode(ctx, points, v, k)).tolist()
 
 
+def _refused_mds_rows(ctx, rnd, k, n):
+    """Generator rows of a random MDS [n, k] code whose reduced form has
+    no Cauchy form (`verify._cauchy_form`), so that the randomized check
+    draws its subsets: [I | A] for a random A, mixed by a random
+    invertible k x k matrix."""
+    ops = ctx.np_ops()
+    while True:
+        a = [[rnd.randrange(1, ctx.q) for _ in range(n - k)]
+             for _ in range(k)]
+        rows = [[int(i == r) for i in range(k)] + a[r] for r in range(k)]
+        if (not ver._cauchy_form(np.array(a, dtype=np.int32), ops)
+                and oracles.check_mds_matrix(ctx, rows).status == "pass"):
+            break
+    while True:
+        mix = [[rnd.randrange(ctx.q) for _ in range(k)] for _ in range(k)]
+        if len(echelon(ctx, [row[:] for row in mix], reduced=False)[1]) == k:
+            return matmul(ctx, mix, rows)
+
+
 def _mds_cases(ctx, rnd):
     """Generators, as rows, on which the systematic-form check must agree
     with the oracle: GRS (MDS) and random ones for k = 1 to k = N, then
@@ -432,7 +451,8 @@ def _first_seed(ctx, rows, wanted, samples=40):
 
 def _chunk_cases(ctx, rnd, chunk):
     """(generator rows, seed) for the randomized check in chunks of chunk
-    draws: more than two chunks that all pass, a first singular draw past
+    draws: more than two chunks that all pass (an MDS code with no Cauchy
+    form, so that its subsets are drawn), a first singular draw past
     the first chunk, one whose chunk holds a later singular draw with a
     smaller block, and a rank-deficient generator."""
     def past_first_chunk(draws):
@@ -446,9 +466,9 @@ def _chunk_cases(ctx, rnd, chunk):
         end = (first // chunk + 1) * chunk
         return any(bad and j < draws[first][0] for j, bad in draws[first:end])
 
-    grs = _grs_rows(ctx, rnd, 3, 7)
+    mds = _refused_mds_rows(ctx, rnd, 3, 7)
     _, repeated, _, low_rank = _mds_cases(ctx, rnd)[-4:]
-    return [(grs, rnd.randrange(10 ** 6)),
+    return [(mds, rnd.randrange(10 ** 6)),
             (repeated, _first_seed(ctx, repeated, past_first_chunk)),
             (repeated, _first_seed(ctx, repeated, smaller_block_later)),
             (low_rank, rnd.randrange(10 ** 6))]
@@ -486,7 +506,8 @@ def test_mds_check_matches_full_subset_oracle(q, monkeypatch):
 
 def _window_cases(ctx, rnd, window):
     """(generator rows, seed) for the randomized check in windows of
-    window draws: all pass, or the first singular draw is the last of the
+    window draws: all pass (an MDS code with no Cauchy form, so that its
+    subsets are drawn), or the first singular draw is the last of the
     first window, the first of the second, or in the third or later."""
     def first_at(test):
         def wanted(draws):
@@ -494,9 +515,9 @@ def _window_cases(ctx, rnd, window):
             return first is not None and test(first)
         return _first_seed(ctx, repeated, wanted)
 
-    grs = _grs_rows(ctx, rnd, 3, 7)
+    mds = _refused_mds_rows(ctx, rnd, 3, 7)
     repeated = _mds_cases(ctx, rnd)[-3]
-    return [(grs, rnd.randrange(10 ** 6)),
+    return [(mds, rnd.randrange(10 ** 6)),
             (repeated, first_at(lambda i: i == window - 1)),
             (repeated, first_at(lambda i: i == window)),
             (repeated, first_at(lambda i: i >= 2 * window))]
@@ -680,8 +701,18 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
                                samples=10 ** 9, seed=5)
     assert res.detail == f"columns {first} are singular"
     assert draws == [ver._MDS_CHUNK // 2 ** 2] * 4
-    # a [28, 14] check: no subset is eliminated on its own, and each
-    # window makes one pass per block size, in slices of bounded size
+    # the [28, 14] code is GRS: its Cauchy form proves it MDS, and no
+    # subset is drawn
+    draws.clear()
+    code = con_families.construct_extended(27).code
+    samples, k = 10 ** 4, 14
+    assert ver.check_mds(code, mode="randomized",
+                         samples=samples).status == "pass"
+    assert draws == []
+    # refused, the [28, 14] check samples: no subset is eliminated on its
+    # own, and each window makes one pass per block size, in slices of
+    # bounded size
+    monkeypatch.setattr(ver, "_cauchy_form", lambda a, ops: False)
     calls = {"subsets": 0}
     subset = ver._np_subset_nonsingular
 
@@ -692,8 +723,6 @@ def test_randomized_mds_check_streams_its_draws(monkeypatch):
     monkeypatch.setattr(ver, "_np_subset_nonsingular", one)
     windows = _record_windows(monkeypatch)
     draws.clear()
-    code = con_families.construct_extended(27).code
-    samples, k = 10 ** 4, 14
     assert ver.check_mds(code, mode="randomized",
                          samples=samples).status == "pass"
     chunk = ver._MDS_CHUNK // k ** 2
@@ -778,6 +807,164 @@ def test_pool_limit_is_samples_floating_point_rule_in_integers():
         assert ver._pool_limit(k) == want, k
     assert [ver._pool_limit(k) for k in (5, 6, 21, 22, 85, 86)] == [
         21, 85, 85, 277, 277, 1045]
+
+
+# --- MDS proofs from a Cauchy form -------------------------------------------------
+
+def _cauchy_case(ctx, rnd, k, m):
+    """(A, planted) for a random k x m matrix A: uniform nonzero entries;
+    or c_i d_j / (x_i - y_j), column inf (if any) c_i d_j, the y's drawn
+    apart from the x's but each from a small pool, so that x's or y's
+    repeat at times; or that with one entry redrawn.  planted says
+    whether A is a generalized Cauchy matrix by construction."""
+    q = ctx.q
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return [[rnd.randrange(1, q) for _ in range(m)]
+                for _ in range(k)], False
+    pool = rnd.sample(range(q), min(q, 2 * (k + m)))
+    x = [rnd.choice(pool) for _ in range(k)]
+    y = [rnd.choice([e for e in pool if e not in x]) for _ in range(m)]
+    c = [rnd.randrange(1, q) for _ in range(k)]
+    d = [rnd.randrange(1, q) for _ in range(m)]
+    inf = rnd.randrange(-1, m)  # -1: no column at infinity
+    a = [[ctx.mul(ctx.mul(c[i], d[j]), 1 if j == inf else
+                  ctx.inverse(ctx.sub(x[i], y[j]))) for j in range(m)]
+         for i in range(k)]
+    if kind == 2:
+        a[rnd.randrange(k)][rnd.randrange(m)] = rnd.randrange(q)
+        return a, False
+    return a, len(set(x)) == k and len(set(y)) == m
+
+
+# tabulated fields of both parities and an exp/log one (1031)
+CAUCHY_FIELDS = (7, 8, 9, 11, 13, 16, 17, 25, 1031)
+
+
+@pytest.mark.parametrize("q", CAUCHY_FIELDS)
+def test_cauchy_form_proves_only_mds_generators(q):
+    # every proof is checked by the oracle's full subset walk on [I | A];
+    # every planted Cauchy matrix, with its column at infinity anywhere
+    # or nowhere, is proved
+    ctx = field_for_order(q)
+    ops = ctx.np_ops()
+    rnd = random.Random(q)
+    seen = Counter()
+    for _ in range(400):
+        k, m = rnd.randint(2, 4), rnd.randint(3, 5)
+        a, planted = _cauchy_case(ctx, rnd, k, m)
+        proof = ver._cauchy_form(np.array(a, dtype=np.int32), ops)
+        assert type(proof) is bool
+        rows = [[int(i == r) for i in range(k)] + a[r] for r in range(k)]
+        mds = oracles.check_mds_matrix(ctx, rows).status == "pass"
+        assert mds or not proof, (k, a)
+        assert proof or not planted, (k, a)
+        seen[proof, mds] += 1
+    # proofs, MDS matrices refused and non-MDS matrices all occur
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+
+
+def test_cauchy_form_refuses_shapes_it_leaves_to_the_draws():
+    # k < 2 or m < 3, even when every entry is nonzero
+    ctx = make_field(7)
+    ops = ctx.np_ops()
+    for shape in ((1, 5), (4, 2), (3, 1)):
+        assert not ver._cauchy_form(np.ones(shape, dtype=np.int32), ops)
+    # and on the rows or columns of a GRS generator's A that has the form
+    rows = _grs_rows(ctx, random.Random(7), 3, 6)
+    a = np.array(echelon(ctx, rows, reduced=True)[0], dtype=np.int32)[:, 3:]
+    assert ver._cauchy_form(a, ops)
+    assert not ver._cauchy_form(a[:1], ops)
+    assert not ver._cauchy_form(a[:, :2], ops)
+
+
+def _proof_cases():
+    """(label, generator) of every default sweep cell with N - k >= 3,
+    and codes over GF(2048) and GF(43^2), above the dense-table limit."""
+    import argparse
+
+    no_overrides = argparse.Namespace(q=None, r=None, t=None, n=None)
+    codes = [con_families.build(request).code
+             for family in con_families.FAMILY_TABLE.values()
+             for request in family.sweep_requests(no_overrides)]
+    codes += [con_families.construct_even_char(2048, 64).code,
+              con_families.construct_theorem_3_5(43, 1).code]
+    return [(f"[{c.block_length}, {c.k}] over GF({c.ctx.q})", c)
+            for c in codes if c.block_length - c.k >= 3]
+
+
+def test_cauchy_form_proves_every_sweep_generator(monkeypatch):
+    # GRS codes, extended or not: the proof holds with the extended
+    # family's column at infinity last (a non-pivot column) and, columns
+    # reversed, first (a pivot column); the randomized check draws nothing
+    def no_draws(*args):
+        raise AssertionError("a proved generator drew subsets")
+
+    monkeypatch.setattr(ver, "_draw_subsets", no_draws)
+    cases = _proof_cases()
+    assert len(cases) == 25
+    fields = set()
+    for label, code in cases:
+        gen = generator_matrix(code)
+        k, ops = code.k, code.ctx.np_ops()
+        for columns in (gen, gen[:, ::-1]):
+            red = columns.copy()
+            assert la._np_echelon(red, ops, reduced=True) == list(range(k))
+            assert ver._cauchy_form(red[:, k:], ops), label
+            res = ver.check_mds_matrix(code.ctx, columns, mode="randomized",
+                                       seed=3)
+            assert res == ver.CheckResult(
+                "mds", "pass",
+                f"{ver.RANDOM_MDS_SAMPLES} sampled column {k}-subsets "
+                "nonsingular (statistical evidence, not a proof)",
+                "randomized", seed=3), label
+        fields.add((code.ctx.p, code.extended, code.ctx.q > 1024))
+    # even and odd characteristic, extended codes, and both op providers
+    assert {(2, False, False), (2, False, True), (5, True, False),
+            (43, False, True)} <= fields
+
+
+@pytest.mark.parametrize("q", [25, 2048])
+def test_refused_proofs_give_the_oracles_randomized_report(q, monkeypatch):
+    # a zero entry of A, a rank below k, pivots past column k - 1 and one
+    # entry of A changed: the check samples, as the oracle does.  The
+    # changed entry may leave the code MDS (it does over GF(2048))
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    k, n, c = 5, 10, rnd.randrange(2, q)
+    grs = echelon(ctx, _grs_rows(ctx, rnd, k, n), reduced=True)[0]
+    zero = [row[:] for row in grs]
+    zero[1][k + 2] = 0
+    low_rank = [row[:] for row in grs]
+    low_rank[2] = [ctx.add(x, ctx.mul(c, y))
+                   for x, y in zip(low_rank[0], low_rank[1])]
+    late_pivot = [[row[0], ctx.mul(c, row[0]), *row[2:]] for row in grs]
+    tampered = [row[:] for row in grs]
+    tampered[3][k + 1] = ctx.add(tampered[3][k + 1], 1)
+    proofs = []
+    cauchy = ver._cauchy_form
+
+    def spy(a, ops):
+        proofs.append(cauchy(a, ops))
+        return proofs[-1]
+
+    monkeypatch.setattr(ver, "_cauchy_form", spy)
+    assert ver.check_mds_matrix(ctx, matrix(grs), mode="randomized").status \
+        == "pass"
+    assert proofs == [True]
+    statuses = []
+    for rows, called in ((zero, [False]), (low_rank, []),
+                         (late_pivot, []), (tampered, [False])):
+        gen = matrix(rows)
+        seed = rnd.randrange(10 ** 6)
+        proofs.clear()
+        got = ver.check_mds_matrix(ctx, gen, mode="randomized",
+                                   samples=1000, seed=seed)
+        assert proofs == called, rows
+        assert got == oracles.check_mds_matrix(
+            ctx, gen, mode="randomized", samples=1000, seed=seed), rows
+        statuses.append(got.status)
+    assert statuses[:3] == ["fail"] * 3
 
 
 def test_check_mds_structural():
