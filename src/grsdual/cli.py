@@ -42,6 +42,11 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAIL = 3
 
+_BUDGET_HELP = ("most column k-subsets an exact MDS check walks (auto "
+                "samples above it); no ceiling, the work grows with it")
+_SAMPLES_HELP = ("subsets a randomized MDS check draws if no Cauchy form "
+                 "proves MDS; no ceiling, the work grows with it")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 1."""
@@ -285,8 +290,10 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("input", help="path to code JSON, or - for stdin")
     p_ver.add_argument("--mds-mode", default="auto",
                        choices=["auto", "exact", "randomized", "structural"])
-    p_ver.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET)
-    p_ver.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES)
+    p_ver.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET,
+                       help=_BUDGET_HELP)
+    p_ver.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES,
+                       help=_SAMPLES_HELP)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--dual-identity", action="store_true")
     p_ver.add_argument("--output", "-o")
@@ -297,7 +304,9 @@ def _build_parser() -> _Parser:
     p_sea.add_argument("--q", type=int, required=True)
     p_sea.add_argument("--n", type=int, required=True)
     p_sea.add_argument("--node-budget", type=_count(0),
-                       default=SEARCH_NODE_BUDGET)
+                       default=SEARCH_NODE_BUDGET,
+                       help="most nodes before the search gives up (exit "
+                            "2); no ceiling, the work grows with it")
     p_sea.add_argument("--output", "-o")
     p_sea.set_defaults(func=_cmd_search)
 
@@ -309,8 +318,10 @@ def _build_parser() -> _Parser:
     p_swp.add_argument("--r", type=int, nargs="*")
     p_swp.add_argument("--t", type=int, nargs="*")
     p_swp.add_argument("--n", type=int, nargs="*")
-    p_swp.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET)
-    p_swp.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES)
+    p_swp.add_argument("--budget", type=_count(0), default=EXACT_MDS_BUDGET,
+                       help=_BUDGET_HELP)
+    p_swp.add_argument("--samples", type=_count(1), default=RANDOM_MDS_SAMPLES,
+                       help=_SAMPLES_HELP)
     p_swp.add_argument("--seed", type=int, default=0)
     p_swp.add_argument("--out-dir")
     p_swp.set_defaults(func=_cmd_sweep)

@@ -43,6 +43,7 @@ from .grs import (
 )
 from .verify import check_self_dual
 
+
 class Certificate(NamedTuple):
     """Witnesses for self-duality: lam * u_i = v_i^2 entrywise.
 
@@ -189,9 +190,9 @@ def search_square_difference_set(q: int, n: int,
     is a nonzero square.  The candidates for the next point are the
     intersection of the chain's neighbourhoods above its last point.  The
     search always extends the chain by the lowest candidate, so it visits
-    chains in index order and the first complete one is the lex-first set.  It cuts a branch when
-    the chain plus all its candidates is shorter than n, so it cuts only
-    subtrees without a solution.
+    chains in index order and the first complete one is the lex-first
+    set.  It cuts a branch when the chain plus all its candidates is
+    shorter than n, so it cuts only subtrees without a solution.
 
     A node is one point added to the chain after 0 and 1.  Past
     node_budget nodes the search gives up with

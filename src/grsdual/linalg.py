@@ -98,8 +98,9 @@ def _np_nonsingular(rows, ops) -> bool:
     tested by their determinant expanded along the first row, two by
     theirs, with no list built.  Each cleared row fetches the product
     row m of its factor once, and each entry reads sub[x][m[y]]: two
-    memoryview reads, where numpy's scalar indexing costs about three times as much.  The `_np_` name
-    stays: the benchmark's spans and tests wrap this function by name.
+    memoryview reads, where numpy's scalar indexing costs about three
+    times as much.  The `_np_` name stays: the benchmark's spans and
+    tests wrap this function by name.
     """
     mul, sub, inv = ops
     while len(rows) > 3:

@@ -34,19 +34,11 @@ pivots are columns 0..k-1 and A is a generalized Cauchy matrix
 (`_cauchy_form`), as it is for every GRS code, every subset is
 nonsingular, and the check passes with the report the draws would give,
 drawing nothing.  Otherwise it samples the subsets from a seeded
-generator and reports confidence only, making the `getrandbits` calls
-of `random.Random.sample` inline (`_draw_subsets`, the same sorted
-lists).  Exact mode never tries the proof: it is the oracle that does
-not trust the evaluation-code structure.
-Over a field with dense tables (q <= 2^10) exact mode runs a
-forward pass on Python ints per subset, its block cut from the reduced
-form's rows as lists and its field read through memoryview rows of the
-tables (`_table_rows`), both made once per check and dropped with it.
-Every other check fills a window of four chunks of subsets, from the
-walk or the draws, into one int16 array, groups the window's blocks by
-size j, and eliminates each group as (B, j, j) numpy arrays of at most
-`_MDS_CHUNK` entries.  The structural mode certifies via
-the evaluation-code shape (distinct points, nonzero multipliers).
+generator (`random.Random.sample`, sorted) and reports confidence
+only.  Exact mode never tries the proof: it is the oracle that does
+not trust the evaluation-code structure.  `check_mds_matrix` says how
+the blocks are eliminated.  The structural mode certifies via the
+evaluation-code shape (distinct points, nonzero multipliers).
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
 point a as the popcount of the intersection of the points'
@@ -248,8 +240,8 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     (`_table_rows`), both made once for the check.  Otherwise the
     subsets come in windows of four chunks, each chunk at most
     `_MDS_CHUNK` block entries, in one int16 array: the next subsets of
-    the lexicographic walk (exact), or seeded draws (`_draw_subsets`,
-    randomized).  Each window's blocks are eliminated in numpy, one pass
+    the lexicographic walk (exact), or seeded `Random.sample` draws
+    (randomized).  Each window's blocks are eliminated in numpy, one pass
     per block size (`_blocks_nonsingular`), and its first singular
     subset is the first in walk or draw order, so a failure stops the
     check within one window of it.
@@ -386,56 +378,8 @@ def _np_subset_nonsingular(red, slot, cols, ops) -> bool:
 
 def _draw_subsets(rng: random.Random, n: int, k: int,
                   count: int) -> list[list[int]]:
-    """[sorted(rng.sample(range(n), k)) for _ in range(count)], from the
-    same `rng.getrandbits` calls as CPython's `Random.sample`, in order.
-
-    `sample` draws each index below m as getrandbits(m.bit_length()),
-    drawn again while it is m or more.  Up to `_pool_limit(k)` elements
-    it keeps a pool, a partial Fisher-Yates shuffle of range(n): the i-th
-    index is below m = n - i, and the pool's element m - 1 moves into
-    the vacancy.  Here the two swap, so the k picked elements end up in
-    the pool's last k places.  Above the limit, `sample` draws below n
-    and draws again while the index is taken.  Inlined, a draw makes no
-    method call per index.
-    """
-    getrandbits = rng.getrandbits
-    out = []
-    if n <= _pool_limit(k):
-        bounds = [(m - 1, m.bit_length()) for m in range(n, n - k, -1)]
-        whole = list(range(n))
-        for _ in range(count):
-            pool = whole[:]
-            for last, bits in bounds:
-                j = getrandbits(bits)
-                while j > last:
-                    j = getrandbits(bits)
-                pool[j], pool[last] = pool[last], pool[j]
-            picked = pool[n - k:]
-            picked.sort()
-            out.append(picked)
-        return out
-    bits = n.bit_length()
-    for _ in range(count):
-        taken = set()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in taken:
-                j = getrandbits(bits)
-            taken.add(j)
-        out.append(sorted(taken))
-    return out
-
-
-def _pool_limit(k: int) -> int:
-    """The largest n for which `Random.sample` draws k of range(n) from a
-    pool: 21, plus for k > 5 the smallest power of 4 that is at least 3k,
-    which `sample` computes as 4 ** ceil(log(3k, 4)) in floating point."""
-    if k <= 5:
-        return 21
-    size = 4
-    while size < 3 * k:
-        size *= 4
-    return 21 + size
+    """`count` seeded k-subsets of range(n), each sorted, in draw order."""
+    return [sorted(rng.sample(range(n), k)) for _ in range(count)]
 
 
 # the most block entries drawn per chunk (B k^2) or eliminated per call

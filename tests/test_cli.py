@@ -5,6 +5,8 @@ a check that gave up at its budget, 3 verification failure.
 """
 
 import argparse
+import copy
+import functools
 import hashlib
 import io
 import json
@@ -826,6 +828,67 @@ def test_verify_rejects_coerced_field_and_matrix_json(tamper, tmp_path, capsys):
     rc, out, err = run_cli(["verify", str(code_file), "--mds-mode",
                             "structural"], capsys)
     assert rc == 1 and out == "" and "not a valid code object" in err
+
+
+# --- code-JSON fuzzing ----------------------------------------------------------
+
+# a prime field with an extended code, GF(9), an auto pick over GF(49),
+# and even characteristic over GF(2048), above the dense-table limit
+_FUZZED_CODES = (
+    construct.ConstructionRequest("extended", q=5),
+    construct.ConstructionRequest("theorem-3-5", r=3, t=1),
+    construct.ConstructionRequest("auto", q=49, n=6),
+    construct.ConstructionRequest("even-char", q=2048, n=8),
+)
+_MUTATION_VALUES = [0, -1, 10 ** 30, 1.5, True, None, "x", [], [[0]], {}]
+
+
+@functools.cache
+def _code_text(request):
+    return json_text(construct.result_to_json(construct.build(request)))
+
+
+@st.composite
+def _mutated_codes(draw):
+    """One of `_FUZZED_CODES` as a JSON object with one or two fields set
+    to a value of `_MUTATION_VALUES` or deleted.  Each field is reached
+    by a walk from the root that stops at each level with probability
+    1/2, so the many coordinates do not crowd out the top-level keys."""
+    obj = json.loads(_code_text(draw(st.sampled_from(_FUZZED_CODES))))
+    for _ in range(draw(st.integers(1, 2))):
+        node = obj
+        while True:
+            key = draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child) \
+                    or draw(st.booleans()):
+                break
+            node = child
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(_MUTATION_VALUES)))
+    return obj
+
+
+@given(obj=_mutated_codes(),
+       mds_mode=st.sampled_from(["auto", "exact", "randomized",
+                                 "structural"]),
+       dual_identity=st.booleans())
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_code_json_exits_cleanly(obj, mds_mode, dual_identity,
+                                        monkeypatch, capsys):
+    # main is called bare: any exception, SystemExit included, fails
+    argv = ["verify", "-", "--samples", "50", "--mds-mode", mds_mode]
+    argv += ["--dual-identity"] if dual_identity else []
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    start = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - start < 5.0, (argv, obj)
+    err = capsys.readouterr().err
+    assert rc in {0, 1, 2, 3} and "Traceback" not in err, (argv, obj, err)
 
 
 @pytest.mark.parametrize("flags", [["--p", "4"], ["--p", "4", "--e", "2"]])

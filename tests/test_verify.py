@@ -3,7 +3,6 @@ dual identity, character-sum counts; and the distance-enumeration
 oracle that the acceptance suite compares the MDS check with."""
 
 import json
-import math
 import random
 import time
 from collections import Counter
@@ -21,7 +20,7 @@ from grsdual.errors import (
     GrsDualError,
 )
 from grsdual.gf import FieldCtx, field_for_order, make_field
-from grsdual.grs import MAX_BLOCK_LENGTH, GrsCode, generator_matrix
+from grsdual.grs import GrsCode, generator_matrix
 from conftest import raises_exactly
 import oracles
 from oracles import echelon, matmul, transpose
@@ -768,45 +767,6 @@ def _assert_one_pass_per_block_size(windows):
             assert all(b == step for b in slices[:-1]), (j, slices)
             assert 1 <= slices[-1] <= step
             assert slices[-1] * j * j <= max(ver._MDS_CHUNK, j * j)
-
-
-def _sample_lists(seed, n, k, count):
-    """What `_draw_subsets` must return: `Random.sample`'s lists, sorted."""
-    rng = random.Random(seed)
-    return [sorted(rng.sample(range(n), k)) for _ in range(count)]
-
-
-@pytest.mark.parametrize("seed", [0, 5, 7, 2 ** 40 + 3])
-def test_draws_are_random_sample_lists_in_order(seed):
-    # every k of N = 1..64, N on both sides of each pool/set boundary
-    # with k at every step of the pool limit, and N at the length cap
-    cases = [(n, k) for n in range(1, 65) for k in range(n + 1)]
-    steps = (1, 5, 6, 21, 22, 85, 86, 341, 342)
-    for n in (85, 86, 277, 278, 1045, 1046):
-        cases += [(n, k) for k in sorted({*steps, n // 2, n}) if k <= n]
-    cases += [(MAX_BLOCK_LENGTH, k) for k in (1, 6, 640, MAX_BLOCK_LENGTH)]
-    branches = set()
-    for n, k in cases:
-        count = 3 if k <= 100 else 1
-        got = ver._draw_subsets(random.Random(seed), n, k, count)
-        assert got == _sample_lists(seed, n, k, count), (n, k)
-        branches.add(n <= ver._pool_limit(k))
-    assert branches == {True, False}
-    # the generator is left where sample leaves it
-    rng, ref = random.Random(seed), random.Random(seed)
-    ver._draw_subsets(rng, 278, 22, 4)
-    for _ in range(4):
-        ref.sample(range(278), 22)
-    assert rng.getstate() == ref.getstate()
-
-
-def test_pool_limit_is_samples_floating_point_rule_in_integers():
-    # Random.sample: setsize = 21, plus 4 ** ceil(log(3k, 4)) for k > 5
-    for k in range(MAX_BLOCK_LENGTH + 1):
-        want = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-        assert ver._pool_limit(k) == want, k
-    assert [ver._pool_limit(k) for k in (5, 6, 21, 22, 85, 86)] == [
-        21, 85, 85, 277, 277, 1045]
 
 
 # --- MDS proofs from a Cauchy form -------------------------------------------------
