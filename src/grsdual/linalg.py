@@ -9,12 +9,13 @@ numerical concerns in exact arithmetic.
 Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
 with both passes, then tests one small square block per column subset.
-Exact checks over fields with dense tables (q <= 2^10) take the blocks
-one at a time, by a forward pass on the block's Python rows
-(`_np_nonsingular`, given lists cut from the reduced form's `tolist()`),
-reading the field through memoryview rows of its tables, made once per
-check.  Every other check, exact above 2^10 or randomized, eliminates a
-stack of equally sized blocks at once in numpy (`_np_batch_nonsingular`).
+Exact checks of a few dozen subsets over fields with dense tables (q <=
+2^10) take the blocks one at a time, by a forward pass on the block's
+Python rows (`_np_nonsingular`, given lists cut from the reduced form's
+`tolist()`), reading the field through memoryview rows of its tables,
+made once per check.  Every other check, a longer exact walk at any q or
+a randomized one, eliminates a stack of equally sized blocks at once in
+numpy (`_np_batch_nonsingular`).
 A randomized check eliminates no block at all when the reduced form has
 a Cauchy form, which proves every subset nonsingular (`verify`).
 """
@@ -91,9 +92,10 @@ def _np_nonsingular(rows, ops) -> bool:
 
     ops is the plain (mul, sub, inv) tuple of the dense tables' rows,
     which the exact MDS check makes once (`verify._table_rows`) and
-    passes to every call; fields above 2^10 have no dense tables and
-    never come here.  Each step pivots on the first row with a
-    nonzero leading entry, as `_np_echelon` does, and keeps the rows
+    passes to every call; fields above 2^10 have no dense tables, and
+    walks longer than the limit (`verify._PER_SUBSET_LIMIT`) never come
+    here.  Each step pivots on the first row with a nonzero leading
+    entry, as `_np_echelon` does, and keeps the rows
     below it, cleared, without the pivot column.  Three rows left are
     tested by their determinant expanded along the first row, two by
     theirs, with no list built.  Each cleared row fetches the product

@@ -29,15 +29,16 @@ permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
 elimination of j ~ k/2 rows instead of k.  Exact mode walks the subsets
-in lexicographic order.  Randomized mode first tries a proof: when the
-pivots are columns 0..k-1 and A is a generalized Cauchy matrix
-(`_cauchy_form`), as it is for every GRS code, every subset is
-nonsingular, and the check passes with the report the draws would give,
-drawing nothing.  Otherwise it samples the subsets from a seeded
-generator (`random.Random.sample`, sorted) and reports confidence
-only.  Exact mode never tries the proof: it is the oracle that does
-not trust the evaluation-code structure.  `check_mds_matrix` says how
-the blocks are eliminated.  The structural mode certifies via the
+in lexicographic order, in numpy windows of many subsets unless the walk
+is short enough to test a subset at a time.  Randomized mode first tries
+a proof: when the pivots are columns 0..k-1 and A is a generalized
+Cauchy matrix (`_cauchy_form`), as it is for every GRS code, every
+subset is nonsingular, and the check passes with the report the draws
+would give, drawing nothing.  Otherwise it samples the subsets from a
+seeded generator (`random.Random.sample`, sorted) and reports confidence
+only.  Exact mode never tries the proof: it is the oracle that does not
+trust the evaluation-code structure.  `check_mds_matrix` says how the
+blocks are eliminated.  The structural mode certifies via the
 evaluation-code shape (distinct points, nonzero multipliers).
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
@@ -233,18 +234,18 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     every subset nonsingular, and the check returns the pass that the
     draws would give without drawing; the reports stay the same, and
     only a generator with no such form is sampled.  Each subset checked
-    is tested on its block of the reduced form.  Over a field with dense
-    tables (q <= 2^10) exact mode eliminates one block per subset on
-    Python ints (`_np_subset_nonsingular`), cutting it from the form's
-    `tolist()` and reading the field through the tables' rows
-    (`_table_rows`), both made once for the check.  Otherwise the
-    subsets come in windows of four chunks, each chunk at most
-    `_MDS_CHUNK` block entries, in one int16 array: the next subsets of
-    the lexicographic walk (exact), or seeded `Random.sample` draws
-    (randomized).  Each window's blocks are eliminated in numpy, one pass
-    per block size (`_blocks_nonsingular`), and its first singular
-    subset is the first in walk or draw order, so a failure stops the
-    check within one window of it.
+    is tested on its block of the reduced form.  An exact walk of at most
+    `_PER_SUBSET_LIMIT` subsets over a field with dense tables (q <=
+    2^10) eliminates one block per subset on Python ints
+    (`_np_subset_nonsingular`), cutting it from the form's `tolist()` and
+    reading the field through the tables' rows (`_table_rows`), both made
+    once for the check.  Every other check takes its subsets in windows
+    of four chunks, each chunk at most `_MDS_CHUNK` block entries, in one
+    int16 array: the next subsets of the lexicographic walk (exact), or
+    seeded `Random.sample` draws (randomized).  Each window's blocks are
+    eliminated in numpy, one pass per block size (`_blocks_nonsingular`),
+    and its first singular subset is the first in walk or draw order, so
+    a failure stops the check within one window of it.
     Below rank k every block keeps a zero row, so the first subset fails.
     """
     import numpy as np
@@ -281,7 +282,8 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     slot = [-1] * ncols
     for row, c in enumerate(pivots):
         slot[c] = row
-    if mode == "exact" and isinstance(ops.mul, np.ndarray):
+    if (mode == "exact" and total <= _PER_SUBSET_LIMIT
+            and isinstance(ops.mul, np.ndarray)):
         rows, field = red.tolist(), _table_rows(ops)
         for cols in walk:
             if not _np_subset_nonsingular(rows, slot, cols, field):
@@ -385,6 +387,11 @@ def _draw_subsets(rng: random.Random, n: int, k: int,
 # the most block entries drawn per chunk (B k^2) or eliminated per call
 # (B j^2); a window of draws holds four chunks
 _MDS_CHUNK = 1 << 16
+
+# the longest exact walk tested a subset at a time over dense tables:
+# the Python passes are faster up to about 70 subsets, a window's numpy
+# passes from about 80 on, whatever k is
+_PER_SUBSET_LIMIT = 64
 
 
 def _blocks_nonsingular(red, pivot_row, cols, ops):

@@ -3,6 +3,7 @@ dual identity, character-sum counts; and the distance-enumeration
 oracle that the acceptance suite compares the MDS check with."""
 
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -565,18 +566,18 @@ def test_randomized_windows_match_the_oracle(q, monkeypatch):
     assert split, "no block size was split over several slices"
 
 
-@pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
-def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
-        q, monkeypatch):
-    # exp/log ops, no dense tables, so the exact walk goes through the
-    # batched kernel and never the per-subset one: a GRS [12, 6] code with
-    # column 11 made a combination of columns 7 and 9 fails first at a
-    # subset far into the walk; a code with one entry changed may pass or
-    # fail
+def _tampered_walks_match_the_oracle(q, window, monkeypatch):
+    """Exact checks of long walks over GF(q), C(N, k) past the per-subset
+    limit, equal the oracle's and never test a subset on its own: a GRS
+    [12, 6] code with column 11 made a combination of columns 7 and 9
+    fails first at a subset far into the walk; a code with one entry
+    changed may pass or fail.  A GRS [16, 8] code, in windows of window
+    subsets, fails first in the walk's third window."""
     def per_subset(*args):
-        raise AssertionError("the per-subset kernel ran above 2^10")
+        raise AssertionError("the per-subset kernel ran past the limit")
 
     monkeypatch.setattr(ver, "_np_subset_nonsingular", per_subset)
+    assert math.comb(12, 6) > ver._PER_SUBSET_LIMIT
     ctx = field_for_order(q)
     rnd = random.Random(q)
     points = tuple(rnd.sample(range(q), 12))
@@ -596,18 +597,16 @@ def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
                  if {7, 9, 11} <= set(cols))
     assert ver.check_mds_matrix(ctx, matrix(rows)).detail == (
         f"columns {first} are singular")
-    # a GRS [16, 8] code with d added to the last entry of column 15.
+    # d added to the last entry of column 15 of the [16, 8] code.
     # Expanding along that column, a subset T + {15} is singular iff
     # v_15 prod_{t in T} (a_15 - a_t) = -d, and the rest stay
     # nonsingular; d is minus a product first reached in the walk's
-    # third window: C(16, 8) = 12,870 subsets in windows of four chunks
-    # of 1,024, so the check fails two whole windows in
+    # third window, so the check fails two whole windows in
     points = tuple(rnd.sample(range(q), 16))
     v = tuple(rnd.randrange(1, q) for _ in range(16))
     rows = generator_matrix(GrsCode(ctx, points, v, 8)).tolist()
     walk = list(combinations(range(16), 8))
-    window = 4 * (ver._MDS_CHUNK // 8 ** 2)
-    assert window == 4096
+    assert window == 4 * (ver._MDS_CHUNK // 8 ** 2)
     reached = {}
     for at, cols in enumerate(walk):
         if cols[-1] == 15:
@@ -625,6 +624,64 @@ def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
     assert ver.check_mds_matrix(ctx, gen, mode="exact") == want
 
 
+@pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
+def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
+        q, monkeypatch):
+    # exp/log ops: C(16, 8) = 12,870 subsets in windows of four chunks
+    # of 1,024
+    _tampered_walks_match_the_oracle(q, 4096, monkeypatch)
+
+
+@pytest.mark.parametrize("q", [25, 49, 1024])
+def test_tampered_long_walk_over_dense_tables_names_the_oracles_subset(
+        q, monkeypatch):
+    # dense tables, but walks past the limit take the windows too; in
+    # GF(25) every product is reached within 250 subsets, so the windows
+    # shrink to four chunks of 16 [16, 8] subsets
+    monkeypatch.setattr(ver, "_MDS_CHUNK", 16 * 8 ** 2)
+    _tampered_walks_match_the_oracle(q, 64, monkeypatch)
+
+
+def _walk_shape(total):
+    """(N, k) with C(N, k) = total and k <= N / 2, the largest such k."""
+    return max(((n, k) for n in range(2, total + 1)
+                for k in range(1, n // 2 + 1) if math.comb(n, k) == total),
+               key=lambda shape: shape[1])
+
+
+def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
+    # a walk of _PER_SUBSET_LIMIT subsets tests each on its own, one of
+    # one subset more takes the windows; both give the oracle's reports
+    calls = []
+    subset = ver._np_subset_nonsingular
+
+    def counted(*args):
+        calls.append(args[2])
+        return subset(*args)
+
+    monkeypatch.setattr(ver, "_np_subset_nonsingular", counted)
+    ctx = field_for_order(1024)
+    rnd = random.Random(1024)
+    limit = ver._PER_SUBSET_LIMIT
+    for total in (limit, limit + 1):
+        n, k = _walk_shape(total)
+        points = tuple(rnd.sample(range(ctx.q), n))
+        v = tuple(rnd.randrange(1, ctx.q) for _ in range(n))
+        rows = generator_matrix(GrsCode(ctx, points, v, k)).tolist()
+        tampered = [row[:] for row in rows]
+        for row in tampered:
+            row[n - 1] = 0
+        walk = list(combinations(range(n), k))
+        first = next(at for at, cols in enumerate(walk) if n - 1 in cols)
+        for gen, walked in ((rows, total), (tampered, first + 1)):
+            gen = matrix(gen)
+            calls.clear()
+            got = ver.check_mds_matrix(ctx, gen, mode="exact")
+            assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
+            assert calls == (walk[:walked] if total == limit else [])
+        assert got.detail == f"columns {list(walk[first])} are singular"
+
+
 def test_mds_check_reports_the_first_subset_below_full_rank():
     ctx = make_field(5)
     gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])  # rank 1
@@ -638,7 +695,8 @@ def test_mds_check_reports_the_first_subset_below_full_rank():
 def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
     # the benchmark counts verify._np_subset_nonsingular and
     # linalg._np_nonsingular calls as "subsets checked" and "eliminations";
-    # both must stay one per subset walked
+    # both stay one per subset walked for walks of up to
+    # verify._PER_SUBSET_LIMIT subsets, such as these
     calls = {"subsets": 0, "eliminations": 0}
     blocks = []
 
