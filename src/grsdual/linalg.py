@@ -8,7 +8,10 @@ the same provider the GRS layer builds its matrices with; there are no
 numerical concerns in exact arithmetic.
 Its forward pass gives rank; a back-substitution pass gives the reduced
 row echelon form.  The verifier's MDS check reduces a generator once
-with both passes, then tests one small square block per column subset.
+with both passes, then tests one small square block per column subset,
+except in a longer exact check whose square submatrices of the
+non-pivot part are all nonsingular: a Schur-complement walk proves that
+with no elimination (`verify._minors_nonsingular`).
 Exact checks of a few dozen subsets over fields with dense tables (q <=
 2^10) take the blocks one at a time, by a forward pass on the block's
 Python rows (`_np_nonsingular`, given lists cut from the reduced form's

@@ -28,18 +28,24 @@ column subset, and in the reduced form G' = [I | A] (up to a column
 permutation) a subset is nonsingular iff its j x j block of A is, the
 rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
-elimination of j ~ k/2 rows instead of k.  Exact mode walks the subsets
-in lexicographic order, in numpy windows of many subsets unless the walk
-is short enough to test a subset at a time.  Randomized mode first tries
+elimination of j ~ k/2 rows instead of k, and the code is MDS iff every
+square submatrix (minor) of A is nonsingular.  Exact mode tests a
+short walk over dense tables a subset at a time.  Any other exact walk
+with the pivots in columns 0..k-1 first walks A's minors by Schur
+complements (`_minors_nonsingular`), one complement entry per minor and
+so per subset, and passes if every minor is nonsingular.  Otherwise it
+walks the subsets in lexicographic order, in numpy windows of many
+subsets, and names the first singular one.  Randomized mode first tries
 a proof: when the pivots are columns 0..k-1 and A is a generalized
 Cauchy matrix (`_cauchy_form`), as it is for every GRS code, every
 subset is nonsingular, and the check passes with the report the draws
 would give, drawing nothing.  Otherwise it samples the subsets from a
 seeded generator (`random.Random.sample`, sorted) and reports confidence
 only.  Exact mode never tries the proof: it is the oracle that does not
-trust the evaluation-code structure.  `check_mds_matrix` says how the
-blocks are eliminated.  The structural mode certifies via the
-evaluation-code shape (distinct points, nonzero multipliers).
+trust the evaluation-code structure, and its minor walk is linear
+algebra on A alone.  `check_mds_matrix` says how the blocks are
+eliminated.  The structural mode certifies via the evaluation-code
+shape (distinct points, nonzero multipliers).
 
 The character-sum check counts the b with chi(b - a) = 1 for every given
 point a as the popcount of the intersection of the points'
@@ -233,10 +239,16 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     (`_cauchy_form`, only when the pivots are columns 0..k-1) proves
     every subset nonsingular, and the check returns the pass that the
     draws would give without drawing; the reports stay the same, and
-    only a generator with no such form is sampled.  Each subset checked
-    is tested on its block of the reduced form.  An exact walk of at most
-    `_PER_SUBSET_LIMIT` subsets over a field with dense tables (q <=
-    2^10) eliminates one block per subset on Python ints
+    only a generator with no such form is sampled.  An exact check that
+    does not go a subset at a time (below), with the pivots in columns
+    0..k-1, first tests every square submatrix of the non-pivot part by
+    Schur complements (`_minors_nonsingular`) and passes with the usual
+    report if none is singular.  That walk cannot say which subset is
+    singular, so on a singular minor, or with other pivots, the subset
+    walk runs and names it.  Each subset checked is tested on its block
+    of the reduced form.  An exact walk of at most `_PER_SUBSET_LIMIT`
+    subsets over a field with dense tables (q <= 2^10) eliminates one
+    block per subset on Python ints
     (`_np_subset_nonsingular`), cutting it from the form's `tolist()` and
     reading the field through the tables' rows (`_table_rows`), both made
     once for the check.  Every other check takes its subsets in windows
@@ -291,6 +303,10 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
                                    f"columns {list(cols)} are singular",
                                    "exact")
         return CheckResult("mds", "pass", passed, "exact")
+    # a singular minor sends the walk to the windows, which name the subset
+    if (mode == "exact" and pivots == list(range(k))
+            and _minors_nonsingular(red[:, k:], ops)):
+        return CheckResult("mds", "pass", passed, "exact")
     # row and column indices stay below the length cap, 1280: int16 holds them
     pivot_row = np.array(slot, dtype=np.int16)
     chunk = max(1, _MDS_CHUNK // max(1, k * k))
@@ -341,6 +357,78 @@ def _cauchy_form(a, ops) -> bool:
     y = sub[0, mul[t[0], inv[w]]]
     return bool((t == mul[sub[x[:, None], y], w]).all()
                 and np.bincount(np.concatenate([x, y])).max() <= 1)
+
+
+def _minors_nonsingular(a, ops) -> bool:
+    """True iff every square submatrix (minor) of the k x m array a is
+    nonsingular, which for a reduced generator [I | a] is every column
+    k-subset nonsingular: a subset with j columns of a leaves the j x j
+    minor of a on the rows whose pivot it leaves out.  False proves that
+    some subset is singular, not which.
+
+    Minors are walked level by level, size j to j + 1.  A nonsingular
+    minor M on rows R and columns C, last row r and last column c, keeps
+    its Schur complement S on the rows below r:
+    S[r', c'] = det(R + r', C + c') / det(M) for c' > c, so a zero entry
+    is a singular minor one size up, and one rank-1 update by the entry's
+    row and column gives that child's complement.  Each minor has one
+    parent (drop its last row and column), so each is tested once, by
+    one entry.  A level is a list of parts (r, lc, s): the minors of a
+    part share r, lc holds their last columns, and s[p] is minor p's
+    complement on rows r + 1.. and all m columns, those up to lc[p]
+    unread.  Level 0 is the empty minor, whose complement is a.  Every
+    child with last row r' comes from a part with r < r' in one fancy
+    index.  Children with no row or column left below and right of their
+    last entry are tested and not kept.  A level of more than one minor
+    whose children would hold more than `_MDS_CHUNK` entries is halved,
+    and the halves are walked depth first.
+    """
+    import numpy as np
+
+    k, m = a.shape
+    mul, sub, inv = ops.mul, ops.sub, ops.inv
+    cols = np.arange(m)
+    stack = [[(-1, np.array([-1]), a[None])]]
+    while stack:
+        parts = stack.pop()
+        # the children's complement entries: each parent has m - 2 - lc
+        # columns with one right of them and, for its every row r' with
+        # one below, a child of k - 1 - r' rows
+        size = sum(int(np.maximum(m - 2 - lc, 0).sum())
+                   * (k - 1 - r) * (k - 2 - r) // 2 * m
+                   for r, lc, _ in parts)
+        count = sum(len(lc) for _, lc, _ in parts)
+        if size > _MDS_CHUNK and count > 1:
+            half, first, second = count // 2, [], []
+            for r, lc, s in parts:
+                cut = min(max(half, 0), len(lc))
+                half -= len(lc)
+                if cut:
+                    first.append((r, lc[:cut], s[:cut]))
+                if cut < len(lc):
+                    second.append((r, lc[cut:], s[cut:]))
+            stack += [second, first]
+            continue
+        children = [[] for _ in range(k)]
+        for r, lc, s in parts:
+            right = cols > lc[:, None]
+            if ((s == 0) & right[:, None, :]).any():
+                return False
+            pp, cc = np.nonzero(right & (cols < m - 1))
+            if not len(pp):
+                continue
+            for top in range(r + 1, k - 1):
+                i = top - r - 1
+                below = s[pp, i + 1:]
+                factor = mul[s[pp, i + 1:, cc], inv[s[pp, i, cc]][:, None]]
+                children[top].append((cc, sub[below, mul[
+                    factor[:, :, None], s[pp, i][:, None, :]]]))
+        level = [(top, np.concatenate([lc for lc, _ in group]),
+                  np.concatenate([s for _, s in group]))
+                 for top, group in enumerate(children) if group]
+        if level:
+            stack.append(level)
+    return True
 
 
 def _table_rows(ops):

@@ -827,6 +827,203 @@ def _assert_one_pass_per_block_size(windows):
             assert slices[-1] * j * j <= max(ver._MDS_CHUNK, j * j)
 
 
+# --- exact MDS walks by Schur complements ------------------------------------------
+
+def _planted_minor_rows(ctx, rnd, k, m, j):
+    """Rows of [I | A] for a random k x m A of nonzero entries whose j x j
+    minor on random rows and columns is made singular, its last row a
+    combination of its others (a zero entry for j = 1); j = 0 plants
+    nothing."""
+    q = ctx.q
+    a = [[rnd.randrange(1, q) for _ in range(m)] for _ in range(k)]
+    if j:
+        rows = sorted(rnd.sample(range(k), j))
+        coef = [rnd.randrange(q) for _ in rows[:-1]]
+        for c in rnd.sample(range(m), j):
+            value = 0
+            for w, r in zip(coef, rows):
+                value = ctx.add(value, ctx.mul(w, a[r][c]))
+            a[rows[-1]][c] = value
+    return [[int(i == r) for i in range(k)] + a[r] for r in range(k)]
+
+
+def _smallest_singular_minor(ctx, a):
+    """The size of the smallest singular square submatrix of the rows a,
+    by full elimination of each, or None if there is none."""
+    k, m = len(a), len(a[0])
+    for j in range(1, min(k, m) + 1):
+        for rows in combinations(range(k), j):
+            for cols in combinations(range(m), j):
+                block = [[a[r][c] for c in cols] for r in rows]
+                if len(echelon(ctx, block, reduced=False)[1]) < j:
+                    return j
+    return None
+
+
+def _spy_minor_walk(monkeypatch):
+    """Patch `verify._minors_nonsingular`; return the list of its
+    verdicts, one per call."""
+    verdicts = []
+    walk = ver._minors_nonsingular
+
+    def spy(a, ops):
+        verdicts.append(walk(a, ops))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ver, "_minors_nonsingular", spy)
+    return verdicts
+
+
+def _count_windows(monkeypatch):
+    """Patch `verify._blocks_nonsingular`; return the list of the window
+    sizes it is called with."""
+    calls = []
+    blocks = ver._blocks_nonsingular
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return blocks(*args)
+
+    monkeypatch.setattr(ver, "_blocks_nonsingular", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [5, 16, 49, 2048])
+def test_minor_walk_matches_the_oracle(q, monkeypatch):
+    # every exact walk tries the minors first, the shortest too: random
+    # [I | A], k = 1 and N - k = 1 among them, with a singular minor
+    # planted at every size; the walk's verdict is whether A has a
+    # singular minor, and the report is the oracle's
+    monkeypatch.setattr(ver, "_PER_SUBSET_LIMIT", 0)
+    verdicts = _spy_minor_walk(monkeypatch)
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    smallest = Counter()
+    shapes = ((1, 1), (1, 6), (6, 1), (2, 5), (3, 4), (4, 4), (5, 3)) * 4
+    for k, m in shapes:
+        for j in range(min(k, m) + 1):
+            rows = _planted_minor_rows(ctx, rnd, k, m, j)
+            gen = matrix(rows)
+            verdicts.clear()
+            got = ver.check_mds_matrix(ctx, gen, mode="exact")
+            assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
+            first = _smallest_singular_minor(ctx, [row[k:] for row in rows])
+            assert verdicts == [first is None], (k, m, j)
+            smallest[first] += 1
+    # small fields keep few large minors nonsingular
+    assert {None, 1, 2} <= set(smallest), smallest
+    if q == 2048:
+        assert set(smallest) == {None, 1, 2, 3, 4}, smallest
+    # pivots not in columns 0..k-1: the minors are not walked, and the
+    # windows name the first subset
+    rows = _grs_rows(ctx, rnd, 3, 5)
+    c = rnd.randrange(1, q)
+    for row in rows:
+        row[1] = ctx.mul(c, row[0])
+    verdicts.clear()
+    got = ver.check_mds_matrix(ctx, matrix(rows), mode="exact")
+    assert got == oracles.check_mds_matrix(ctx, matrix(rows), mode="exact")
+    assert got.detail == "columns [0, 1, 2] are singular"
+    assert verdicts == []
+
+
+def _only_full_minor_singular(ctx, rnd):
+    """Rows of the reduced generator [I | A] of a random GRS [16, 8] code
+    with A[7][7] changed so that A itself is singular: row 7 of A is put
+    in the span of its rows 0-6, along the left kernel of A's first seven
+    columns.  A smaller minor through that entry may turn singular too."""
+    points = tuple(rnd.sample(range(ctx.q), 16))
+    v = tuple(rnd.randrange(1, ctx.q) for _ in range(16))
+    gen = generator_matrix(GrsCode(ctx, points, v, 8)).tolist()
+    rows = echelon(ctx, gen, reduced=True)[0]
+    u = oracles.nullspace(ctx, transpose([row[8:15] for row in rows]))[0]
+    rest = 0
+    for i in range(7):
+        rest = ctx.add(rest, ctx.mul(u[i], rows[i][15]))
+    rows[7][15] = ctx.neg(ctx.mul(rest, ctx.inverse(u[7])))
+    return rows
+
+
+def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch):
+    # GRS [16, 8] codes over GF(1024): one as built, and one whose only
+    # singular minor is 8 x 8 (random seed 29 keeps the smaller ones
+    # nonsingular, so the oracle names the walk's last subset).  With
+    # _MDS_CHUNK at 512 entries the walk halves its levels many times;
+    # the verdicts stay the walk's and the reports the oracle's
+    ctx = field_for_order(1024)
+    rnd = random.Random(29)
+    tampered = _only_full_minor_singular(ctx, rnd)
+    cases = [(matrix(_grs_rows(ctx, rnd, 8, 16)), True),
+             (matrix(tampered), False)]
+    wants = [oracles.check_mds_matrix(ctx, gen, mode="exact")
+             for gen, _ in cases]
+    assert wants[1].detail == f"columns {list(range(8, 16))} are singular"
+    verdicts = _spy_minor_walk(monkeypatch)
+    sizes = []
+    concatenate = np.concatenate
+
+    def recorded(arrays, *args, **kwargs):
+        out = concatenate(arrays, *args, **kwargs)
+        if out.ndim == 3:   # the complements of one part of a level
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "concatenate", recorded)
+    built, default = {}, ver._MDS_CHUNK
+    for chunk in (default, 512):
+        monkeypatch.setattr(ver, "_MDS_CHUNK", chunk)
+        sizes.clear()
+        for (gen, mds), want in zip(cases, wants):
+            verdicts.clear()
+            assert ver.check_mds_matrix(ctx, gen, mode="exact") == want
+            assert verdicts == [mds]
+        built[chunk] = list(sizes)
+    # a level is built whole only under the cap, or from one parent: the
+    # empty minor's children, 7 last columns with C(8, 2) rows below
+    # each, hold 28 * 7 rows of 8 entries
+    one_parent = 28 * 7 * 8
+    assert max(built[512]) <= max(512, one_parent) < max(built[default])
+    assert len(built[512]) > 4 * len(built[default])
+
+
+def test_long_exact_walks_window_only_to_name_a_singular_subset(monkeypatch):
+    # C(12, 6) = 924 subsets, past the per-subset limit: a GRS code
+    # passes on its minors alone; with column 11 a copy of column 4 the
+    # windows run and name the oracle's subset
+    calls = _count_windows(monkeypatch)
+    assert math.comb(12, 6) > ver._PER_SUBSET_LIMIT
+    for q in (25, 1024, 2048):
+        ctx = field_for_order(q)
+        rows = _grs_rows(ctx, random.Random(q), 6, 12)
+        calls.clear()
+        assert ver.check_mds_matrix(ctx, matrix(rows)).status == "pass"
+        assert calls == []
+        for row in rows:
+            row[11] = row[4]
+        got = ver.check_mds_matrix(ctx, matrix(rows))
+        assert got == oracles.check_mds_matrix(ctx, matrix(rows))
+        assert got.detail == "columns [0, 1, 2, 3, 4, 11] are singular"
+        assert calls
+
+
+def test_exact_check_of_theorem_3_5_22_11_walks_its_minors(monkeypatch):
+    # 705,432 subsets over GF(121), passed on the minors with no window;
+    # one entry changed, the walk finds a singular minor and the windows
+    # give the report a window walk alone gives
+    calls = _count_windows(monkeypatch)
+    code = con_families.construct_theorem_3_5(11, 1).code
+    ctx, gen = code.ctx, generator_matrix(code)
+    assert ver.check_mds_matrix(ctx, gen, mode="exact") == ver.CheckResult(
+        "mds", "pass", "all 705432 column 11-subsets nonsingular", "exact")
+    assert calls == []
+    rows = gen.tolist()
+    rows[5][16] = ctx.add(rows[5][16], 1)
+    got = ver.check_mds_matrix(ctx, matrix(rows), mode="exact")
+    assert got.status == "fail" and calls
+    monkeypatch.setattr(ver, "_minors_nonsingular", lambda a, ops: False)
+    assert ver.check_mds_matrix(ctx, matrix(rows), mode="exact") == got
+
+
 # --- MDS proofs from a Cauchy form -------------------------------------------------
 
 def _cauchy_case(ctx, rnd, k, m):
