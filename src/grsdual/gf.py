@@ -4,7 +4,8 @@ Field elements are plain ints in [0, q).  The element with polynomial
 coordinates (c_0, c_1, ..., c_{e-1}) over GF(p) -- constant term first --
 has index sum(c_i * p**i), so index 0 is the additive zero and index 1 the
 multiplicative identity.  Every "smallest" or "first" tie-break in this
-package refers to that index order.
+package refers to that index order.  `coords` writes many elements'
+coordinates in one numpy pass and `elements` reads them back in one.
 
 The modulus polynomial is canonical: the monic irreducible of degree e
 over GF(p) whose coefficient vector (constant first) is lexicographically
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import reprlib
 import threading
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConstructionInfeasible, GrsDualError
@@ -269,6 +271,25 @@ class FieldCtx:
         x = np.array(xs, dtype=np.int64).reshape(-1, 1)
         return (x // self.p ** np.arange(self.e) % self.p).tolist()
 
+    def elements(self, items: Sequence[Sequence[int]]):
+        """`element` of every cs in items as an int array, the inverse of
+        `coords`: one pass checks the lengths and types, numpy the range.
+        On any bad list the scalar walk raises the first one's ValueError."""
+        import numpy as np
+
+        p, e = self.p, self.e
+        if (set(map(len, items)) <= {e}
+                and set(map(type, chain.from_iterable(items))) <= {int}):
+            try:  # an unsigned dtype overflows on a negative coordinate
+                c = np.fromiter(chain.from_iterable(items),
+                                np.min_scalar_type(p), len(items) * e)
+            except OverflowError:
+                pass
+            else:
+                if (c < p).all():
+                    return c.reshape(-1, e) @ p ** np.arange(e, dtype=np.int32)
+        return np.array([self.element(cs) for cs in items], dtype=np.int32)
+
     def element(self, cs: Sequence[int]) -> Felt:
         """Element with the given length-e coordinate vector."""
         if len(cs) != self.e:
@@ -276,7 +297,8 @@ class FieldCtx:
         x = 0
         for c in reversed(cs):
             if not 0 <= json_int(c, "coordinate") < self.p:
-                raise ValueError(f"coordinate {c} out of range [0, {self.p})")
+                raise ValueError(f"coordinate {reprlib.repr(c)} out of range "
+                                 f"[0, {self.p})")
             x = x * self.p + c
         return x
 

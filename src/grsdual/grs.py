@@ -19,7 +19,8 @@ matrix, and generator row i + 1 is row i times the points, entrywise.
 The verifier's inner products do not use that provider, so a generator
 built here is checked by arithmetic it does not share.  A generator is a
 read-only int32 (k, N) array of element indices; its JSON form lists
-each entry's coordinates (`FieldCtx.coords`).
+each entry's coordinates, written by `FieldCtx.coords` and read back by
+its inverse, `FieldCtx.elements`.
 """
 
 from __future__ import annotations
@@ -221,11 +222,11 @@ def check_code_json(obj) -> None:
                                  f"coordinates, got {_json_type(cs)}")
 
 
-def _read_elements(ctx: FieldCtx, items: list, name: str) -> tuple[Felt, ...]:
-    """The elements of the coordinate arrays items; a bad coordinate's
-    ValueError names the field."""
+def _read_elements(ctx: FieldCtx, items: list, name: str):
+    """The elements of the coordinate arrays items, as an int array; a bad
+    coordinate's ValueError names the field."""
     try:
-        return tuple(ctx.element(cs) for cs in items)
+        return ctx.elements(items)
     except ValueError as exc:
         raise ValueError(f'"{name}": {exc}') from None
 
@@ -233,8 +234,8 @@ def _read_elements(ctx: FieldCtx, items: list, name: str) -> tuple[Felt, ...]:
 def code_from_json(obj: dict) -> GrsCode:
     check_code_json(obj)
     ctx = field_from_json(obj["field"])
-    code = GrsCode(ctx, _read_elements(ctx, obj["alpha"], "alpha"),
-                   _read_elements(ctx, obj["v"], "v"), obj["k"],
+    code = GrsCode(ctx, _read_elements(ctx, obj["alpha"], "alpha").tolist(),
+                   _read_elements(ctx, obj["v"], "v").tolist(), obj["k"],
                    obj["extended"])
     if code.n != obj["n"]:
         raise ValueError("stored n does not match the alpha list")
@@ -266,6 +267,6 @@ def stored_generator_from_json(obj: dict, code: GrsCode):
     if (rows, cols) != (k, length):
         raise GrsDualError(
             f"stored generator is {rows}x{cols}, expected {k}x{length}")
-    stored = np.array(entries, dtype=np.int32).reshape(k, length)
+    stored = entries.astype(np.int32, copy=False).reshape(k, length)
     stored.flags.writeable = False
     return stored

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import grsdual
-from grsdual import construct, grs
+from grsdual import construct, gf, grs
 from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
 from grsdual.grs import MAX_BLOCK_LENGTH
@@ -785,6 +785,21 @@ def test_verify_rejects_mistyped_fields(key, value, tmp_path, capsys):
     (lambda obj: {**obj, "generator": {
         **obj["generator"], "entries": obj["generator"]["entries"][:-1]}},
      "3x6 matrix needs 18 entries, got 17"),
+    # one bad coordinate in the middle of a list, named as the scalar
+    # walk names it; a long one abbreviated
+    (lambda obj: {**obj, "generator": {**obj["generator"], "entries": [
+        *obj["generator"]["entries"][:9], [5],
+        *obj["generator"]["entries"][10:]]}},
+     '"generator.entries": coordinate 5 out of range [0, 5)'),
+    (lambda obj: {**obj, "v": [*obj["v"][:2], [True], *obj["v"][3:]]},
+     '"v": coordinate must be an integer, got True'),
+    (lambda obj: {**obj, "alpha": [*obj["alpha"][:2], [2, 0],
+                                   *obj["alpha"][3:]]},
+     '"alpha": expected 1 coordinates, got 2'),
+    (lambda obj: {**obj, "alpha": [*obj["alpha"][:2], [10 ** 4000],
+                                   *obj["alpha"][3:]]},
+     '"alpha": coordinate 100000000000000000...0000000000000000000 out of '
+     'range [0, 5)'),
 ])
 def test_verify_schema_names_the_bad_field(tamper, message, monkeypatch,
                                            capsys):
@@ -797,6 +812,25 @@ def test_verify_schema_names_the_bad_field(tamper, message, monkeypatch,
     rc, out, err = run_cli(["verify", "-"], capsys)
     assert (rc, out) == (1, "")
     assert err == f"error: not a valid code object: {message}\n"
+
+
+@pytest.mark.parametrize("request_", [
+    construct.ConstructionRequest("theorem-3-5", r=3, t=1),
+    construct.ConstructionRequest("even-char", q=2048, n=8),
+])
+def test_verify_reads_a_valid_code_without_the_scalar_walk(
+        request_, monkeypatch, capsys):
+    # FieldCtx.elements reads every coordinate list of a valid code in
+    # numpy; the per-element walk is only its error path
+    text = json_text(construct.result_to_json(construct.build(request_)))
+
+    def scalar_walk(self, cs):
+        raise AssertionError("FieldCtx.element called")
+
+    monkeypatch.setattr(gf.FieldCtx, "element", scalar_walk)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run_cli(["verify", "-"], capsys)
+    assert (rc, err) == (0, "") and json.loads(out)["overall"] is True
 
 
 def _set_p_e_rows(obj):

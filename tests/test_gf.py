@@ -738,6 +738,57 @@ def test_element_coords_roundtrip():
         ctx.element([1])
     with pytest.raises(ValueError):
         ctx.element([5, 0])
+    # up to 40 digits a coordinate is quoted whole; past that, abbreviated
+    with raises_exactly(ValueError, f"^coordinate {10 ** 39} out of range"):
+        ctx.element([10 ** 39, 0])
+    with raises_exactly(ValueError, r"^coordinate 100000000000000000\.\.\."
+                                    r"0000000000000000000 out of range"):
+        ctx.element([10 ** 4000, 0])
+
+
+# a prime field, an odd extension, GF(2048), above the dense-table limit,
+# and a prime above 2^16, whose coordinates need a wider array
+_ELEMENTS_FIELDS = [make_field(5), make_field(3, 6), make_field(2, 11),
+                    make_field(65537)]
+
+
+@st.composite
+def _coordinate_lists(draw, min_size=0):
+    ctx = draw(st.sampled_from(_ELEMENTS_FIELDS))
+    xs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=min_size,
+                       max_size=30))
+    return ctx, ctx.coords(xs)
+
+
+@given(_coordinate_lists())
+def test_elements_matches_the_scalar_walk(case):
+    ctx, items = case
+    got = ctx.elements(items)
+    assert got.ndim == 1 and got.dtype.kind == "i"
+    assert got.tolist() == [ctx.element(cs) for cs in items]
+
+
+@given(_coordinate_lists(min_size=1), st.data())
+def test_elements_raises_the_scalar_walks_error(case, data):
+    # one list broken at one place: the array path must not coerce it, and
+    # its error is the scalar walk's, word for word
+    ctx, items = case
+    i = data.draw(st.integers(0, len(items) - 1))
+    j = data.draw(st.integers(0, ctx.e - 1))
+    bad = data.draw(st.sampled_from(
+        [True, 1.5, -1, ctx.p, 10 ** 30, "short", "long"]))
+    if bad == "short":
+        del items[i][j]
+    elif bad == "long":
+        items[i].insert(j, 0)
+    else:
+        items[i][j] = bad
+    with pytest.raises(ValueError) as scalar:
+        for cs in items:
+            ctx.element(cs)
+    with pytest.raises(ValueError) as array:
+        ctx.elements(items)
+    assert str(array.value) == str(scalar.value)
 
 
 def test_make_field_rejects_bad_argument_types():
