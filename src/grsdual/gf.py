@@ -32,11 +32,12 @@ character-sum check intersect.
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
-(`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For q <= 2^10 `mul` and `sub` are
-also evaluated once on every pair and kept as dense q x q int16 tables,
-so each op is a single lookup; above 2^10 they are evaluated on the
-arrays they are given.  Whether a field has the dense tables also picks
-the exact MDS check's kernel (see `verify`).
+(`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For odd q <= 2^10 `mul` and `sub`
+are also evaluated once on every pair and kept as dense q x q int16
+tables, so each op is a single lookup; otherwise (characteristic 2,
+where XOR and the exp/log lookup beat a q x q gather, or q > 2^10) they
+are evaluated on the arrays they are given.  Whether a field has the
+dense tables also picks the exact MDS check's kernel (see `verify`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import ConstructionInfeasible, GrsDualError
 Felt = int  # a field element: its index in [0, q)
 
 FIELD_SIZE_LIMIT = 1 << 20
-_NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops up to this q
+_NP_TABLE_LIMIT = 1 << 10   # tabulate the numpy ops for odd q up to this
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -211,8 +212,8 @@ class _Indexed:
 class _NpOps(NamedTuple):
     """What `linalg._np_echelon` and `grs.difference_products` read:
     sub[x, y], mul[x, y], inv[x].  sub and mul are the dense q x q int16
-    tables up to 2^10 and `_Indexed` ops above; inv is the int32 inverse
-    array."""
+    tables for odd q up to 2^10 and `_Indexed` ops otherwise; inv is the
+    int32 inverse array."""
     sub: object
     mul: object
     inv: object
@@ -636,14 +637,15 @@ class FieldCtx:
         return self._np_ops
 
     def _build_np_ops(self) -> _NpOps:
-        """`sub` and `mul` as read-only dense q x q int16 tables up to 2^10.
+        """`sub` and `mul` as read-only dense q x q int16 tables for odd q
+        up to 2^10.
 
-        `mul` is an int16 copy of exp at log x + log y.  `sub` is x ^ y for
-        p = 2; for odd p it grows from the p x p table of GF(p) one base-p
-        digit at a time: x - y below p^(i+1) is the GF(p) difference of the
-        digits at weight p^i, times p^i, plus x - y of the lower digits, one
-        broadcast add.  Above the limit `sub` is `_digit_sub` and `mul` the
-        exp/log lookup, evaluated on the arrays they are given.
+        `mul` is an int16 copy of exp at log x + log y.  `sub` grows from
+        the p x p table of GF(p) one base-p digit at a time: x - y below
+        p^(i+1) is the GF(p) difference of the digits at weight p^i, times
+        p^i, plus x - y of the lower digits, one broadcast add.  Otherwise
+        `sub` is `_digit_sub` (XOR for p = 2, which with the exp/log lookup
+        beats the tables at every size) and `mul` the exp/log lookup.
         """
         import numpy as np
 
@@ -653,22 +655,18 @@ class FieldCtx:
         def mul(x, y):
             return exp[log[x] + log[y]]
 
-        if q > _NP_TABLE_LIMIT:
+        if p == 2 or q > _NP_TABLE_LIMIT:
             return _NpOps(_Indexed(self._sub), _Indexed(mul), inv)
         # mul first: its q x q index array is freed before sub is built.
         # Log sums stay below 4q and every entry below q: int16 holds both
         log16 = log.astype(np.int16)
         products = exp.astype(np.int16)[log16[:, None] + log16[None, :]]
-        if p == 2:
-            xs = np.arange(q, dtype=np.int16)
-            sub = xs[:, None] ^ xs[None, :]
-        else:
-            digits = np.arange(p, dtype=np.int16)
-            top = (digits[:, None] - digits[None, :]) % p
-            sub = top
-            for w in (p ** i for i in range(1, e)):
-                sub = (top[:, None, :, None] * w + sub[None, :, None, :]
-                       ).reshape(w * p, w * p)
+        digits = np.arange(p, dtype=np.int16)
+        top = (digits[:, None] - digits[None, :]) % p
+        sub = top
+        for w in (p ** i for i in range(1, e)):
+            sub = (top[:, None, :, None] * w + sub[None, :, None, :]
+                   ).reshape(w * p, w * p)
         products.flags.writeable = sub.flags.writeable = False
         return _NpOps(sub, products, inv)
 

@@ -32,11 +32,12 @@ from .gf import FieldCtx, Felt, field_from_json, json_int
 
 
 # Longest block length N accepted, checked before any O(N^2) work; since
-# k <= N it also bounds the k x N generator.  Constructing and verifying
-# (--mds-mode structural) the even-char [1280, 640] code over GF(2048)
-# took 2.7 + 2.5 s in one process (peak RSS 150 MB), and [1024, 512]
-# over GF(1024) 1.8 + 1.7 s (106 MB), on a 2-vCPU Xeon with Python 3.11
-# and numpy 2.4; the time grows about as N^3.
+# k <= N it also bounds the k x N generator.  `construct -o` and
+# `verify --mds-mode structural` of the even-char [1280, 640] code over
+# GF(2048) took 4.9-6.2 s (peak RSS 468 MB) and 4.7-6.4 s (419 MB), and
+# of [1024, 512] over GF(1024) 2.7-3.6 s (287 MB) and 2.7-2.9 s
+# (270 MB), each in its own process on a noisy 2-vCPU Xeon with Python
+# 3.11 and numpy 2.4; the time grows about as N^3.
 MAX_BLOCK_LENGTH = 1280
 
 

@@ -12,8 +12,8 @@ with both passes, then tests one small square block per column subset,
 except in a longer exact check whose square submatrices of the
 non-pivot part are all nonsingular: a Schur-complement walk proves that
 with no elimination (`verify._minors_nonsingular`).
-Exact checks of a few dozen subsets over fields with dense tables (q <=
-2^10) take the blocks one at a time, by a forward pass on the block's
+Exact checks of a few dozen subsets over fields with dense tables (odd
+q <= 2^10) take the blocks one at a time, by a forward pass on a block's
 Python rows (`_np_nonsingular`, given lists cut from the reduced form's
 `tolist()`), reading the field through memoryview rows of its tables,
 made once per check.  Every other check, a longer exact walk at any q or
@@ -95,9 +95,9 @@ def _np_nonsingular(rows, ops) -> bool:
 
     ops is the plain (mul, sub, inv) tuple of the dense tables' rows,
     which the exact MDS check makes once (`verify._table_rows`) and
-    passes to every call; fields above 2^10 have no dense tables, and
-    walks longer than the limit (`verify._PER_SUBSET_LIMIT`) never come
-    here.  Each step pivots on the first row with a nonzero leading
+    passes to every call; only odd fields up to 2^10 have dense tables,
+    and walks longer than the limit (`verify._PER_SUBSET_LIMIT`) never
+    come here.  Each step pivots on the first row with a nonzero leading
     entry, as `_np_echelon` does, and keeps the rows
     below it, cleared, without the pivot column.  Three rows left are
     tested by their determinant expanded along the first row, two by

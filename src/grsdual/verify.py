@@ -30,10 +30,11 @@ rows whose pivot the subset leaves out against the subset's non-pivot
 columns (MacWilliams-Sloane, ch. 11).  So each subset costs one
 elimination of j ~ k/2 rows instead of k, and the code is MDS iff every
 square submatrix (minor) of A is nonsingular.  Exact mode tests a
-short walk over dense tables a subset at a time.  Any other exact walk
-with the pivots in columns 0..k-1 first walks A's minors by Schur
-complements (`_minors_nonsingular`), one complement entry per minor and
-so per subset, and passes if every minor is nonsingular.  Otherwise it
+short walk over dense tables (odd q <= 2^10) a subset at a time.  Any
+other exact walk with the pivots in columns 0..k-1 first walks A's
+minors by Schur complements (`_minors_nonsingular`), one complement
+entry per minor and so per subset, and passes if every minor is
+nonsingular.  Otherwise it
 walks the subsets in lexicographic order, in numpy windows of many
 subsets, and names the first singular one.  Randomized mode first tries
 a proof: when the pivots are columns 0..k-1 and A is a generalized
@@ -185,14 +186,14 @@ def _products(ctx: FieldCtx, x, y):
     return sum(deg[t] % p * p ** t for t in range(e))
 
 
-def _first_nonzero_product(ctx: FieldCtx, a, b, upper: bool = False):
+def _first_nonzero_product(ctx: FieldCtx, a, b):
     """(i, j, value) of the first nonzero <row i of a, row j of b> in
-    row-major order, or None; upper scans only j >= i (for a = b)."""
+    row-major order, or None; j >= i for a = b, whose product is
+    symmetric: (j, i) comes before a nonzero (i, j) below the diagonal."""
     import numpy as np
 
     value = _products(ctx, a, b)
-    nonzero = np.triu(value != 0) if upper else value != 0
-    hits = np.argwhere(nonzero)
+    hits = np.argwhere(value != 0)
     if hits.size == 0:
         return None
     i, j = (int(x) for x in hits[0])
@@ -210,7 +211,7 @@ def check_self_dual_matrix(ctx: FieldCtx, gen) -> CheckResult:
     if rank_rows(ctx, gen) != k:
         return CheckResult("self-dual", "fail",
                            f"generator rank below k = {k}", "exact")
-    hit = _first_nonzero_product(ctx, gen, gen, upper=True)
+    hit = _first_nonzero_product(ctx, gen, gen)
     if hit is not None:
         i, j, acc = hit
         return CheckResult(
@@ -247,11 +248,11 @@ def check_mds_matrix(ctx: FieldCtx, gen, mode: str = "exact",
     singular, so on a singular minor, or with other pivots, the subset
     walk runs and names it.  Each subset checked is tested on its block
     of the reduced form.  An exact walk of at most `_PER_SUBSET_LIMIT`
-    subsets over a field with dense tables (q <= 2^10) eliminates one
-    block per subset on Python ints
-    (`_np_subset_nonsingular`), cutting it from the form's `tolist()` and
-    reading the field through the tables' rows (`_table_rows`), both made
-    once for the check.  Every other check takes its subsets in windows
+    subsets over a field with dense tables (odd q <= 2^10) eliminates
+    one block per subset on Python ints (`_np_subset_nonsingular`),
+    cutting it from the form's `tolist()` and reading the field through
+    the tables' rows (`_table_rows`), both made once for the check.
+    Every other check takes its subsets in windows
     of four chunks, each chunk at most `_MDS_CHUNK` block entries, in one
     int16 array: the next subsets of the lexicographic walk (exact), or
     seeded `Random.sample` draws (randomized).  Each window's blocks are

@@ -606,7 +606,8 @@ def test_scalar_ops_match_slow_and_coordinate_oracles(p, e):
 
 # --- lazily built tables ------------------------------------------------------------
 
-@pytest.mark.parametrize("q", (16, 2048))  # dense numpy tables, exp/log only
+# exp/log ops (GF(16), GF(2048)) and dense numpy tables (GF(25))
+@pytest.mark.parametrize("q", (16, 25, 2048))
 @pytest.mark.parametrize("first", ("mul", "np_ops"))
 def test_tables_are_asked_for_only_while_unbuilt(q, first, monkeypatch):
     # every _ensure_tables call builds: np_ops skips it once a scalar op
@@ -674,11 +675,11 @@ def test_exp_log_tables_with_a_dense_modulus():
     _check_tables_against_slow_powers(ctx, 37)
 
 
-@pytest.mark.parametrize("q", [4, 9, 16, 17, 27, 1024])
+@pytest.mark.parametrize("q", [5, 9, 17, 25, 27, 1021])
 def test_row_ops_read_the_fields_ops_as_python_ints(q):
-    # memoryview rows of the dense tables (every pair below 32, random
-    # pairs above), as the exact MDS check makes them: rows[x][y] is the
-    # scalar op's result, a Python int
+    # memoryview rows of the dense tables, which only odd fields have
+    # (every pair below 32, random pairs above), as the exact MDS check
+    # makes them: rows[x][y] is the scalar op's result, a Python int
     ctx = field_for_order(q)
     mul, sub, inv = verify._table_rows(ctx.np_ops())
     if q <= 32:
@@ -713,6 +714,24 @@ def test_dense_tables_are_read_only():
     assert mul[2][5] == product == ctx.mul(2, 5)
     assert sub[2][5] == difference == ctx.sub(2, 5)
     assert all(r.readonly for r in (*mul, *sub))
+
+
+def test_dense_tables_exactly_for_odd_fields_up_to_the_limit():
+    # every prime power q <= 2^11: read-only q x q int16 tables iff q is
+    # odd and q <= 2^10, else the exp/log ops (XOR subtraction for p = 2).
+    # Fresh contexts, so each field's tables go with it
+    for q in (q for q in range(2, 2 ** 11 + 1) if len(factorint(q)) == 1):
+        (p, e), = factorint(q).items()
+        ctx = FieldCtx(p, e, make_field(p, e).modulus)
+        ops = ctx.np_ops()
+        if q % 2 and q <= 2 ** 10:
+            for table in (ops.mul, ops.sub):
+                assert type(table) is np.ndarray, q
+                assert table.dtype == np.int16 and table.shape == (q, q)
+                assert not table.flags.writeable
+        else:
+            assert type(ops.mul) is type(ops.sub) is gf._Indexed, q
+            assert ops.sub.fn is ctx._sub
 
 
 # --- serialization ------------------------------------------------------------------

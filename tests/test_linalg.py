@@ -219,10 +219,10 @@ def _square_cases(ctx, rnd, j):
     return cases
 
 
-@pytest.mark.parametrize("q", [7, 9, 16])
+@pytest.mark.parametrize("q", [7, 9, 25])
 def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
-    # the dense tables' rows, as the exact MDS check reads them (prime,
-    # digit-wise and characteristic-2 subtraction)
+    # the dense tables' rows, as the exact MDS check reads them (prime
+    # and digit-wise subtraction, in characteristic 3 and 5)
     ctx = field_for_order(q)
     ops = ctx.np_ops()
     field = verify._table_rows(ops)
@@ -342,39 +342,52 @@ def _pairs_agree_with_oracles(ctx, xs, ys):
                                          for a in nonzero.tolist()]
 
 
+def _all_pairs(q):
+    """Every (x, y) in GF(q)^2, as two int32 arrays."""
+    x, y = np.meshgrid(np.arange(q, dtype=np.int32),
+                       np.arange(q, dtype=np.int32))
+    return x.ravel(), y.ravel()
+
+
+def _sampled_pairs(q, rnd, count=2000):
+    """The 0 and 1 rows and columns of GF(q)'s op tables, plus count
+    random pairs, as two int32 arrays."""
+    xs = np.array([0] * q + [1] * q + list(range(q)) * 2
+                  + [rnd.randrange(q) for _ in range(count)], dtype=np.int32)
+    ys = np.array(list(range(q)) * 2 + [0] * q + [1] * q
+                  + [rnd.randrange(q) for _ in range(count)], dtype=np.int32)
+    return xs, ys
+
+
 def test_array_ops_agree_with_dense_tables():
-    # up to 2^10 np_ops() keeps q x q int16 tables, C-contiguous and
-    # read-only (prime, characteristic 2 and digit-wise subtraction); all
-    # q^2 pairs against the oracles, and sampled pairs plus the 0 and 1
-    # rows and columns at the limit
+    # for odd q up to 2^10 np_ops() keeps q x q int16 tables, C-contiguous
+    # and read-only (prime and digit-wise subtraction); all q^2 pairs
+    # against the oracles, and sampled pairs plus the 0 and 1 rows and
+    # columns at the limit, prime and square
     def assert_dense_int16(table, q):
         assert table.shape == (q, q) and table.dtype == np.int16
         assert table.flags.c_contiguous and not table.flags.writeable
 
-    for q in (4, 5, 9, 16, 25, 27, 81, 125):
+    for q in (5, 9, 25, 27, 49, 81, 125):
         ctx = field_for_order(q)
         ops = ctx.np_ops()
         for table in (ops.mul, ops.sub):
             assert_dense_int16(table, q)
-        x, y = np.meshgrid(np.arange(q, dtype=np.int32),
-                           np.arange(q, dtype=np.int32))
-        _pairs_agree_with_oracles(ctx, x.ravel(), y.ravel())
-    ctx = field_for_order(1024)
-    ops = ctx.np_ops()
-    for table in (ops.mul, ops.sub):
-        assert_dense_int16(table, 1024)
+        _pairs_agree_with_oracles(ctx, *_all_pairs(q))
     rnd = random.Random(4)
-    xs = np.array([0] * 1024 + [1] * 1024 + list(range(1024)) * 2
-                  + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
-    ys = np.array(list(range(1024)) * 2 + [0] * 1024 + [1] * 1024
-                  + [rnd.randrange(1024) for _ in range(2000)], dtype=np.int32)
-    _pairs_agree_with_oracles(ctx, xs, ys)
+    for q in (1021, 961):
+        ctx = field_for_order(q)
+        ops = ctx.np_ops()
+        for table in (ops.mul, ops.sub):
+            assert_dense_int16(table, q)
+        _pairs_agree_with_oracles(ctx, *_sampled_pairs(q, rnd))
 
 
 def test_array_ops_match_scalar_arithmetic_above_table_limit():
     # above 2^10 the ops are the O(q) exp/log arrays, not tables, up to
     # the 2^20 field size limit (prime, characteristic 2 and digit-wise
-    # subtraction)
+    # subtraction); in characteristic 2 they are at every size, checked
+    # on all pairs up to GF(64) and sampled pairs at GF(256) and GF(1024)
     rnd = random.Random(5)
     for q in (1031, 1849, 2048, 2187, 65536, 65537, 2 ** 17, 3 ** 11,
               2 ** 20, 3 ** 12, 1048573):
@@ -386,6 +399,13 @@ def test_array_ops_match_scalar_arithmetic_above_table_limit():
         ys = np.array([rnd.randrange(q) for _ in range(203)], dtype=np.int32)
         assert ops.mul[xs, ys].dtype == ops.inv.dtype == np.int32
         _pairs_agree_with_oracles(ctx, xs, ys)
+    for q in (2, 4, 8, 16, 32, 64, 256, 1024):
+        ctx = field_for_order(q)
+        ops = ctx.np_ops()
+        assert not isinstance(ops.mul, np.ndarray)
+        pairs = _all_pairs(q) if q <= 64 else _sampled_pairs(q, rnd)
+        assert ops.mul[pairs].dtype == np.int32
+        _pairs_agree_with_oracles(ctx, *pairs)
 
 
 def test_fresh_field_builds_np_ops_once_under_threads(monkeypatch):

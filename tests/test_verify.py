@@ -182,10 +182,12 @@ PINNED_SELF_DUAL_DETAILS = {
 @pytest.mark.parametrize("q", INNER_PRODUCT_FIELDS)
 def test_inner_products_match_matmul_oracle(q):
     ctx, gen, tampered = _inner_product_cases(q)
-    assert ver._first_nonzero_product(ctx, gen, gen, upper=True) is None
+    assert ver._first_nonzero_product(ctx, gen, gen) is None
     assert ver.check_self_dual_matrix(ctx, gen).status == "pass"
     for bad in tampered:
-        hit = ver._first_nonzero_product(ctx, bad, bad, upper=True)
+        # G G^T is symmetric: the full scan's first hit is the upper
+        # triangle's
+        hit = ver._first_nonzero_product(ctx, bad, bad)
         assert hit is not None
         assert hit == _oracle_first_product(ctx, bad, bad, upper=True)
         # the full product, and rectangular blocks, as the dual identity uses
@@ -649,9 +651,9 @@ def _walk_shape(total):
                key=lambda shape: shape[1])
 
 
-def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
-    # a walk of _PER_SUBSET_LIMIT subsets tests each on its own, one of
-    # one subset more takes the windows; both give the oracle's reports
+def _count_subsets(monkeypatch):
+    """Patch `verify._np_subset_nonsingular`; return the list of the
+    column subsets it is called with."""
     calls = []
     subset = ver._np_subset_nonsingular
 
@@ -660,8 +662,16 @@ def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
         return subset(*args)
 
     monkeypatch.setattr(ver, "_np_subset_nonsingular", counted)
-    ctx = field_for_order(1024)
-    rnd = random.Random(1024)
+    return calls
+
+
+def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
+    # over dense tables (odd q <= 2^10) a walk of _PER_SUBSET_LIMIT
+    # subsets tests each on its own, one of one subset more takes the
+    # windows; both give the oracle's reports
+    calls = _count_subsets(monkeypatch)
+    ctx = field_for_order(961)
+    rnd = random.Random(961)
     limit = ver._PER_SUBSET_LIMIT
     for total in (limit, limit + 1):
         n, k = _walk_shape(total)
@@ -680,6 +690,32 @@ def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
             assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
             assert calls == (walk[:walked] if total == limit else [])
         assert got.detail == f"columns {list(walk[first])} are singular"
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_short_exact_walks_in_characteristic_2_walk_the_minors(
+        q, monkeypatch):
+    # GF(2^e) has no dense tables, so even a walk of at most
+    # _PER_SUBSET_LIMIT subsets goes to the minors, and to the windows
+    # once a minor is singular: never a subset at a time.  A GRS code as
+    # built and with its last column zeroed give the oracle's reports
+    calls = _count_subsets(monkeypatch)
+    verdicts = _spy_minor_walk(monkeypatch)
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
+    n = min(q, 7)
+    k = n // 2
+    assert math.comb(n, k) <= ver._PER_SUBSET_LIMIT
+    rows = _grs_rows(ctx, rnd, k, n)
+    tampered = [row[:-1] + [0] for row in rows]
+    for gen, mds in ((rows, True), (tampered, False)):
+        gen = matrix(gen)
+        verdicts.clear()
+        got = ver.check_mds_matrix(ctx, gen, mode="exact")
+        assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
+        assert (got.status == "pass") == mds
+        assert verdicts == [mds]
+    assert calls == []
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
