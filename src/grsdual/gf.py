@@ -32,12 +32,11 @@ character-sum check intersect.
 Bulk linear algebra (see `linalg`) and the GRS layer (`grs`: dual
 coefficients, generator rows and the theorem-3-5 block products) read
 one numpy op provider per field, `np_ops()`, indexed like tables
-(`mul[x, y]`, `sub[x, y]`, `inv[x]`).  For odd q <= 2^10 `mul` and `sub`
-are also evaluated once on every pair and kept as dense q x q int16
-tables, so each op is a single lookup; otherwise (characteristic 2,
-where XOR and the exp/log lookup beat a q x q gather, or q > 2^10) they
-are evaluated on the arrays they are given.  Whether a field has the
-dense tables also picks the exact MDS check's kernel (see `verify`).
+(`mul[x, y]`, `sub[x, y]`, `inv[x]`), on arrays and scalars alike.  For
+odd q <= 2^10 `mul` and `sub` are also evaluated once on every pair and
+kept as dense q x q int16 tables, so each op is a single lookup;
+otherwise (characteristic 2, where XOR and the exp/log lookup beat a
+q x q gather, or q > 2^10) they are evaluated on what they are given.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ class _Indexed:
 
 
 class _NpOps(NamedTuple):
-    """What `linalg._np_echelon` and `grs.difference_products` read:
+    """What the `linalg` kernels and `grs.difference_products` read:
     sub[x, y], mul[x, y], inv[x].  sub and mul are the dense q x q int16
     tables for odd q up to 2^10 and `_Indexed` ops otherwise; inv is the
     int32 inverse array."""

@@ -12,13 +12,10 @@ with both passes, then tests one small square block per column subset,
 except in a longer exact check whose square submatrices of the
 non-pivot part are all nonsingular: a Schur-complement walk proves that
 with no elimination (`verify._minors_nonsingular`).
-Exact checks of a few dozen subsets over fields with dense tables (odd
-q <= 2^10) take the blocks one at a time, by a forward pass on a block's
-Python rows (`_np_nonsingular`, given lists cut from the reduced form's
-`tolist()`), reading the field through memoryview rows of its tables,
-made once per check.  Every other check, a longer exact walk at any q or
-a randomized one, eliminates a stack of equally sized blocks at once in
-numpy (`_np_batch_nonsingular`).
+Exact checks of a few dozen subsets test one block at a time, by its
+determinant (`_np_nonsingular`); every other check, a longer exact walk
+or a randomized one, eliminates a stack of equally sized blocks at once
+in numpy (`_np_batch_nonsingular`).
 A randomized check eliminates no block at all when the reduced form has
 a Cauchy form, which proves every subset nonsingular (`verify`).
 """
@@ -91,44 +88,26 @@ def _np_echelon(a, ops, reduced: bool = False) -> list[int]:
 
 def _np_nonsingular(rows, ops) -> bool:
     """Nonsingularity of a square block given as a list of rows of
-    Python ints, by a forward pass on them; rows is not changed.
-
-    ops is the plain (mul, sub, inv) tuple of the dense tables' rows,
-    which the exact MDS check makes once (`verify._table_rows`) and
-    passes to every call; only odd fields up to 2^10 have dense tables,
-    and walks longer than the limit (`verify._PER_SUBSET_LIMIT`) never
-    come here.  Each step pivots on the first row with a nonzero leading
-    entry, as `_np_echelon` does, and keeps the rows
-    below it, cleared, without the pivot column.  Three rows left are
-    tested by their determinant expanded along the first row, two by
-    theirs, with no list built.  Each cleared row fetches the product
-    row m of its factor once, and each entry reads sub[x][m[y]]: two
-    memoryview reads, where numpy's scalar indexing costs about three
-    times as much.  The `_np_` name stays: the benchmark's spans and
-    tests wrap this function by name.
+    Python ints, which are only read.  A block of at most 3 rows, all an
+    exact walk of at most `verify._PER_SUBSET_LIMIT` subsets cuts, goes
+    by its determinant, read from `FieldCtx.np_ops()`, tables or not, a
+    scalar at a time; a larger one to `_np_batch_nonsingular`.  The
+    benchmark's spans and tests wrap this function by name.
     """
-    mul, sub, inv = ops
-    while len(rows) > 3:
-        for i, top in enumerate(rows):
-            if top[0]:
-                break
-        else:
-            return False
-        below = rows[1:]
-        if i:
-            below[i - 1] = rows[0]
-        scale, tail = mul[inv[top[0]]], top[1:]
-        rows = [[sub[x][m[y]] for x, y in zip(row[1:], tail)]
-                for row in below for m in (mul[scale[row[0]]],)]
+    if len(rows) > 3:
+        import numpy as np
+
+        return bool(_np_batch_nonsingular(np.array([rows], np.int32), ops)[0])
+    mul, sub = ops.mul, ops.sub
     if len(rows) == 3:
         # a (ei - fh) - (b (di - fg) - c (dh - eg))
         (a, b, c), (d, e, f), (g, h, i) = rows
-        md, me, mf = mul[d], mul[e], mul[f]
-        return sub[mul[a][sub[me[i]][mf[h]]]][
-            sub[mul[b][sub[md[i]][mf[g]]]][mul[c][sub[md[h]][me[g]]]]] != 0
+        return bool(sub[mul[a, sub[mul[e, i], mul[f, h]]],
+                        sub[mul[b, sub[mul[d, i], mul[f, g]]],
+                            mul[c, sub[mul[d, h], mul[e, g]]]]])
     if len(rows) == 2:
         (w, x), (y, z) = rows
-        return mul[w][z] != mul[x][y]
+        return bool(mul[w, z] != mul[x, y])
     return not rows or bool(rows[0][0])
 
 

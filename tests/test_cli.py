@@ -10,6 +10,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,6 +29,8 @@ from grsdual import construct, gf, grs
 from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
 from grsdual.grs import MAX_BLOCK_LENGTH
+
+import oracles
 
 
 def run_cli(argv, capsys):
@@ -744,6 +747,74 @@ def test_fuzzed_argv_exits_cleanly(case, capsys):
     assert rc in clean and "Traceback" not in err, (argv, err)
     if not all(map(_is_field_order, fields)):
         assert rc == 1, (argv, err)
+
+
+# the [6, 3] codes the verify fuzz reads: dense tables (GF(9), GF(5))
+# and exp/log ops with XOR subtraction (GF(16), GF(2048))
+_VERIFY_FUZZ_CODES = {
+    "gf9": ["theorem-3-5", "--r", "3", "--t", "1"],
+    "gf16": ["even-char", "--q", "16", "--n", "6"],
+    "gf2048": ["even-char", "--q", "2048", "--n", "6"],
+    "extended-q5": ["extended", "--q", "5"],
+}
+
+
+@pytest.fixture(scope="module")
+def verify_fuzz_files(tmp_path_factory):
+    """Code JSON files of each `_VERIFY_FUZZ_CODES` code, as built and
+    with column 1 of the stored generator a copy of column 0."""
+    out = tmp_path_factory.mktemp("verify-fuzz")
+    files = {}
+    for name, args in _VERIFY_FUZZ_CODES.items():
+        built = out / f"{name}.json"
+        assert main(["construct", "--family", *args, "-o", str(built)]) == 0
+        obj = json.loads(built.read_text())
+        gen = obj["generator"]
+        entries, cols = gen["entries"], gen["cols"]
+        for at in range(0, len(entries), cols):
+            entries[at + 1] = entries[at]
+        tampered = out / f"{name}-tampered.json"
+        tampered.write_text(json.dumps(obj))
+        files[name, False], files[name, True] = built, tampered
+    return files
+
+
+@given(code=st.sampled_from(sorted(_VERIFY_FUZZ_CODES)),
+       tampered=st.booleans(),
+       mode=st.sampled_from(["auto", "exact", "randomized", "structural"]),
+       budget=st.integers(0, 100), samples=st.integers(1, 50),
+       seed=st.integers(-10 ** 6, 10 ** 12))
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_verify_flags_exit_cleanly_with_the_oracles_report(
+        code, tampered, mode, budget, samples, seed, verify_fuzz_files,
+        capsys):
+    # an exact walk over budget gives up (exit 2); otherwise the report's
+    # exact or randomized MDS check is the oracle's on the stored
+    # generator, in the mode the report names ("auto" resolved)
+    path = verify_fuzz_files[code, tampered]
+    argv = ["verify", str(path), "--mds-mode", mode, "--budget", str(budget),
+            "--samples", str(samples), "--seed", str(seed)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc in (0, 2, 3) and "Traceback" not in err, (argv, err)
+    if rc == 2:
+        assert out == "" and "exact MDS check gave up" in err, (argv, err)
+        assert mode == "exact" and budget < math.comb(6, 3)
+        return
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    mds = checks["mds"]
+    assert (rc == 0) == all(c["status"] != "fail" for c in checks.values())
+    if mds["mode"] == "structural":
+        assert mode == "structural"
+        return
+    obj = json.loads(path.read_text())
+    stored = grs.code_from_json(obj)
+    gen = grs.stored_generator_from_json(obj, stored)
+    want = oracles.check_mds_matrix(stored.ctx, gen, mode=mds["mode"],
+                                    budget=budget, samples=samples, seed=seed)
+    assert mds == want.to_json(), argv
+    if not tampered:
+        assert mds["status"] == "pass"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -15,7 +15,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import FIELDS, field_and_matrix, raises_exactly
-from grsdual import linalg as la, verify
+from grsdual import linalg as la
 from grsdual.gf import FieldCtx, field_for_order, make_field
 from grsdual.grs import (GrsCode, code_to_json, dual_coefficients,
                          stored_generator_from_json)
@@ -219,13 +219,15 @@ def _square_cases(ctx, rnd, j):
     return cases
 
 
-@pytest.mark.parametrize("q", [7, 9, 25])
+@pytest.mark.parametrize("q", [7, 9, 25, 16, 2048, 2187])
 def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
-    # the dense tables' rows, as the exact MDS check reads them (prime
-    # and digit-wise subtraction, in characteristic 3 and 5)
+    # the field's own op provider, as the exact MDS check passes it:
+    # dense tables (prime and digit-wise subtraction, in characteristic
+    # 3 and 5) and `_Indexed` exp/log ops (XOR in characteristic 2, and
+    # GF(3^7)).  Blocks of up to 3 rows are tested by their determinant,
+    # larger ones by the batched elimination
     ctx = field_for_order(q)
     ops = ctx.np_ops()
-    field = verify._table_rows(ops)
     rnd = random.Random(q)
     outcomes = set()
     for j in range(9):
@@ -233,11 +235,11 @@ def test_forward_pass_kernel_agrees_with_numpy_elimination(q):
             a = np.array(rows, dtype=np.int32).reshape(j, j)
             want = len(la._np_echelon(a.copy(), ops)) == j
             block = a.tolist()
-            got = la._np_nonsingular(block, field)
+            got = la._np_nonsingular(block, ops)
             assert type(got) is bool and got == want, (q, rows)
             # the argument is only read
             assert block == a.tolist()
-            outcomes.add((j > 2, got))
+            outcomes.add((j > 3, got))
     assert outcomes == {(False, True), (False, False), (True, True),
                         (True, False)}
 

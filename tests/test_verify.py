@@ -665,13 +665,15 @@ def _count_subsets(monkeypatch):
     return calls
 
 
-def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
-    # over dense tables (odd q <= 2^10) a walk of _PER_SUBSET_LIMIT
-    # subsets tests each on its own, one of one subset more takes the
-    # windows; both give the oracle's reports
+@pytest.mark.parametrize("q", [961, 2048, 2187])
+def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(q, monkeypatch):
+    # over dense tables (GF(31^2)) and exp/log ops (GF(2^11), GF(3^7))
+    # alike, a walk of _PER_SUBSET_LIMIT subsets tests each on its own,
+    # one of one subset more takes the windows; both give the oracle's
+    # reports
     calls = _count_subsets(monkeypatch)
-    ctx = field_for_order(961)
-    rnd = random.Random(961)
+    ctx = field_for_order(q)
+    rnd = random.Random(q)
     limit = ver._PER_SUBSET_LIMIT
     for total in (limit, limit + 1):
         n, k = _walk_shape(total)
@@ -693,11 +695,11 @@ def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
-def test_short_exact_walks_in_characteristic_2_walk_the_minors(
+def test_short_exact_walks_in_characteristic_2_go_a_subset_at_a_time(
         q, monkeypatch):
-    # GF(2^e) has no dense tables, so even a walk of at most
-    # _PER_SUBSET_LIMIT subsets goes to the minors, and to the windows
-    # once a minor is singular: never a subset at a time.  A GRS code as
+    # GF(2^e) keeps no dense tables, and a walk of at most
+    # _PER_SUBSET_LIMIT subsets still tests each on its own, up to the
+    # first singular one, and never walks the minors.  A GRS code as
     # built and with its last column zeroed give the oracle's reports
     calls = _count_subsets(monkeypatch)
     verdicts = _spy_minor_walk(monkeypatch)
@@ -708,14 +710,16 @@ def test_short_exact_walks_in_characteristic_2_walk_the_minors(
     assert math.comb(n, k) <= ver._PER_SUBSET_LIMIT
     rows = _grs_rows(ctx, rnd, k, n)
     tampered = [row[:-1] + [0] for row in rows]
+    walk = list(combinations(range(n), k))
+    first = next(at for at, cols in enumerate(walk) if n - 1 in cols)
     for gen, mds in ((rows, True), (tampered, False)):
         gen = matrix(gen)
-        verdicts.clear()
+        calls.clear()
         got = ver.check_mds_matrix(ctx, gen, mode="exact")
         assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
         assert (got.status == "pass") == mds
-        assert verdicts == [mds]
-    assert calls == []
+        assert calls == (walk if mds else walk[:first + 1])
+    assert verdicts == []
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
