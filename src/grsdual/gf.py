@@ -518,9 +518,10 @@ class FieldCtx:
             if place[c]:
                 continue
             firsts.append(c)
+            # neither x is placed: c by the check above, and -c is in
+            # neither c's orbit (-1 is no power of alpha) nor an earlier
+            # first's or its negative's, whose walks would have placed c
             for x in (c, self._sub(0, c)) if paired else (c,):
-                if place[x]:
-                    continue
                 m += 1
                 while not place[x]:
                     n += 1

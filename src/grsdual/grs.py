@@ -87,11 +87,6 @@ class GrsCode(_CodeFields):
         return self.n + (1 if self.extended else 0)
 
 
-# entries of the difference matrix held at once: rows are reduced a chunk
-# at a time, so memory stays bounded for long point sets
-_DIFFERENCE_CHUNK = 1 << 20
-
-
 def difference_products(ctx: FieldCtx, points: Sequence[Felt],
                         blocks: int = 1):
     """(n, blocks) int32 array: entry (i, b) is the product of (a_i - a_j)
@@ -99,30 +94,27 @@ def difference_products(ctx: FieldCtx, points: Sequence[Felt],
 
     One kernel on the field's op provider: the n x n difference matrix
     with ones on its diagonal, each row block reduced by log-depth
-    pairwise products.  Tabulated and exp/log ops index alike; each
-    chunk's products are written into the int32 result, whatever dtype
-    the ops gather.
+    pairwise products.  Tabulated and exp/log ops index alike; the
+    products are written into the int32 result, whatever dtype the ops
+    gather.
     """
     import numpy as np
 
     n = len(points)
+    # n <= MAX_BLOCK_LENGTH = 1280: the matrix holds at most 1,638,400
+    # entries, so it is built whole
     check_block_length(n)
     ops = ctx.np_ops()
     a = np.array(points, dtype=np.int32)
-    out = np.empty((n, blocks), dtype=np.int32)
-    chunk = max(1, _DIFFERENCE_CHUNK // n)
-    for start in range(0, n, chunk):
-        rows = np.arange(start, min(start + chunk, n))
-        d = ops.sub[a[rows, None], a[None, :]]
-        d[np.arange(rows.size), rows] = 1
-        d = d.reshape(rows.size, blocks, n // blocks)
-        while d.shape[2] > 1:
-            half = d.shape[2] // 2
-            paired = ops.mul[d[:, :, :half], d[:, :, half:2 * half]]
-            d = (np.concatenate((paired, d[:, :, 2 * half:]), axis=2)
-                 if d.shape[2] % 2 else paired)
-        out[start:start + rows.size] = d[:, :, 0]
-    return out
+    d = ops.sub[a[:, None], a[None, :]]
+    d[np.arange(n), np.arange(n)] = 1
+    d = d.reshape(n, blocks, n // blocks)
+    while d.shape[2] > 1:
+        half = d.shape[2] // 2
+        paired = ops.mul[d[:, :, :half], d[:, :, half:2 * half]]
+        d = (np.concatenate((paired, d[:, :, 2 * half:]), axis=2)
+             if d.shape[2] % 2 else paired)
+    return d[:, :, 0].astype(np.int32)
 
 
 def dual_coefficients(ctx: FieldCtx, points: Sequence[Felt]) -> tuple[Felt, ...]:

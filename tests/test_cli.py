@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import grsdual
-from grsdual import construct, gf, grs
+from grsdual import construct, gf, grs, verify
 from grsdual.cli import _build_parser, _cell_label, json_text, main
 from grsdual.errors import SearchGaveUpError
 from grsdual.grs import MAX_BLOCK_LENGTH
@@ -215,6 +215,27 @@ def test_verify_corrupted_generator_exits_3(tmp_path, capsys):
     assert statuses["generator-consistency"] == "fail"
 
 
+def test_dual_identity_names_a_row_that_is_not_orthogonal(
+        tmp_path, monkeypatch, capsys):
+    # u_0 doubled: the dual generator's row 0, u, has inner product u_0
+    # with the primal's row 0 of ones
+    def doubled(ctx, points):
+        u = grs.dual_coefficients(ctx, points)
+        return (ctx.add(u[0], u[0]), *u[1:])
+
+    monkeypatch.setattr(verify, "dual_coefficients", doubled)
+    fail = verify.CheckResult(
+        "dual-identity", "fail",
+        "row 0 of the dual generator is not orthogonal to row 0", "exact")
+    assert verify.check_dual_identity(gf.make_field(5), (0, 1, 2), 1) == fail
+    out_file = tmp_path / "code.json"
+    run_cli(["construct", "--family", "subfield-points", "--r", "5",
+             "--n", "4", "-o", str(out_file)], capsys)
+    rc, out, _ = run_cli(["verify", str(out_file), "--dual-identity"], capsys)
+    assert rc == 3
+    assert json.loads(out)["checks"][-1] == fail.to_json()
+
+
 def test_verify_without_stored_generator(tmp_path, capsys):
     out_file = tmp_path / "code.json"
     run_cli(["construct", "--family", "subfield-points", "--r", "5",
@@ -251,6 +272,14 @@ def test_construct_odd_length_exits_2(capsys):
     rc, _, err = run_cli(["construct", "--family", "even-char",
                           "--q", "4", "--n", "3"], capsys)
     assert rc == 2 and "even" in err
+
+
+def test_verify_unreadable_input_exits_1(tmp_path, capsys):
+    # a missing file and a directory
+    for path in (tmp_path / "missing.json", tmp_path):
+        rc, out, err = run_cli(["verify", str(path)], capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_verify_malformed_json_exits_1(tmp_path, capsys):
@@ -603,6 +632,12 @@ def _drop_multiplier(obj):
     (["construct", "--family", "square-set", "--q", "13", "--n", "4"], 2,
      "construction infeasible: no square-difference set of size 4 exists "
      "in GF(13)"),
+    # new rows go last: pytest numbers the ids argv0, argv1, ... by row
+    (["construct", "--family", "even-char", "--e", "2", "--n", "2"], 1,
+     "error: --e given without --p"),
+    (["construct", "--family", "even-char", "--p", "2", "--e", "2",
+      "--q", "8", "--n", "2"], 1,
+     "error: --q 8 conflicts with --p/--e (4)"),
 ])
 def test_each_failure_keeps_its_exit_code_and_stderr(argv, rc, line,
                                                      monkeypatch, capsys):
@@ -1175,8 +1210,6 @@ RANDOMIZED_VERIFY_GOLDENS = (
 
 def test_seeded_randomized_verify_is_byte_identical(tmp_path, capsys):
     import random
-
-    from grsdual import verify
 
     code_file = tmp_path / "code.json"
     rc, _, _ = run_cli(["construct", "--family", "even-char", "--q", "256",

@@ -319,8 +319,7 @@ def test_check_mds_exact_fail_on_non_mds_matrix():
     assert res.status == "fail"
     assert "[0, 2]" in res.detail  # first singular pair in lex order
     # the last column pairs with either of the others singularly
-    from grsdual.linalg import nonsingular_rows
-    assert not nonsingular_rows(ctx, [[0, 0], [1, 0]])
+    assert echelon(ctx, [[0, 0], [1, 0]], reduced=False)[1] == [0]
 
 
 def test_check_mds_randomized_needs_a_sample():
@@ -339,6 +338,11 @@ def test_check_mds_rejects_an_unknown_mode_before_the_shape():
     for rows in ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(ValueError, match="unknown mds mode 'bogus'"):
             ver.check_mds_matrix(ctx, matrix(rows), mode="bogus")
+    # and the shape fails in either mode
+    tall = matrix([[1, 0], [0, 1], [1, 1]])
+    for mode in ("exact", "randomized"):
+        assert ver.check_mds_matrix(ctx, tall, mode=mode) == ver.CheckResult(
+            "mds", "fail", "dimension 3 exceeds block length 2", mode)
 
 
 def test_check_mds_budget():
@@ -526,7 +530,7 @@ def _window_cases(ctx, rnd, window):
 
 
 @pytest.mark.parametrize("q", [13, 25, 1031])
-def test_randomized_windows_match_the_oracle(q, monkeypatch):
+def test_randomized_windows_match_the_oracle(q, monkeypatch, mds_work):
     # chunks of 2 draws of 3 x 7 generators (windows of 8), so that 40
     # draws span five windows, and slices of at most 4 blocks of 2 x 2
     # and 2 of 3 x 3: a window often holds more blocks of one size
@@ -534,21 +538,10 @@ def test_randomized_windows_match_the_oracle(q, monkeypatch):
     rnd = random.Random(q)
     monkeypatch.setattr(ver, "_MDS_CHUNK", 2 * 3 * 3)
     samples, window = 40, 4 * 2
-    cases = _window_cases(ctx, rnd, window)
-    draws = []
-    draw = ver._draw_subsets
-
-    def counted(rng, n, k, count):
-        draws.append(count)
-        return draw(rng, n, k, count)
-
-    monkeypatch.setattr(ver, "_draw_subsets", counted)
-    windows = _record_windows(monkeypatch)
     statuses, split = [], False
-    for rows, seed in cases:
+    for rows, seed in _window_cases(ctx, rnd, window):
         gen = matrix(rows)
-        draws.clear()
-        windows.clear()
+        mds_work.clear()
         got = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                    samples=samples, seed=seed)
         want = oracles.check_mds_matrix(ctx, gen, mode="randomized",
@@ -557,29 +550,26 @@ def test_randomized_windows_match_the_oracle(q, monkeypatch):
         statuses.append(got.status)
         # no draw asks for more than one chunk, and the draws stop with
         # the window that holds the first singular one
+        draws, windows = mds_work.draws, mds_work.windows
         assert max(draws) <= max(1, ver._MDS_CHUNK // 3 ** 2)
-        assert sum(draws) == sum(b for w in windows for b, _ in w)
+        assert sum(draws) == sum(count for count, _ in windows)
         if got.status == "fail":
             first = _first_fail(_oracle_samples(ctx, gen, samples, seed))
             assert sum(draws) == min(samples, (first // window + 1) * window)
         _assert_one_pass_per_block_size(windows)
-        split |= any(len(w) > len({j for _, j in w}) for w in windows)
+        split |= any(len(w) > len({j for _, j in w}) for _, w in windows)
     assert statuses == ["pass", "fail", "fail", "fail"]
     assert split, "no block size was split over several slices"
 
 
-def _tampered_walks_match_the_oracle(q, window, monkeypatch):
+def _tampered_walks_match_the_oracle(q, window, mds_work):
     """Exact checks of long walks over GF(q), C(N, k) past the per-subset
     limit, equal the oracle's and never test a subset on its own: a GRS
     [12, 6] code with column 11 made a combination of columns 7 and 9
     fails first at a subset far into the walk; a code with one entry
     changed may pass or fail.  A GRS [16, 8] code, in windows of window
-    subsets, fails first in the walk's third window."""
-    def per_subset(*args):
-        raise AssertionError("the per-subset kernel ran past the limit")
-
-    monkeypatch.setattr(ver, "_np_subset_nonsingular", per_subset)
-    assert math.comb(12, 6) > ver._PER_SUBSET_LIMIT
+    subsets, fails first in the walk's third window, after its minor
+    walk finds a singular minor."""
     ctx = field_for_order(q)
     rnd = random.Random(q)
     points = tuple(rnd.sample(range(q), 12))
@@ -608,7 +598,6 @@ def _tampered_walks_match_the_oracle(q, window, monkeypatch):
     v = tuple(rnd.randrange(1, q) for _ in range(16))
     rows = generator_matrix(GrsCode(ctx, points, v, 8)).tolist()
     walk = list(combinations(range(16), 8))
-    assert window == 4 * (ver._MDS_CHUNK // 8 ** 2)
     reached = {}
     for at, cols in enumerate(walk):
         if cols[-1] == 15:
@@ -623,25 +612,30 @@ def _tampered_walks_match_the_oracle(q, window, monkeypatch):
     gen = matrix(rows)
     want = oracles.check_mds_matrix(ctx, gen, mode="exact")
     assert want.detail == f"columns {list(walk[at])} are singular"
+    assert mds_work.subsets == []
+    mds_work.clear()
     assert ver.check_mds_matrix(ctx, gen, mode="exact") == want
+    assert mds_work.minor_walks == [False]
+    assert [count for count, _ in mds_work.windows] == [window] * 3
+    assert mds_work.subsets == []
 
 
 @pytest.mark.parametrize("q", [1031, 43 ** 2, 2048])
 def test_tampered_code_above_the_table_limit_names_the_oracles_subset(
-        q, monkeypatch):
+        q, mds_work):
     # exp/log ops: C(16, 8) = 12,870 subsets in windows of four chunks
     # of 1,024
-    _tampered_walks_match_the_oracle(q, 4096, monkeypatch)
+    _tampered_walks_match_the_oracle(q, 4096, mds_work)
 
 
 @pytest.mark.parametrize("q", [25, 49, 1024])
 def test_tampered_long_walk_over_dense_tables_names_the_oracles_subset(
-        q, monkeypatch):
+        q, monkeypatch, mds_work):
     # dense tables, but walks past the limit take the windows too; in
     # GF(25) every product is reached within 250 subsets, so the windows
     # shrink to four chunks of 16 [16, 8] subsets
     monkeypatch.setattr(ver, "_MDS_CHUNK", 16 * 8 ** 2)
-    _tampered_walks_match_the_oracle(q, 64, monkeypatch)
+    _tampered_walks_match_the_oracle(q, 64, mds_work)
 
 
 def _walk_shape(total):
@@ -651,31 +645,19 @@ def _walk_shape(total):
                key=lambda shape: shape[1])
 
 
-def _count_subsets(monkeypatch):
-    """Patch `verify._np_subset_nonsingular`; return the list of the
-    column subsets it is called with."""
-    calls = []
-    subset = ver._np_subset_nonsingular
-
-    def counted(*args):
-        calls.append(args[2])
-        return subset(*args)
-
-    monkeypatch.setattr(ver, "_np_subset_nonsingular", counted)
-    return calls
+# the longest exact walk tested a subset at a time
+PER_SUBSET_WALK = 64
 
 
 @pytest.mark.parametrize("q", [961, 2048, 2187])
-def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(q, monkeypatch):
+def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(q, mds_work):
     # over dense tables (GF(31^2)) and exp/log ops (GF(2^11), GF(3^7))
-    # alike, a walk of _PER_SUBSET_LIMIT subsets tests each on its own,
-    # one of one subset more takes the windows; both give the oracle's
-    # reports
-    calls = _count_subsets(monkeypatch)
+    # alike, a walk of PER_SUBSET_WALK subsets tests each on its own with
+    # one elimination, one of one subset more walks the minors and, for
+    # a singular one, the windows; both give the oracle's reports
     ctx = field_for_order(q)
     rnd = random.Random(q)
-    limit = ver._PER_SUBSET_LIMIT
-    for total in (limit, limit + 1):
+    for total in (PER_SUBSET_WALK, PER_SUBSET_WALK + 1):
         n, k = _walk_shape(total)
         points = tuple(rnd.sample(range(ctx.q), n))
         v = tuple(rnd.randrange(1, ctx.q) for _ in range(n))
@@ -687,39 +669,42 @@ def test_exact_walks_up_to_the_limit_go_a_subset_at_a_time(q, monkeypatch):
         first = next(at for at, cols in enumerate(walk) if n - 1 in cols)
         for gen, walked in ((rows, total), (tampered, first + 1)):
             gen = matrix(gen)
-            calls.clear()
+            mds_work.clear()
             got = ver.check_mds_matrix(ctx, gen, mode="exact")
             assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
-            assert calls == (walk[:walked] if total == limit else [])
+            short = total == PER_SUBSET_WALK
+            assert mds_work.subsets == (walk[:walked] if short else [])
+            assert len(mds_work.blocks) == len(mds_work.subsets)
+            mds = got.status == "pass"
+            assert mds_work.minor_walks == ([] if short else [mds])
+            assert bool(mds_work.windows) == (not short and not mds)
         assert got.detail == f"columns {list(walk[first])} are singular"
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_short_exact_walks_in_characteristic_2_go_a_subset_at_a_time(
-        q, monkeypatch):
+        q, mds_work):
     # GF(2^e) keeps no dense tables, and a walk of at most
-    # _PER_SUBSET_LIMIT subsets still tests each on its own, up to the
+    # PER_SUBSET_WALK subsets still tests each on its own, up to the
     # first singular one, and never walks the minors.  A GRS code as
     # built and with its last column zeroed give the oracle's reports
-    calls = _count_subsets(monkeypatch)
-    verdicts = _spy_minor_walk(monkeypatch)
     ctx = field_for_order(q)
     rnd = random.Random(q)
     n = min(q, 7)
     k = n // 2
-    assert math.comb(n, k) <= ver._PER_SUBSET_LIMIT
+    assert math.comb(n, k) <= PER_SUBSET_WALK
     rows = _grs_rows(ctx, rnd, k, n)
     tampered = [row[:-1] + [0] for row in rows]
     walk = list(combinations(range(n), k))
     first = next(at for at, cols in enumerate(walk) if n - 1 in cols)
     for gen, mds in ((rows, True), (tampered, False)):
         gen = matrix(gen)
-        calls.clear()
+        mds_work.clear()
         got = ver.check_mds_matrix(ctx, gen, mode="exact")
         assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
         assert (got.status == "pass") == mds
-        assert calls == (walk if mds else walk[:first + 1])
-    assert verdicts == []
+        assert mds_work.subsets == (walk if mds else walk[:first + 1])
+        assert mds_work.minor_walks == []
 
 
 def test_mds_check_reports_the_first_subset_below_full_rank():
@@ -732,131 +717,81 @@ def test_mds_check_reports_the_first_subset_below_full_rank():
     assert sampled.detail == f"columns {list(first)} are singular"
 
 
-def test_exact_mds_check_runs_one_elimination_per_subset(monkeypatch):
+def test_exact_mds_check_runs_one_elimination_per_subset(mds_work):
     # the benchmark counts verify._np_subset_nonsingular and
     # linalg._np_nonsingular calls as "subsets checked" and "eliminations";
-    # both stay one per subset walked for walks of up to
-    # verify._PER_SUBSET_LIMIT subsets, such as these
-    calls = {"subsets": 0, "eliminations": 0}
-    blocks = []
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            if key == "eliminations":
-                # the block comes as square lists of Python ints
-                block = args[0]
-                assert type(block) is list and all(
-                    type(row) is list and len(row) == len(block)
-                    and all(type(x) is int for x in row) for row in block)
-                blocks.append(len(block))
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(ver, "_np_subset_nonsingular",
-                        counted("subsets", ver._np_subset_nonsingular))
-    monkeypatch.setattr(la, "_np_nonsingular",
-                        counted("eliminations", la._np_nonsingular))
+    # both stay one per subset walked for walks of up to PER_SUBSET_WALK
+    # subsets, such as these
     code = con_families.construct_theorem_3_5(3, 1).code
     assert ver.check_mds(code, mode="exact").status == "pass"
-    assert calls == {"subsets": 20, "eliminations": 20}, (
+    walk = list(combinations(range(6), 3))
+    assert mds_work.subsets == walk, (
         "an exact check of the [6, 3] code must test its C(6, 3) = 20 "
         "subsets with one _np_subset_nonsingular and one _np_nonsingular "
         "call each")
-    # pivots in columns 0-2: a subset with i of them leaves a (3-i)x(3-i)
-    # block, for C(3, i) C(3, 3-i) subsets
-    assert Counter(blocks) == {3: 1, 2: 9, 1: 9, 0: 1}
+    # each block comes as square lists of Python ints.  Pivots in columns
+    # 0-2: a subset with i of them leaves a (3-i)x(3-i) block, for
+    # C(3, i) C(3, 3-i) subsets
+    blocks = mds_work.blocks
+    assert all(type(block) is list and all(
+        type(row) is list and len(row) == len(block)
+        and all(type(x) is int for x in row) for row in block)
+        for block in blocks)
+    assert Counter(map(len, blocks)) == {3: 1, 2: 9, 1: 9, 0: 1}
     # with column 4 a copy of column 2 the walk stops at the first subset
     # that holds both
     rows = generator_matrix(code).tolist()
     for row in rows:
         row[4] = row[2]
-    calls.update(subsets=0, eliminations=0)
+    mds_work.clear()
     res = ver.check_mds_matrix(code.ctx, matrix(rows), mode="exact")
-    walked, first = next((i + 1, cols) for i, cols
-                         in enumerate(combinations(range(6), 3))
-                         if {2, 4} <= set(cols))
-    assert res.detail == f"columns {list(first)} are singular"
-    assert calls == {"subsets": walked, "eliminations": walked}
+    walked = next(i + 1 for i, cols in enumerate(walk) if {2, 4} <= set(cols))
+    assert res.detail == f"columns {list(walk[walked - 1])} are singular"
+    assert mds_work.subsets == walk[:walked]
+    assert len(mds_work.blocks) == walked
 
 
-def test_randomized_mds_check_streams_its_draws(monkeypatch):
-    draws = []
-    draw = ver._draw_subsets
-
-    def counted(rng, n, k, count):
-        draws.append(count)
-        return draw(rng, n, k, count)
-
+def test_randomized_mds_check_streams_its_draws(mds_work):
     # rank 1: the first draw fails, and only its window of four chunks
     # is drawn
     ctx = make_field(5)
     gen = matrix([[1, 2, 3, 4, 0], [2, 4, 1, 3, 0]])
     first = sorted(random.Random(5).sample(range(5), 2))
-    monkeypatch.setattr(ver, "_draw_subsets", counted)
     res = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                samples=10 ** 9, seed=5)
     assert res.detail == f"columns {first} are singular"
-    assert draws == [ver._MDS_CHUNK // 2 ** 2] * 4
+    assert mds_work.draws == [ver._MDS_CHUNK // 2 ** 2] * 4
     # the [28, 14] code is GRS: its Cauchy form proves it MDS, and no
     # subset is drawn
-    draws.clear()
+    mds_work.clear()
     code = con_families.construct_extended(27).code
     samples, k = 10 ** 4, 14
     assert ver.check_mds(code, mode="randomized",
                          samples=samples).status == "pass"
-    assert draws == []
+    assert (mds_work.proofs, mds_work.draws) == ([True], [])
     # refused, the [28, 14] check samples: no subset is eliminated on its
     # own, and each window makes one pass per block size, in slices of
     # bounded size
-    monkeypatch.setattr(ver, "_cauchy_form", lambda a, ops: False)
-    calls = {"subsets": 0}
-    subset = ver._np_subset_nonsingular
-
-    def one(*args):
-        calls["subsets"] += 1
-        return subset(*args)
-
-    monkeypatch.setattr(ver, "_np_subset_nonsingular", one)
-    windows = _record_windows(monkeypatch)
-    draws.clear()
+    mds_work.refuse_proofs()
+    mds_work.clear()
     assert ver.check_mds(code, mode="randomized",
                          samples=samples).status == "pass"
     chunk = ver._MDS_CHUNK // k ** 2
-    assert calls["subsets"] == 0
-    assert draws == [chunk] * (samples // chunk) + [samples % chunk]
-    assert [sum(b for b, _ in window) for window in windows] == (
+    assert (mds_work.subsets, mds_work.proofs) == ([], [False])
+    assert mds_work.draws == [chunk] * (samples // chunk) + [samples % chunk]
+    assert [count for count, _ in mds_work.windows] == (
         [4 * chunk] * (samples // (4 * chunk)) + [samples % (4 * chunk)])
-    assert all(j <= k for window in windows for _, j in window)
-    _assert_one_pass_per_block_size(windows)
-
-
-def _record_windows(monkeypatch):
-    """Patch the randomized check's block kernels; return a list that
-    gets one list of (B, j) per window, one pair per batched call."""
-    windows = []
-    blocks, batch = ver._blocks_nonsingular, la._np_batch_nonsingular
-
-    def per_window(*args):
-        windows.append([])
-        return blocks(*args)
-
-    def batched(a, ops):
-        nblocks, j, j2 = a.shape
-        assert j == j2
-        windows[-1].append((nblocks, j))
-        return batch(a, ops)
-
-    monkeypatch.setattr(ver, "_blocks_nonsingular", per_window)
-    monkeypatch.setattr(la, "_np_batch_nonsingular", batched)
-    return windows
+    assert all(j <= k for _, window in mds_work.windows for _, j in window)
+    _assert_one_pass_per_block_size(mds_work.windows)
 
 
 def _assert_one_pass_per_block_size(windows):
-    """Each window eliminates its block sizes in increasing order, each in
-    slices of max(1, _MDS_CHUNK // j^2) blocks but the last, so no call
-    holds more than max(_MDS_CHUNK, j^2) block entries."""
-    for window in windows:
+    """Each window of `mds_work.windows` eliminates each of its subsets
+    once, its block sizes in increasing order, each in slices of
+    max(1, _MDS_CHUNK // j^2) blocks but the last, so no call holds more
+    than max(_MDS_CHUNK, j^2) block entries."""
+    for count, window in windows:
+        assert sum(b for b, _ in window) == count
         sizes = [j for _, j in window]
         assert sizes == sorted(sizes)
         for j in set(sizes):
@@ -900,43 +835,13 @@ def _smallest_singular_minor(ctx, a):
     return None
 
 
-def _spy_minor_walk(monkeypatch):
-    """Patch `verify._minors_nonsingular`; return the list of its
-    verdicts, one per call."""
-    verdicts = []
-    walk = ver._minors_nonsingular
-
-    def spy(a, ops):
-        verdicts.append(walk(a, ops))
-        return verdicts[-1]
-
-    monkeypatch.setattr(ver, "_minors_nonsingular", spy)
-    return verdicts
-
-
-def _count_windows(monkeypatch):
-    """Patch `verify._blocks_nonsingular`; return the list of the window
-    sizes it is called with."""
-    calls = []
-    blocks = ver._blocks_nonsingular
-
-    def counted(*args):
-        calls.append(len(args[2]))
-        return blocks(*args)
-
-    monkeypatch.setattr(ver, "_blocks_nonsingular", counted)
-    return calls
-
-
 @pytest.mark.parametrize("q", [5, 16, 49, 2048])
-def test_minor_walk_matches_the_oracle(q, monkeypatch):
-    # every exact walk tries the minors first, the shortest too: random
-    # [I | A], k = 1 and N - k = 1 among them, with a singular minor
-    # planted at every size; the walk's verdict is whether A has a
-    # singular minor, and the report is the oracle's
-    monkeypatch.setattr(ver, "_PER_SUBSET_LIMIT", 0)
-    verdicts = _spy_minor_walk(monkeypatch)
+def test_minor_walk_matches_the_oracle(q, mds_work):
+    # random [I | A], k = 1 and N - k = 1 among them, with a singular
+    # minor planted at every size: the walk's verdict on A is whether A
+    # has a singular minor, and the check's report is the oracle's
     ctx = field_for_order(q)
+    ops = ctx.np_ops()
     rnd = random.Random(q)
     smallest = Counter()
     shapes = ((1, 1), (1, 6), (6, 1), (2, 5), (3, 4), (4, 4), (5, 3)) * 4
@@ -944,27 +849,29 @@ def test_minor_walk_matches_the_oracle(q, monkeypatch):
         for j in range(min(k, m) + 1):
             rows = _planted_minor_rows(ctx, rnd, k, m, j)
             gen = matrix(rows)
-            verdicts.clear()
+            first = _smallest_singular_minor(ctx, [row[k:] for row in rows])
+            # gen is its own reduced form, and read-only
+            assert ver._minors_nonsingular(gen[:, k:], ops) is (
+                first is None), (k, m, j)
             got = ver.check_mds_matrix(ctx, gen, mode="exact")
             assert got == oracles.check_mds_matrix(ctx, gen, mode="exact")
-            first = _smallest_singular_minor(ctx, [row[k:] for row in rows])
-            assert verdicts == [first is None], (k, m, j)
             smallest[first] += 1
     # small fields keep few large minors nonsingular
     assert {None, 1, 2} <= set(smallest), smallest
     if q == 2048:
         assert set(smallest) == {None, 1, 2, 3, 4}, smallest
-    # pivots not in columns 0..k-1: the minors are not walked, and the
-    # windows name the first subset
-    rows = _grs_rows(ctx, rnd, 3, 5)
+    # pivots not in columns 0..k-1, in a walk of C(9, 4) = 126 subsets:
+    # the minors are not walked, and the windows name the first subset
+    rows = [[rnd.randrange(q) for _ in range(9)] for _ in range(4)]
     c = rnd.randrange(1, q)
     for row in rows:
         row[1] = ctx.mul(c, row[0])
-    verdicts.clear()
+    mds_work.clear()
     got = ver.check_mds_matrix(ctx, matrix(rows), mode="exact")
     assert got == oracles.check_mds_matrix(ctx, matrix(rows), mode="exact")
-    assert got.detail == "columns [0, 1, 2] are singular"
-    assert verdicts == []
+    assert got.detail == "columns [0, 1, 2, 3] are singular"
+    assert (mds_work.subsets, mds_work.minor_walks) == ([], [])
+    assert mds_work.windows
 
 
 def _only_full_minor_singular(ctx, rnd):
@@ -984,7 +891,8 @@ def _only_full_minor_singular(ctx, rnd):
     return rows
 
 
-def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch):
+def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch,
+                                                      mds_work):
     # GRS [16, 8] codes over GF(1024): one as built, and one whose only
     # singular minor is 8 x 8 (random seed 29 keeps the smaller ones
     # nonsingular, so the oracle names the walk's last subset).  With
@@ -998,7 +906,6 @@ def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch):
     wants = [oracles.check_mds_matrix(ctx, gen, mode="exact")
              for gen, _ in cases]
     assert wants[1].detail == f"columns {list(range(8, 16))} are singular"
-    verdicts = _spy_minor_walk(monkeypatch)
     sizes = []
     concatenate = np.concatenate
 
@@ -1014,9 +921,9 @@ def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch):
         monkeypatch.setattr(ver, "_MDS_CHUNK", chunk)
         sizes.clear()
         for (gen, mds), want in zip(cases, wants):
-            verdicts.clear()
+            mds_work.clear()
             assert ver.check_mds_matrix(ctx, gen, mode="exact") == want
-            assert verdicts == [mds]
+            assert mds_work.minor_walks == [mds]
         built[chunk] = list(sizes)
     # a level is built whole only under the cap, or from one parent: the
     # empty minor's children, 7 last columns with C(8, 2) rows below
@@ -1026,41 +933,41 @@ def test_halved_minor_walks_keep_the_oracles_verdicts(monkeypatch):
     assert len(built[512]) > 4 * len(built[default])
 
 
-def test_long_exact_walks_window_only_to_name_a_singular_subset(monkeypatch):
-    # C(12, 6) = 924 subsets, past the per-subset limit: a GRS code
-    # passes on its minors alone; with column 11 a copy of column 4 the
-    # windows run and name the oracle's subset
-    calls = _count_windows(monkeypatch)
-    assert math.comb(12, 6) > ver._PER_SUBSET_LIMIT
+def test_long_exact_walks_window_only_to_name_a_singular_subset(mds_work):
+    # C(12, 6) = 924 subsets, none tested on its own: a GRS code passes
+    # on its minors alone; with column 11 a copy of column 4 the windows
+    # run and name the oracle's subset
     for q in (25, 1024, 2048):
         ctx = field_for_order(q)
         rows = _grs_rows(ctx, random.Random(q), 6, 12)
-        calls.clear()
+        mds_work.clear()
         assert ver.check_mds_matrix(ctx, matrix(rows)).status == "pass"
-        assert calls == []
+        assert (mds_work.minor_walks, mds_work.windows) == ([True], [])
         for row in rows:
             row[11] = row[4]
         got = ver.check_mds_matrix(ctx, matrix(rows))
         assert got == oracles.check_mds_matrix(ctx, matrix(rows))
         assert got.detail == "columns [0, 1, 2, 3, 4, 11] are singular"
-        assert calls
+        assert mds_work.minor_walks == [True, False] and mds_work.windows
+        assert mds_work.subsets == []
 
 
-def test_exact_check_of_theorem_3_5_22_11_walks_its_minors(monkeypatch):
+def test_exact_check_of_theorem_3_5_22_11_walks_its_minors(mds_work):
     # 705,432 subsets over GF(121), passed on the minors with no window;
     # one entry changed, the walk finds a singular minor and the windows
     # give the report a window walk alone gives
-    calls = _count_windows(monkeypatch)
     code = con_families.construct_theorem_3_5(11, 1).code
     ctx, gen = code.ctx, generator_matrix(code)
     assert ver.check_mds_matrix(ctx, gen, mode="exact") == ver.CheckResult(
         "mds", "pass", "all 705432 column 11-subsets nonsingular", "exact")
-    assert calls == []
+    assert (mds_work.minor_walks, mds_work.windows) == ([True], [])
     rows = gen.tolist()
     rows[5][16] = ctx.add(rows[5][16], 1)
+    mds_work.clear()
     got = ver.check_mds_matrix(ctx, matrix(rows), mode="exact")
-    assert got.status == "fail" and calls
-    monkeypatch.setattr(ver, "_minors_nonsingular", lambda a, ops: False)
+    assert got.status == "fail" and mds_work.windows
+    assert mds_work.minor_walks == [False]
+    mds_work.refuse_minor_walks()
     assert ver.check_mds_matrix(ctx, matrix(rows), mode="exact") == got
 
 
@@ -1148,14 +1055,10 @@ def _proof_cases():
             for c in codes if c.block_length - c.k >= 3]
 
 
-def test_cauchy_form_proves_every_sweep_generator(monkeypatch):
+def test_cauchy_form_proves_every_sweep_generator(mds_work):
     # GRS codes, extended or not: the proof holds with the extended
     # family's column at infinity last (a non-pivot column) and, columns
     # reversed, first (a pivot column); the randomized check draws nothing
-    def no_draws(*args):
-        raise AssertionError("a proved generator drew subsets")
-
-    monkeypatch.setattr(ver, "_draw_subsets", no_draws)
     cases = _proof_cases()
     assert len(cases) == 25
     fields = set()
@@ -1166,6 +1069,7 @@ def test_cauchy_form_proves_every_sweep_generator(monkeypatch):
             red = columns.copy()
             assert la._np_echelon(red, ops, reduced=True) == list(range(k))
             assert ver._cauchy_form(red[:, k:], ops), label
+            mds_work.clear()
             res = ver.check_mds_matrix(code.ctx, columns, mode="randomized",
                                        seed=3)
             assert res == ver.CheckResult(
@@ -1173,6 +1077,7 @@ def test_cauchy_form_proves_every_sweep_generator(monkeypatch):
                 f"{ver.RANDOM_MDS_SAMPLES} sampled column {k}-subsets "
                 "nonsingular (statistical evidence, not a proof)",
                 "randomized", seed=3), label
+            assert (mds_work.proofs, mds_work.draws) == ([True], []), label
         fields.add((code.ctx.p, code.extended, code.ctx.q > 1024))
     # even and odd characteristic, extended codes, and both op providers
     assert {(2, False, False), (2, False, True), (5, True, False),
@@ -1180,7 +1085,7 @@ def test_cauchy_form_proves_every_sweep_generator(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [25, 2048])
-def test_refused_proofs_give_the_oracles_randomized_report(q, monkeypatch):
+def test_refused_proofs_give_the_oracles_randomized_report(q, mds_work):
     # a zero entry of A, a rank below k, pivots past column k - 1 and one
     # entry of A changed: the check samples, as the oracle does.  The
     # changed entry may leave the code MDS (it does over GF(2048))
@@ -1196,26 +1101,18 @@ def test_refused_proofs_give_the_oracles_randomized_report(q, monkeypatch):
     late_pivot = [[row[0], ctx.mul(c, row[0]), *row[2:]] for row in grs]
     tampered = [row[:] for row in grs]
     tampered[3][k + 1] = ctx.add(tampered[3][k + 1], 1)
-    proofs = []
-    cauchy = ver._cauchy_form
-
-    def spy(a, ops):
-        proofs.append(cauchy(a, ops))
-        return proofs[-1]
-
-    monkeypatch.setattr(ver, "_cauchy_form", spy)
     assert ver.check_mds_matrix(ctx, matrix(grs), mode="randomized").status \
         == "pass"
-    assert proofs == [True]
+    assert mds_work.proofs == [True]
     statuses = []
     for rows, called in ((zero, [False]), (low_rank, []),
                          (late_pivot, []), (tampered, [False])):
         gen = matrix(rows)
         seed = rnd.randrange(10 ** 6)
-        proofs.clear()
+        mds_work.clear()
         got = ver.check_mds_matrix(ctx, gen, mode="randomized",
                                    samples=1000, seed=seed)
-        assert proofs == called, rows
+        assert mds_work.proofs == called, rows
         assert got == oracles.check_mds_matrix(
             ctx, gen, mode="randomized", samples=1000, seed=seed), rows
         statuses.append(got.status)
